@@ -19,7 +19,7 @@ Layers, bottom up:
 from .bench import BenchResult, bench_model_eval
 from .floatgate import (FloatingGateParams, PulseResult, fg_program_pulse,
                         fg_read_current, fn_current, program_pulse)
-from .mosfet import (BiasPoint, ChargeSolution, ChargeSolveError, MosParams,
+from .mosfet import (ChargeSolution, ChargeSolveError, MosParams,
                      TerminalCharges, charge_solution, current_from_charges,
                      drain_current, drain_current_and_grads, gummel_current,
                      implicit_residual, solve_charge_householder,

@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -25,7 +24,7 @@ from .engine import (AnalysisSpec, ConvergenceError, NetlistError, SimResult,
                      TransientError, parse_netlist, run_analysis)
 from .floatgate import FloatingGateParams, fg_read_current, program_pulse
 from .mosfet import (ChargeSolveError, MosParams, drain_current,
-                     gummel_current, terminal_charges_grid)
+                     gummel_current, terminal_charges)
 from .neuro import (MacromodelConfig, TrainConfig, find_mnist,
                     train_and_gate, train_and_gate_software, train_macromodel)
 from .paramfile import (ParamError, apply_params, load_params,
@@ -80,19 +79,6 @@ def _write(args, columns, data, metadata, default_name) -> str:
     return path
 
 
-def _chunked(worker, payloads, jobs):
-    """Order-preserving map, optionally across processes."""
-    if jobs and jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as ex:
-            return list(ex.map(worker, payloads))
-    return [worker(p) for p in payloads]
-
-
-def _split_grid(grid, jobs):
-    parts = np.array_split(grid, max(jobs or 1, 1))
-    return [part for part in parts if part.size]
-
-
 def _float_list(text: str):
     try:
         return [float(tok) for tok in text.split(",") if tok.strip()]
@@ -102,20 +88,13 @@ def _float_list(text: str):
 
 # ---------------------------------------------------------------- sweeps
 
-def _idvg_chunk(payload):
-    p, v_g, vds_list, method = payload
-    cols = [drain_current(p, v_g, v_ds, method=method) for v_ds in vds_list]
-    return np.column_stack([v_g] + cols)
-
-
 def cmd_idvg(args) -> int:
     objs = _resolve(args, "mos", {"mos": MosParams()})
     p = objs["mos"]
     vds_list = _float_list(args.vds)
     v_g = np.linspace(args.start, args.stop, args.points)
-    payloads = [(p, chunk, vds_list, args.method)
-                for chunk in _split_grid(v_g, args.jobs)]
-    data = np.vstack(_chunked(_idvg_chunk, payloads, args.jobs))
+    currents = [drain_current(p, v_g, v_ds, method=args.method) for v_ds in vds_list]
+    data = np.column_stack([v_g] + currents)
     cols = ["v_g"] + [f"i_d_vds{v:g}" for v in vds_list]
     meta = _metadata(args, {"method": args.method, "v_ds": args.vds,
                             "sweep": f"v_g {args.start} {args.stop} {args.points}"},
@@ -124,20 +103,13 @@ def cmd_idvg(args) -> int:
     return EXIT_OK
 
 
-def _idvd_chunk(payload):
-    p, v_ds, vg_list, method = payload
-    cols = [drain_current(p, v_g, v_ds, method=method) for v_g in vg_list]
-    return np.column_stack([v_ds] + cols)
-
-
 def cmd_idvd(args) -> int:
     objs = _resolve(args, "mos", {"mos": MosParams()})
     p = objs["mos"]
     vg_list = _float_list(args.vg)
     v_ds = np.linspace(args.start, args.stop, args.points)
-    payloads = [(p, chunk, vg_list, args.method)
-                for chunk in _split_grid(v_ds, args.jobs)]
-    data = np.vstack(_chunked(_idvd_chunk, payloads, args.jobs))
+    currents = [drain_current(p, v_g, v_ds, method=args.method) for v_g in vg_list]
+    data = np.column_stack([v_ds] + currents)
     cols = ["v_ds"] + [f"i_d_vg{v:g}" for v in vg_list]
     meta = _metadata(args, {"method": args.method, "v_g": args.vg,
                             "sweep": f"v_ds {args.start} {args.stop} {args.points}"},
@@ -146,21 +118,13 @@ def cmd_idvd(args) -> int:
     return EXIT_OK
 
 
-def _cv_chunk(payload):
-    p, v_g, v_ds, method = payload
-    tc = terminal_charges_grid(p, v_g, np.full_like(v_g, v_ds), method=method)
-    return np.column_stack([v_g, tc.q_g, tc.q_s, tc.q_d, tc.q_bulk])
-
-
 def cmd_cv(args) -> int:
     objs = _resolve(args, "mos", {"mos": MosParams()})
     p = objs["mos"]
     v_g = np.linspace(args.start, args.stop, args.points)
-    payloads = [(p, chunk, args.vds, args.method)
-                for chunk in _split_grid(v_g, args.jobs)]
-    data = np.vstack(_chunked(_cv_chunk, payloads, args.jobs))
-    c_gg = np.gradient(data[:, 1], v_g)
-    data = np.column_stack([data, c_gg])
+    tc = terminal_charges(p, v_g, args.vds, method=args.method)
+    data = np.column_stack([v_g, tc.q_g, tc.q_s, tc.q_d, tc.q_bulk,
+                            np.gradient(tc.q_g, v_g)])
     cols = ["v_g", "q_g", "q_s", "q_d", "q_bulk", "c_gg"]
     meta = _metadata(args, {"method": args.method, "v_ds": args.vds,
                             "sweep": f"v_g {args.start} {args.stop} {args.points}",
@@ -170,19 +134,11 @@ def cmd_cv(args) -> int:
     return EXIT_OK
 
 
-def _gummel_chunk(payload):
-    p, v_g, chunk, method = payload
-    return np.array([gummel_current(p, v_g, float(v_x), method=method)
-                     for v_x in chunk])
-
-
 def cmd_gummel(args) -> int:
     objs = _resolve(args, "mos", {"mos": MosParams()})
     p = objs["mos"]
     v_x = np.linspace(-args.span, args.span, args.points)
-    payloads = [(p, args.vg, chunk, args.method)
-                for chunk in _split_grid(v_x, args.jobs)]
-    i = np.concatenate(_chunked(_gummel_chunk, payloads, args.jobs))
+    i = gummel_current(p, args.vg, v_x, method=args.method)
     d1 = np.gradient(i, v_x)
     d2 = np.gradient(d1, v_x)
     d3 = np.gradient(d2, v_x)
@@ -250,8 +206,6 @@ def cmd_fg_pulse(args) -> int:
 def cmd_crossbar_and(args) -> int:
     objs = _resolve(args, "train", {"train": TrainConfig(), "rram": RramParams()})
     cfg, p = objs["train"], objs["rram"]
-    if args.seed is not None:
-        cfg = dataclasses.replace(cfg, seed=args.seed)
     device = train_and_gate(cfg=cfg, params=p)
     software = train_and_gate_software(params=p, cfg=cfg)
     patterns = np.array([[0, 0], [0, 1], [1, 0], [1, 1]], float)
@@ -362,9 +316,6 @@ def _common(sub):
     sub.add_argument("--out", help="output CSV path")
     sub.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                      help="override one parameter (repeatable)")
-    sub.add_argument("--seed", type=int, default=None)
-    sub.add_argument("--jobs", type=int, default=1,
-                     help="parallel sweep chunks (deterministic ordering)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -449,6 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = subs.add_parser("mnist-train", help="macromodel MLP on MNIST IDX data")
     _common(sp)
     sp.add_argument("--data-dir", help="directory with the four IDX files")
+    sp.add_argument("--seed", type=int, default=None)
     sp.set_defaults(func=cmd_mnist_train)
 
     sp = subs.add_parser("run", help="parse and run a netlist")
@@ -460,6 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     _common(sp)
     sp.add_argument("--n", type=int, default=100_000)
     sp.add_argument("--reps", type=int, default=5)
+    sp.add_argument("--seed", type=int, default=None)
     sp.set_defaults(func=cmd_bench)
 
     return parser

@@ -24,10 +24,14 @@ channel; the integral has the closed form
     I_d = mu_eff (W / L_eff) [ B(Q_is) - B(Q_id) ]
     B(Q) = Q^2/(2 C_ox) + 2 V_t Q - V_t (Q_B + 5 V_t C_si) ln(Q + Q_B + 5 V_t C_si)
 
-Terminal charges use Ward-Dutton partitioning evaluated by fixed-order
-Gauss-Legendre quadrature after changing the position integrals to charge
-integrals through current continuity, with a series expansion in the
-symmetric (V_ds -> 0) limit where the quadrature form degenerates.
+Terminal charges use Ward-Dutton partitioning.  Current continuity turns
+the position integrals into charge integrals, which are evaluated by
+16-node Gauss-Legendre quadrature in the log-charge variable
+w = log1p(Q/(Q_B + 5 V_t C_si)); there every integrand is a low-degree
+polynomial in e^w (plus one term linear in w), and the rule agrees with
+a 100-digit oracle to about 2e-15 at every corner of the validity box.
+A series expansion covers the symmetric (V_ds -> 0) limit, where the
+normalizing difference degenerates.
 """
 
 from __future__ import annotations
@@ -41,7 +45,6 @@ from .constants import EPS_OX, EPS_SI, Q_E, thermal_voltage
 
 __all__ = [
     "MosParams",
-    "BiasPoint",
     "ChargeSolution",
     "TerminalCharges",
     "ChargeSolveError",
@@ -69,8 +72,11 @@ VDS_SMOOTHING = 1e-3  # V
 _REF_TOL = 1e-12      # V, |F| at the accepted root
 _REF_MAX_ITER = 200
 
-_GL_ORDER = 64
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(_GL_ORDER)
+# Gauss-Legendre rule of the Ward-Dutton partition in the log-charge
+# variable; t_n = h (1 - x_n) is the node's distance from the source end.
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
+_GL_1MX = 1.0 - _GL_X
+_GL_BLOCK = 1024      # bias points per pass of the rule
 
 # Relative drain-source charge split below which the Ward-Dutton
 # quadrature degenerates and the series expansion takes over.
@@ -146,13 +152,6 @@ class MosParams:
         if vel_saturation is not None:
             kw["vel_saturation"] = vel_saturation
         return replace(self, **kw)
-
-
-@dataclass(frozen=True)
-class BiasPoint:
-    v_g: float
-    v_ds: float
-    v_ch: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -332,11 +331,17 @@ def charge_solution(p: MosParams, v_g: float, v_ds: float,
                           psi_sd=psi_sd, residual=res)
 
 
+def _solve_reference(p: MosParams, v_g, v_ch=0.0):
+    q = solve_charge_reference_grid(p, v_g, v_ch)
+    return float(q) if q.ndim == 0 else q
+
+
 def _pick_solver(method: str):
+    """Charge solver by name; both accept scalars or broadcast arrays."""
     if method == "householder":
         return solve_charge_householder
     if method == "reference":
-        return lambda p, vg, vch=0.0: solve_charge_reference(p, float(vg), float(vch))
+        return _solve_reference
     raise ValueError(f"unknown charge solver '{method}'")
 
 
@@ -387,15 +392,9 @@ def drain_current(p: MosParams, v_gs, v_ds, method: str = "householder"):
     With both effect wrappers disabled this is exactly
     mu0 (W/L) [B(Q_is) - B(Q_id)].
     """
-    if method == "householder":
-        q_is = solve_charge_householder(p, v_gs, 0.0)
-        q_id = solve_charge_householder(p, v_gs, v_ds)
-    else:
-        q_is = solve_charge_reference_grid(p, v_gs, 0.0)
-        q_id = solve_charge_reference_grid(p, v_gs, v_ds)
-        if np.ndim(v_gs) == 0 and np.ndim(v_ds) == 0:
-            q_is, q_id = float(q_is), float(q_id)
-    return current_from_charges(p, q_is, q_id, v_ds)
+    solve = _pick_solver(method)
+    return current_from_charges(p, solve(p, v_gs, 0.0), solve(p, v_gs, v_ds),
+                                v_ds)
 
 
 def current_from_charges(p: MosParams, q_is, q_id, v_ds):
@@ -414,60 +413,49 @@ def _charge_slope(p: MosParams, q):
     return 1.0 / p.c_ox + p.v_t / q + p.v_t / (q + p.qb5)
 
 
-def drain_current_and_grads(p: MosParams, v_gs: float, v_ds: float,
+def drain_current_and_grads(p: MosParams, v_gs, v_ds,
                             method: str = "householder"):
-    """(I_d, dI_d/dV_gs, dI_d/dV_ds) with analytic chain-rule derivatives."""
+    """(I_d, dI_d/dV_gs, dI_d/dV_ds) with analytic chain-rule derivatives.
+
+    Accepts scalars or broadcastable arrays.  Along the implicit solution
+    dB(Q)/dV = Q, so d[B(Q_is) - B(Q_id)]/dV_gs = Q_is - Q_id and
+    d[...]/dV_ds = Q_id; the effect wrappers add I_d (mu'/mu - L_eff'/L_eff).
+    """
     solve = _pick_solver(method)
-    q_is = float(solve(p, v_gs, 0.0))
-    q_id = float(solve(p, v_gs, v_ds))
-    delta_b = float(_bracket_diff(p, q_is, q_id))
-
-    # charge sensitivities from the implicit equation
-    dqis_dvgs = 1.0 / _charge_slope(p, q_is)
-    dqid_dv = 1.0 / _charge_slope(p, q_id)   # d q_id / d(V_gs - V_ds)
-    ddb_dvgs = q_is - q_id
-    ddb_dvds = q_id
-
-    q_avg = 0.5 * (q_is + q_id)
-    if p.mob_degradation:
-        denom = 1.0 + (p.q_b + q_avg) / (p.eps_si * p.e_mob)
-        mu = p.mu0 / denom
-        dmu_dqavg = -p.mu0 / (denom * denom) / (p.eps_si * p.e_mob)
-        dqavg_dvgs = 0.5 * (dqis_dvgs + dqid_dv)
-        dqavg_dvds = 0.5 * (-dqid_dv)
-        dmu_dvgs = dmu_dqavg * dqavg_dvgs
-        dmu_dvds = dmu_dqavg * dqavg_dvds
-    else:
-        mu = p.mu0
+    q_is = solve(p, v_gs, 0.0)
+    q_id = solve(p, v_gs, v_ds)
+    i_d = current_from_charges(p, q_is, q_id, v_ds)
+    mu, l_eff = p.mu0, p.l
+    rel_gs = rel_ds = 0.0
+    if p.mob_degradation or p.vel_saturation:
+        dqis_dvgs = 1.0 / _charge_slope(p, q_is)
+        dqid_dv = 1.0 / _charge_slope(p, q_id)   # d q_id / d(V_gs - V_ds)
+        mu = effective_mobility(p, 0.5 * (q_is + q_id))
         dmu_dvgs = dmu_dvds = 0.0
-
-    if p.vel_saturation:
-        s = math.sqrt(v_ds * v_ds + VDS_SMOOTHING ** 2)
-        l_eff = p.l + mu * s / (2.0 * p.v_sat)
-        dleff_dvgs = dmu_dvgs * s / (2.0 * p.v_sat)
-        dleff_dvds = dmu_dvds * s / (2.0 * p.v_sat) + mu * (v_ds / s) / (2.0 * p.v_sat)
-    else:
-        l_eff = p.l
+        if p.mob_degradation:
+            dmu_dqavg = -mu * mu / (p.mu0 * p.eps_si * p.e_mob)
+            dmu_dvgs = dmu_dqavg * 0.5 * (dqis_dvgs + dqid_dv)
+            dmu_dvds = -dmu_dqavg * 0.5 * dqid_dv
+        l_eff = effective_length(p, mu, v_ds)
         dleff_dvgs = dleff_dvds = 0.0
-
-    i_d = mu * (p.w / l_eff) * delta_b
-    di_dvgs = p.w * (dmu_dvgs * delta_b / l_eff
-                     + mu * ddb_dvgs / l_eff
-                     - mu * delta_b * dleff_dvgs / (l_eff * l_eff))
-    di_dvds = p.w * (dmu_dvds * delta_b / l_eff
-                     + mu * ddb_dvds / l_eff
-                     - mu * delta_b * dleff_dvds / (l_eff * l_eff))
+        if p.vel_saturation:
+            s = np.sqrt(v_ds * v_ds + VDS_SMOOTHING ** 2)
+            dleff_dvgs = dmu_dvgs * s / (2.0 * p.v_sat)
+            dleff_dvds = (dmu_dvds * s + mu * v_ds / s) / (2.0 * p.v_sat)
+        rel_gs = dmu_dvgs / mu - dleff_dvgs / l_eff
+        rel_ds = dmu_dvds / mu - dleff_dvds / l_eff
+    di_dvgs = i_d * rel_gs + p.w * (mu * (q_is - q_id) / l_eff)
+    di_dvds = i_d * rel_ds + p.w * (mu * q_id / l_eff)
     return i_d, di_dvgs, di_dvds
 
 
-def gummel_current(p: MosParams, v_g: float, v_x: float,
-                   method: str = "householder") -> float:
+def gummel_current(p: MosParams, v_g, v_x, method: str = "householder"):
     """Drain current of the symmetry harness V_d = +V_x/2, V_s = -V_x/2.
 
     The gate is held at v_g against the midpoint, so V_gs = v_g + v_x/2
     and V_ds = v_x.  For a symmetric core this is an odd function of v_x.
     """
-    return float(drain_current(p, v_g + 0.5 * v_x, v_x, method=method))
+    return drain_current(p, v_g + 0.5 * v_x, v_x, method=method)
 
 
 def gummel_diagnostics(p: MosParams, v_g: float, h: float = 0.05, n: int = 4,
@@ -482,7 +470,7 @@ def gummel_diagnostics(p: MosParams, v_g: float, h: float = 0.05, n: int = 4,
     """
     ks = np.arange(-n, n + 1)
     v_x = ks * h
-    i = np.array([gummel_current(p, v_g, float(vx), method=method) for vx in v_x])
+    i = gummel_current(p, v_g, v_x, method=method)
     at = {int(k): val for k, val in zip(ks, i)}
     odd1 = (at[1] - at[-1]) / 2.0
     odd3 = (at[2] - 2.0 * at[1] + 2.0 * at[-1] - at[-2]) / 2.0
@@ -525,63 +513,71 @@ def _partition_series(p: MosParams, q_is: float, q_id: float):
     return avg, drain
 
 
-def _partition_quadrature(p: MosParams, q_is: float, q_id: float):
+def _partition_quadrature(p: MosParams, q_is, q_id):
     """(channel-average Q, drain-weighted Q) by Gauss-Legendre quadrature
-    over the charge variable on [q_id, q_is]."""
-    half = 0.5 * (q_is - q_id)
-    mid = 0.5 * (q_is + q_id)
-    qn = mid + half * _GL_X
-    wn = half * _GL_W
-    g = _channel_weight(p, qn)
-    d = float(_bracket_diff(p, q_is, q_id))          # B(q_is) - B(q_id)
-    i_w = float(np.sum(wn * qn * g))                 # integral of Q^2 P
-    i_y = float(np.sum(wn * _bracket_diff(p, q_is, qn) * qn * g))
-    return i_w / d, i_y / (d * d)
+    in w = log1p(Q/a), a = Q_B + 5 V_t C_si, over [w_d, w_s].
 
-
-def _partition_quadrature_grid(p: MosParams, q_is, q_id):
-    """Array form of the quadrature partition; callers must mask out
-    near-symmetric points where the normalizing difference degenerates."""
-    half = 0.5 * (q_is - q_id)
-    mid = 0.5 * (q_is + q_id)
-    qn = mid[..., None] + half[..., None] * _GL_X
-    wn = half[..., None] * _GL_W
-    g = _channel_weight(p, qn)
+    dQ/dw = Q + a, so the integrands Q g dQ (the average) and
+    [B(q_s) - B(Q)] Q g dQ (the drain share) become polynomials in e^w
+    plus one term linear in w.  Differences are formed without
+    cancellation: the half-width h from log1p, the node offsets
+    t_n = w_s - w_n = h (1 - x_n) directly, and q_s - Q_n as
+    -(q_s + a) expm1(-t_n).  Accepts scalars or arrays; callers mask out
+    near-symmetric points, where B(q_s) - B(q_d) degenerates.
+    """
+    a = p.qb5
+    shape = np.broadcast_shapes(np.shape(q_is), np.shape(q_id))
+    q_is = np.broadcast_to(np.asarray(q_is, dtype=float), shape).ravel()
+    q_id = np.broadcast_to(np.asarray(q_id, dtype=float), shape).ravel()
+    h = 0.5 * np.log1p((q_is - q_id) / (q_id + a))
+    i_w, i_y = np.empty_like(h), np.empty_like(h)
+    # blocks keep the (points x nodes) temporaries in cache
+    for k in range(0, h.size, _GL_BLOCK):
+        blk = slice(k, k + _GL_BLOCK)
+        q_s = q_is[blk, None]
+        t = h[blk, None] * _GL_1MX
+        dq = -(q_s + a) * np.expm1(-t)                     # q_s - Q_n
+        q = q_s - dq
+        kernel = q * (q * (q + a) / p.c_ox + p.v_t * (2.0 * q + a))  # Q g dQ/dw
+        b_diff = (dq * ((q_s + q) / (2.0 * p.c_ox) + 2.0 * p.v_t)
+                  - p.v_t * a * t)                         # B(q_s) - B(Q_n)
+        i_w[blk] = h[blk] * (kernel @ _GL_W)
+        i_y[blk] = h[blk] * ((b_diff * kernel) @ _GL_W)
     d = _bracket_diff(p, q_is, q_id)
     d = np.where(d == 0.0, 1.0, d)
-    i_w = np.sum(wn * qn * g, axis=-1)
-    i_y = np.sum(wn * _bracket_diff(p, q_is[..., None], qn) * qn * g,
-                 axis=-1)
-    return i_w / d, i_y / (d * d)
+    return (i_w / d).reshape(shape), (i_y / (d * d)).reshape(shape)
 
 
-def terminal_charges_grid(p: MosParams, v_g, v_ds,
-                          method: str = "householder",
-                          q_is=None, q_id=None) -> TerminalCharges:
-    """Vectorized Ward-Dutton charges over broadcast bias arrays.
+def terminal_charges(p: MosParams, v_g, v_ds, method: str = "householder",
+                     q_is=None, q_id=None) -> TerminalCharges:
+    """Quasi-static terminal charges by Ward-Dutton partitioning.
 
-    Same branch dispatch as the scalar path, evaluated with array masks;
-    restricted to V_ds >= 0 (the scalar function handles reversal).
-    Pre-solved end charges can be passed to avoid re-solving.
+    Position integrals are transformed to charge integrals via current
+    continuity and evaluated by 16-node Gauss-Legendre quadrature in the
+    log-charge variable (``_partition_quadrature``), within about 2e-15 of
+    a 100-digit oracle.  When the two end charges differ by less than 1e-6
+    of their sum, a second-order series around the symmetric point
+    replaces the degenerating quadrature.  Accepts scalars or broadcast
+    arrays; an element with V_ds < 0 is evaluated as the swapped device
+    and relabeled.  Pre-solved end charges can be passed to avoid
+    re-solving.
     """
     v_g = np.asarray(v_g, dtype=float)
     v_ds = np.asarray(v_ds, dtype=float)
-    if np.any(v_ds < 0.0):
-        raise ValueError("terminal_charges_grid requires V_ds >= 0")
+    rev = v_ds < 0.0
     if q_is is None or q_id is None:
-        if method == "householder":
-            q_is = solve_charge_householder(p, v_g, 0.0)
-            q_id = solve_charge_householder(p, v_g, v_ds)
-        else:
-            q_is = solve_charge_reference_grid(p, v_g, np.zeros_like(v_ds))
-            q_id = solve_charge_reference_grid(p, v_g, v_ds)
-    q_is, q_id = np.broadcast_arrays(np.asarray(q_is, float),
-                                     np.asarray(q_id, float))
+        solve = _pick_solver(method)
+        v_g_fwd = np.where(rev, v_g - v_ds, v_g)
+        end_s = solve(p, v_g_fwd, 0.0)
+        end_d = solve(p, v_g_fwd, np.abs(v_ds))
+    else:
+        end_s = np.where(rev, q_id, q_is)
+        end_d = np.where(rev, q_is, q_id)
     area = p.w * p.l
 
-    sym = np.abs(q_is - q_id) < _SYMMETRIC_SPLIT * (q_is + q_id)
-    avg_s, drain_s = _partition_series(p, q_is, q_id)
-    avg_q, drain_q = _partition_quadrature_grid(p, q_is, q_id)
+    sym = np.abs(end_s - end_d) < _SYMMETRIC_SPLIT * (end_s + end_d)
+    avg_s, drain_s = _partition_series(p, end_s, end_d)
+    avg_q, drain_q = _partition_quadrature(p, end_s, end_d)
     avg = np.where(sym, avg_s, avg_q)
     drain = np.where(sym, drain_s, drain_q)
 
@@ -589,37 +585,12 @@ def terminal_charges_grid(p: MosParams, v_g, v_ds,
     q_s = -area * avg - q_d
     q_g = area * (avg + p.q_b)
     q_bulk = np.full_like(q_g, -area * p.q_b)
+    q_d, q_s = np.where(rev, q_s, q_d), np.where(rev, q_d, q_s)
+    if q_g.ndim == 0:
+        return TerminalCharges(q_g=float(q_g), q_d=float(q_d),
+                               q_s=float(q_s), q_bulk=float(q_bulk))
     return TerminalCharges(q_g=q_g, q_d=q_d, q_s=q_s, q_bulk=q_bulk)
 
 
-def terminal_charges(p: MosParams, v_g: float, v_ds: float,
-                     method: str = "householder") -> TerminalCharges:
-    """Quasi-static terminal charges by Ward-Dutton partitioning.
-
-    Position integrals are transformed to charge integrals via current
-    continuity and evaluated with fixed 64-point Gauss-Legendre
-    quadrature.  When the two end charges differ by less than 1e-6 of
-    their sum, a second-order series around the symmetric point replaces
-    the degenerating quadrature.  Negative V_ds is handled by evaluating
-    the swapped device and relabeling.
-    """
-    if v_ds < 0.0:
-        swapped = terminal_charges(p, v_g - v_ds, -v_ds, method=method)
-        return TerminalCharges(q_g=swapped.q_g, q_d=swapped.q_s,
-                               q_s=swapped.q_d, q_bulk=swapped.q_bulk)
-
-    solve = _pick_solver(method)
-    q_is = float(solve(p, v_g, 0.0))
-    q_id = float(solve(p, v_g, v_ds))
-    area = p.w * p.l
-
-    if abs(q_is - q_id) < _SYMMETRIC_SPLIT * (q_is + q_id):
-        avg, drain = _partition_series(p, q_is, q_id)
-    else:
-        avg, drain = _partition_quadrature(p, q_is, q_id)
-
-    q_d = -area * drain
-    q_s = -area * avg - q_d
-    q_g = area * (avg + p.q_b)
-    q_bulk = -area * p.q_b
-    return TerminalCharges(q_g=q_g, q_d=q_d, q_s=q_s, q_bulk=q_bulk)
+# Array name kept for callers that evaluate whole bias grids.
+terminal_charges_grid = terminal_charges

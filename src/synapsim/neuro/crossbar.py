@@ -79,7 +79,6 @@ class TrainConfig:
     pulse_steps: int = 50
     v_set_1t1r: float = 1.0
     gate_grid: tuple = (0.25, 1.4, 12)
-    seed: int = 0
 
     def __post_init__(self):
         if self.lr <= 0.0:

@@ -55,11 +55,23 @@ def test_rerun_is_bit_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_jobs_chunking_is_deterministic(tmp_path):
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    main(["idvd", "--points", "51", "--out", str(a)])
-    main(["idvd", "--points", "51", "--jobs", "3", "--out", str(b)])
-    assert a.read_bytes() == b.read_bytes()
+def test_cv_reverse_bias_is_swapped_forward_sweep(tmp_path):
+    """V_ds = -0.2 is the device with source and drain exchanged: the
+    forward sweep at V_g + 0.2, V_ds = +0.2 with q_s and q_d swapped."""
+    rev, fwd = tmp_path / "rev.csv", tmp_path / "fwd.csv"
+    assert main(["cv", "--vds", "-0.2", "--points", "41", "--out", str(rev)]) == 0
+    assert main(["cv", "--vds", "0.2", "--start", "-0.3", "--stop", "1.7",
+                 "--points", "41", "--out", str(fwd)]) == 0
+    _, header, r = _read_csv(rev)
+    _, _, f = _read_csv(fwd)
+    col = header.index
+    np.testing.assert_allclose(r[:, 0] + 0.2, f[:, 0], rtol=0, atol=1e-15)
+    for a, b in (("q_g", "q_g"), ("q_s", "q_d"), ("q_d", "q_s"),
+                 ("q_bulk", "q_bulk")):
+        np.testing.assert_allclose(r[:, col(a)], f[:, col(b)], rtol=1e-12)
+    c_gg = f[:, col("c_gg")]
+    np.testing.assert_allclose(r[:, col("c_gg")], c_gg, rtol=0,
+                               atol=1e-12 * np.max(np.abs(c_gg)))
 
 
 def test_params_file_and_set_override(tmp_path):

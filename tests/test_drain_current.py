@@ -125,6 +125,19 @@ def test_analytic_gradients_match_fd(effects, rng):
         assert gds == pytest.approx(gds_fd, rel=1e-6, abs=1e-12)
 
 
+def test_array_gradients_equal_scalar_calls(rng):
+    """One array call of drain_current_and_grads gives, per element, what
+    scalar calls give; both effect wrappers on, V_ds of either sign."""
+    p = MosParams(mob_degradation=True, vel_saturation=True)
+    v_gs = rng.uniform(-0.3, 1.5, 40)
+    v_ds = rng.uniform(-1.0, 1.0, 40)
+    arrays = drain_current_and_grads(p, v_gs, v_ds)
+    for k in range(v_gs.size):
+        scalars = drain_current_and_grads(p, float(v_gs[k]), float(v_ds[k]))
+        for a, s in zip(arrays, scalars):
+            assert a[k] == pytest.approx(s, rel=1e-13, abs=1e-30)
+
+
 @pytest.mark.parametrize("effects", [False, True])
 def test_gummel_symmetry(effects):
     """I(V_x) with V_d = +V_x/2, V_s = -V_x/2 is odd; even finite

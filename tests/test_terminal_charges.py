@@ -79,6 +79,27 @@ def test_negative_vds_relabels_terminals():
     assert rev.q_d == fwd.q_s
     assert rev.q_s == fwd.q_d
     assert rev.q_g == fwd.q_g
+    # per element of an array call, reversed next to forward points
+    v_g = np.array([1.0, 1.0 + 0.4, 0.25, 0.5, 0.8])
+    v_ds = np.array([-0.4, 0.4, -0.25, 0.25, 0.0])
+    tc = terminal_charges(p, v_g, v_ds)
+    for r, f in ((0, 1), (2, 3)):
+        assert tc.q_d[r] == tc.q_s[f]
+        assert tc.q_s[r] == tc.q_d[f]
+        assert tc.q_g[r] == tc.q_g[f]
+    for k in range(v_g.size):
+        one = terminal_charges(p, v_g[k], v_ds[k])
+        for name in ("q_g", "q_d", "q_s", "q_bulk"):
+            assert getattr(tc, name)[k] == pytest.approx(getattr(one, name),
+                                                         rel=1e-14)
+    # pre-solved end charges are given in the caller's orientation
+    q_is = solve_charge_reference_grid(p, v_g, 0.0)
+    q_id = solve_charge_reference_grid(p, v_g, v_ds)
+    pre = terminal_charges(p, v_g, v_ds, q_is=q_is, q_id=q_id)
+    ref = terminal_charges(p, v_g, v_ds, method="reference")
+    for name in ("q_g", "q_d", "q_s"):
+        np.testing.assert_allclose(getattr(pre, name), getattr(ref, name),
+                                   rtol=1e-12)
 
 
 def _switch_vds(p, v_g):
