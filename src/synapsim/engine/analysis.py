@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .circuit import Circuit, FloatGateElement, RramElement
+from .circuit import Circuit
 from .mna import (EvalContext, SystemLayout, Tolerances, newton_solve,
                   post_step_aux, solve_dc)
 
@@ -81,24 +81,6 @@ class SimResult:
         return None
 
 
-def _writeback_state(layout: SystemLayout, x: np.ndarray) -> None:
-    circuit = layout.circuit
-    nodes = circuit.nodes
-    for e in circuit.elements:
-        if isinstance(e, RramElement):
-            circuit.state[e.name] = float(x[layout.state_rows[e.name]])
-        elif isinstance(e, FloatGateElement):
-            p = e.params
-            v_fg = x[nodes[e.fg_node] - 1]
-            q = 0.0
-            for cap, node in ((p.c_sg, e.nsg), (p.c_nfb, e.nnfb),
-                              (p.c_pfb, e.npfb)):
-                n = nodes[node]
-                v_n = 0.0 if n == 0 else x[n - 1]
-                q += cap * (v_fg - v_n)
-            circuit.state[e.name] = float(q)
-
-
 def operating_point(circuit: Circuit, spec: AnalysisSpec) -> SimResult:
     layout = SystemLayout(circuit)
     x = solve_dc(layout, spec.tolerances())
@@ -157,8 +139,6 @@ def transient(circuit: Circuit, spec: AnalysisSpec) -> SimResult:
                     f"timestep underflow at t={t:.6e} s (worst residual "
                     f"row: {worst})")
             continue
-        for row in layout.state_rows.values():
-            x_new[row] = min(max(x_new[row], 0.0), 1.0)
         aux = post_step_aux(layout, ctx, x_new)
         t += h_try
         x = x_new
@@ -166,7 +146,7 @@ def transient(circuit: Circuit, spec: AnalysisSpec) -> SimResult:
         rows.append(x.copy())
         h = min(spec.tstep, 2.0 * h)
 
-    _writeback_state(layout, x)
+    layout.store_state(x)
     data = np.column_stack([np.array(times),
                             np.vstack(rows)])
     return SimResult(columns=["time"] + layout.column_names(), data=data)

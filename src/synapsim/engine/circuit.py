@@ -6,16 +6,38 @@ filament state X of each RRAM element and the floating-gate charge of
 each floating-gate element.  Analyses read the carried state in and
 write the final state back, so a programming transient followed by a DC
 read sees the programmed device.
+
+Each element dataclass owns its structure: terminals, internal node,
+model kind, carried-state seed and netlist card.  Adding an element kind
+means one dataclass here plus one entry in the per-kind table in ``mna``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
+from typing import ClassVar, Optional
 
 from ..floatgate import FloatingGateParams
 from ..mosfet import MosParams
 from ..rram import RramParams
+
+# model kind -> params class and its netlist keys in card order.  Flag
+# keys are written 0/1; an fg card's mos= names the cmg model of its
+# readout transistor.
+MODEL_CARDS = {
+    "cmg": (MosParams, ("l", "w", "t_si", "eot", "n_a", "n_i", "mu0",
+                        "v_fb", "temp", "e_mob", "v_sat", "mob_degradation",
+                        "vel_saturation")),
+    "rram": (RramParams, ("g_on", "g_off", "v0", "k_set", "k_reset",
+                          "vc_set", "vc_reset", "p", "x_init")),
+    "fg": (FloatingGateParams, ("c_sg", "c_nfb", "c_pfb", "t_tun", "a_tun",
+                                "alpha_fn", "beta_fn", "mos")),
+}
+FLAG_KEYS = frozenset({"mob_degradation", "vel_saturation"})
+
+
+def _fmt(x: float) -> str:
+    return repr(float(x))
 
 
 @dataclass(frozen=True)
@@ -45,24 +67,47 @@ class PulseSpec:
         return self.v1
 
 
+class _Element:
+    """Defaults: terminals npos/nneg, no model card, no internal node."""
+
+    terminal_fields: ClassVar[tuple[str, ...]] = ("npos", "nneg")
+    model_kind: ClassVar[Optional[str]] = None
+    internal_suffix: ClassVar[str] = ""
+
+    @property
+    def terminals(self) -> tuple[str, ...]:
+        return tuple(getattr(self, f) for f in self.terminal_fields)
+
+    @property
+    def internal_node(self) -> Optional[str]:
+        """The extra unknown that holds the kind's carried state, if any."""
+        suffix = self.internal_suffix
+        return self.name + suffix if suffix else None
+
+
 @dataclass
-class Resistor:
+class _TwoTerminal(_Element):
     name: str
     n1: str
     n2: str
     value: float
 
+    terminal_fields: ClassVar[tuple[str, ...]] = ("n1", "n2")
+
+    def card(self) -> str:
+        return f"{self.name} {self.n1} {self.n2} {_fmt(self.value)}"
+
+
+class Resistor(_TwoTerminal):
+    """Linear resistor; ``value`` in ohms."""
+
+
+class Capacitor(_TwoTerminal):
+    """Linear capacitor; ``value`` in farads."""
+
 
 @dataclass
-class Capacitor:
-    name: str
-    n1: str
-    n2: str
-    value: float
-
-
-@dataclass
-class VSource:
+class VSource(_Element):
     name: str
     npos: str
     nneg: str
@@ -81,17 +126,30 @@ class VSource:
             return self.pulse.value_at(t)
         return self.dc if self.dc is not None else 0.0
 
+    def card(self) -> str:
+        parts = [self.name, self.npos, self.nneg]
+        if self.dc is not None:
+            parts += ["dc", _fmt(self.dc)]
+        if self.pulse is not None:
+            p = self.pulse
+            parts.append("pulse(" + " ".join(_fmt(v) for v in
+                         (p.v1, p.v2, p.td, p.tr, p.tf, p.pw, p.per)) + ")")
+        return " ".join(parts)
+
 
 @dataclass
-class ISource:
+class ISource(_Element):
     name: str
     npos: str
     nneg: str
     dc: float = 0.0
 
+    def card(self) -> str:
+        return f"{self.name} {self.npos} {self.nneg} dc {_fmt(self.dc)}"
+
 
 @dataclass
-class Mosfet:
+class Mosfet(_Element):
     name: str
     nd: str
     ng: str
@@ -99,9 +157,15 @@ class Mosfet:
     model: str
     params: Optional[MosParams] = None
 
+    terminal_fields: ClassVar[tuple[str, ...]] = ("nd", "ng", "ns")
+    model_kind: ClassVar[str] = "cmg"
+
+    def card(self) -> str:
+        return f"{self.name} {self.nd} {self.ng} {self.ns} model={self.model}"
+
 
 @dataclass
-class RramElement:
+class RramElement(_Element):
     name: str
     npos: str
     nneg: str
@@ -109,13 +173,22 @@ class RramElement:
     x0: Optional[float] = None
     params: Optional[RramParams] = None
 
-    @property
-    def state_node(self) -> str:
-        return self.name + "#x"
+    model_kind: ClassVar[str] = "rram"
+    internal_suffix: ClassVar[str] = "#x"     # filament state X in [0, 1]
+
+    def state_seed(self) -> float:
+        x0 = self.x0 if self.x0 is not None else self.params.x_init
+        return float(min(max(x0, 0.0), 1.0))
+
+    def card(self) -> str:
+        card = f"{self.name} {self.npos} {self.nneg} model={self.model}"
+        if self.x0 is not None:
+            card += f" x0={_fmt(self.x0)}"
+        return card
 
 
 @dataclass
-class FloatGateElement:
+class FloatGateElement(_Element):
     name: str
     nd: str
     ns: str
@@ -126,12 +199,20 @@ class FloatGateElement:
     qfg0: float = 0.0
     params: Optional[FloatingGateParams] = None
 
-    @property
-    def fg_node(self) -> str:
-        return self.name + "#fg"
+    terminal_fields: ClassVar[tuple[str, ...]] = ("nd", "ns", "nsg", "nnfb",
+                                                  "npfb")
+    model_kind: ClassVar[str] = "fg"
+    internal_suffix: ClassVar[str] = "#fg"    # the floating gate
 
+    def state_seed(self) -> float:
+        return float(self.qfg0)
 
-_MODEL_KINDS = {"cmg": MosParams, "rram": RramParams, "fg": FloatingGateParams}
+    def card(self) -> str:
+        card = (f"{self.name} {self.nd} {self.ns} {self.nsg} {self.nnfb} "
+                f"{self.npfb} model={self.model}")
+        if self.qfg0 != 0.0:
+            card += f" qfg0={_fmt(self.qfg0)}"
+        return card
 
 
 class CircuitError(Exception):
@@ -148,6 +229,7 @@ class Circuit:
         self.state: dict[str, float] = {}
         # fg model name -> cmg model name used for its readout transistor
         self.fg_mos_ref: dict[str, str] = {}
+        self._by_name: dict[str, object] = {}
 
     # -- construction -------------------------------------------------
     def node_index(self, name: str) -> int:
@@ -160,43 +242,25 @@ class Circuit:
         name = name.lower()
         if name in self.models:
             raise CircuitError(f"duplicate model '{name}'")
-        if kind not in _MODEL_KINDS:
+        if kind not in MODEL_CARDS:
             raise CircuitError(f"unknown model kind '{kind}'")
         self.models[name] = (kind, params)
 
     def add(self, element) -> None:
-        if any(e.name == element.name for e in self.elements):
+        if element.name in self._by_name:
             raise CircuitError(f"duplicate element '{element.name}'")
+        self._by_name[element.name] = element
         self.elements.append(element)
-        for node in self._terminals(element):
+        for node in element.terminals:
             self.node_index(node)
-        if isinstance(element, RramElement):
-            self.node_index(element.state_node)
-        elif isinstance(element, FloatGateElement):
-            self.node_index(element.fg_node)
-
-    @staticmethod
-    def _terminals(element) -> tuple[str, ...]:
-        if isinstance(element, (Resistor, Capacitor)):
-            return (element.n1, element.n2)
-        if isinstance(element, (VSource, ISource)):
-            return (element.npos, element.nneg)
-        if isinstance(element, Mosfet):
-            return (element.nd, element.ng, element.ns)
-        if isinstance(element, RramElement):
-            return (element.npos, element.nneg)
-        if isinstance(element, FloatGateElement):
-            return (element.nd, element.ns, element.nsg, element.nnfb,
-                    element.npfb)
-        raise CircuitError(f"unknown element type {type(element).__name__}")
+        if element.internal_node is not None:
+            self.node_index(element.internal_node)
 
     # -- finalization --------------------------------------------------
     def resolve(self) -> None:
         """Bind model references and seed carried state; idempotent."""
-        kind_for = {Mosfet: "cmg", RramElement: "rram",
-                    FloatGateElement: "fg"}
         for e in self.elements:
-            want = kind_for.get(type(e))
+            want = e.model_kind
             if want is None:
                 continue
             entry = self.models.get(e.model)
@@ -210,12 +274,9 @@ class Circuit:
                     f"element '{e.name}' needs a '{want}' model but "
                     f"'{e.model}' is '{kind}'")
             e.params = params
-            if isinstance(e, RramElement) and e.name not in self.state:
-                x0 = e.x0 if e.x0 is not None else params.x_init
-                self.state[e.name] = float(min(max(x0, 0.0), 1.0))
-            elif isinstance(e, FloatGateElement) and e.name not in self.state:
-                self.state[e.name] = float(e.qfg0)
-        ground_touched = any("0" in self._terminals(e) for e in self.elements)
+            if e.internal_node and e.name not in self.state:
+                self.state[e.name] = e.state_seed()
+        ground_touched = any("0" in e.terminals for e in self.elements)
         if self.elements and not ground_touched:
             raise CircuitError("no element connects to ground node 0")
 
@@ -223,74 +284,21 @@ class Circuit:
         return [e for e in self.elements if isinstance(e, VSource)]
 
     def element(self, name: str):
-        name = name.lower()
-        for e in self.elements:
-            if e.name == name:
-                return e
-        raise KeyError(name)
+        return self._by_name[name.lower()]
 
     # -- serialization -------------------------------------------------
     def serialize(self) -> str:
         lines = []
         for name, (kind, params) in self.models.items():
-            pairs = _model_pairs(kind, params)
-            if kind == "fg" and name in self.fg_mos_ref:
-                pairs.append(("mos", self.fg_mos_ref[name]))
-            lines.append(f".model {name} {kind} " +
-                         " ".join(f"{k}={v}" for k, v in pairs))
-        for e in self.elements:
-            lines.append(_element_card(e))
+            pairs = []
+            for key in MODEL_CARDS[kind][1]:
+                if key == "mos":
+                    if name in self.fg_mos_ref:
+                        pairs.append(f"mos={self.fg_mos_ref[name]}")
+                elif key in FLAG_KEYS:
+                    pairs.append(f"{key}={int(getattr(params, key))}")
+                else:
+                    pairs.append(f"{key}={_fmt(getattr(params, key))}")
+            lines.append(f".model {name} {kind} " + " ".join(pairs))
+        lines += [e.card() for e in self.elements]
         return "\n".join(lines) + "\n"
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
-def _model_pairs(kind: str, params) -> list[tuple[str, str]]:
-    if kind == "cmg":
-        keys = ("l", "w", "t_si", "eot", "n_a", "n_i", "mu0", "v_fb",
-                "temp", "e_mob", "v_sat")
-        pairs = [(k, _fmt(getattr(params, k))) for k in keys]
-        pairs.append(("mob_degradation", str(int(params.mob_degradation))))
-        pairs.append(("vel_saturation", str(int(params.vel_saturation))))
-        return pairs
-    if kind == "rram":
-        keys = ("g_on", "g_off", "v0", "k_set", "k_reset", "vc_set",
-                "vc_reset", "p", "x_init")
-        return [(k, _fmt(getattr(params, k))) for k in keys]
-    keys = ("c_sg", "c_nfb", "c_pfb", "t_tun", "a_tun", "alpha_fn",
-            "beta_fn")
-    return [(k, _fmt(getattr(params, k))) for k in keys]
-
-
-def _element_card(e) -> str:
-    if isinstance(e, Resistor):
-        return f"{e.name} {e.n1} {e.n2} {_fmt(e.value)}"
-    if isinstance(e, Capacitor):
-        return f"{e.name} {e.n1} {e.n2} {_fmt(e.value)}"
-    if isinstance(e, VSource):
-        parts = [e.name, e.npos, e.nneg]
-        if e.dc is not None:
-            parts += ["dc", _fmt(e.dc)]
-        if e.pulse is not None:
-            p = e.pulse
-            parts.append("pulse(" + " ".join(_fmt(v) for v in
-                         (p.v1, p.v2, p.td, p.tr, p.tf, p.pw, p.per)) + ")")
-        return " ".join(parts)
-    if isinstance(e, ISource):
-        return f"{e.name} {e.npos} {e.nneg} dc {_fmt(e.dc)}"
-    if isinstance(e, Mosfet):
-        return f"{e.name} {e.nd} {e.ng} {e.ns} model={e.model}"
-    if isinstance(e, RramElement):
-        card = f"{e.name} {e.npos} {e.nneg} model={e.model}"
-        if e.x0 is not None:
-            card += f" x0={_fmt(e.x0)}"
-        return card
-    if isinstance(e, FloatGateElement):
-        card = (f"{e.name} {e.nd} {e.ns} {e.nsg} {e.nnfb} {e.npfb} "
-                f"model={e.model}")
-        if e.qfg0 != 0.0:
-            card += f" qfg0={_fmt(e.qfg0)}"
-        return card
-    raise CircuitError(f"cannot serialize {type(e).__name__}")

@@ -6,12 +6,16 @@ carries the sum of currents leaving its node; voltage-source rows carry
 the branch voltage constraint in volts; device state rows (RRAM filament
 state, floating-gate charge constraint) are normalized to volt-like
 units so one set of tolerances covers them.
+
+Element numerics live in one table, ``_KINDS``, with one entry per
+element class.  Adding an element kind means one dataclass in
+``circuit`` plus one entry here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -70,17 +74,15 @@ class SystemLayout:
         self.size = self.n_nodes - 1 + len(self.vsrc)
         index_to_name = {i: n for n, i in circuit.nodes.items()}
         self.node_names = [index_to_name[i] for i in range(self.n_nodes)]
-        # row classification drives gmin application and tolerances
+        # row kinds drive gmin application and tolerances: "kcl", "vsrc",
+        # "state" (RRAM filament state) and "fg" (a floating gate: KCL in
+        # transient, the stored-charge constraint in DC)
         self.row_kind = ["kcl"] * (self.n_nodes - 1) + ["vsrc"] * len(self.vsrc)
-        self.state_rows: dict[str, int] = {}
-        self.fg_rows: dict[str, int] = {}
-        for e in circuit.elements:
-            if isinstance(e, RramElement):
-                row = circuit.nodes[e.state_node] - 1
-                self.row_kind[row] = "state"
-                self.state_rows[e.name] = row
-            elif isinstance(e, FloatGateElement):
-                self.fg_rows[e.name] = circuit.nodes[e.fg_node] - 1
+        # (element, row) of each internal node
+        self.internal = [(e, circuit.nodes[e.internal_node] - 1)
+                         for e in circuit.elements if e.internal_node]
+        for e, row in self.internal:
+            self.row_kind[row] = _KINDS[type(e)].row
 
     def row_name(self, row: int) -> str:
         if row < self.n_nodes - 1:
@@ -94,18 +96,48 @@ class SystemLayout:
     def initial_vector(self) -> np.ndarray:
         """All-zero start, except carried device state."""
         x = np.zeros(self.size)
-        for e in self.circuit.elements:
-            if isinstance(e, RramElement):
-                x[self.state_rows[e.name]] = self.circuit.state[e.name]
-            elif isinstance(e, FloatGateElement):
-                p = e.params
-                x[self.fg_rows[e.name]] = (self.circuit.state[e.name] /
-                                           p.c_total)
+        for e, row in self.internal:
+            x[row] = _KINDS[type(e)].seed(e, self.circuit.state[e.name])
         return x
+
+    def store_state(self, x: np.ndarray) -> None:
+        """Write each device's state at solution x back to the circuit."""
+        for e, _ in self.internal:
+            self.circuit.state[e.name] = float(
+                _KINDS[type(e)].state(e, x, self.circuit.nodes))
 
 
 def _v(x: np.ndarray, idx: int) -> float:
     return 0.0 if idx == 0 else x[idx - 1]
+
+
+def _companion(ctx: EvalContext, name: str, value: float, x: np.ndarray,
+               n1: int, n2: int):
+    """Companion current n1 -> n2 and conductance of capacitor ``name``."""
+    dv = _v(x, n1) - _v(x, n2)
+    dv_prev = _v(ctx.x_prev, n1) - _v(ctx.x_prev, n2)
+    if ctx.integrator == "trap" and name in ctx.aux_prev:
+        geq = 2.0 * value / ctx.h
+        return geq * (dv - dv_prev) - ctx.aux_prev[name], geq
+    geq = value / ctx.h
+    return geq * (dv - dv_prev), geq
+
+
+def _fg_couplings(e: FloatGateElement):
+    """(history key, capacitance, node) of each floating-gate coupling."""
+    p = e.params
+    return ((e.name + "#csg", p.c_sg, e.nsg),
+            (e.name + "#cnfb", p.c_nfb, e.nnfb),
+            (e.name + "#cpfb", p.c_pfb, e.npfb))
+
+
+def _fg_charge(e: FloatGateElement, x: np.ndarray, nodes: dict) -> float:
+    """Stored charge sum C_i * (V_fg - V_i) over the couplings."""
+    v_fg = _v(x, nodes[e.internal_node])
+    q = 0.0
+    for _, cap, node in _fg_couplings(e):
+        q += cap * (v_fg - _v(x, nodes[node]))
+    return q
 
 
 class Assembler:
@@ -120,8 +152,10 @@ class Assembler:
 
     def _current(self, n1: int, n2: int, i: float, *grads):
         """Current i flows out of node n1 into node n2; grads are
-        (column, di/dcol) pairs."""
+        (k, di/dx[k - 1]) pairs, k numbered like nodes so that ground
+        (k = 0) entries drop out."""
         f, J, scale = self.f, self.J, self.scale
+        grads = [(k - 1, g) for k, g in grads if k != 0]
         if n1 != 0:
             f[n1 - 1] += i
             scale[n1 - 1] += abs(i)
@@ -134,53 +168,33 @@ class Assembler:
                 J[n2 - 1, col] -= g
 
     def _two_node(self, n1: int, n2: int, i: float, g: float):
-        cols = []
-        if n1 != 0:
-            cols.append((n1 - 1, g))
-        if n2 != 0:
-            cols.append((n2 - 1, -g))
-        self._current(n1, n2, i, *cols)
+        self._current(n1, n2, i, (n1, g), (n2, -g))
+
+    def _row(self, row: int, *grads):
+        """Add (k, d f[row]/dx[k - 1]) pairs to a Jacobian row; k = 0
+        (ground) entries drop out."""
+        for k, g in grads:
+            if k != 0:
+                self.J[row, k - 1] += g
 
     def assemble(self, x: np.ndarray):
         nodes = self.layout.circuit.nodes
         for e in self.layout.circuit.elements:
-            if isinstance(e, Resistor):
-                self._resistor(e, x, nodes)
-            elif isinstance(e, Capacitor):
-                self._capacitor(e.name, e.n1, e.n2, e.value, x, nodes)
-            elif isinstance(e, VSource):
-                self._vsource(e, x, nodes)
-            elif isinstance(e, ISource):
-                self._isource(e, x, nodes)
-            elif isinstance(e, Mosfet):
-                self._mosfet(e.params, e.nd, e.ng, e.ns, x, nodes)
-            elif isinstance(e, RramElement):
-                self._rram(e, x, nodes)
-            elif isinstance(e, FloatGateElement):
-                self._floatgate(e, x, nodes)
+            _KINDS[type(e)].stamp(self, e, x, nodes)
         self._apply_gmin(x)
         return self.f, self.J, self.scale
 
-    # -- element stamps -------------------------------------------------
+    # -- element stamps: (self, element, x, nodes) ------------------------
     def _resistor(self, e, x, nodes):
         n1, n2 = nodes[e.n1], nodes[e.n2]
         g = 1.0 / e.value
         self._two_node(n1, n2, g * (_v(x, n1) - _v(x, n2)), g)
 
-    def _capacitor(self, name, node1, node2, value, x, nodes):
-        ctx = self.ctx
-        if ctx.mode == "dc":
-            return
-        n1, n2 = nodes[node1], nodes[node2]
-        dv = _v(x, n1) - _v(x, n2)
-        dv_prev = _v(ctx.x_prev, n1) - _v(ctx.x_prev, n2)
-        if ctx.integrator == "trap" and name in ctx.aux_prev:
-            geq = 2.0 * value / ctx.h
-            i = geq * (dv - dv_prev) - ctx.aux_prev[name]
-        else:
-            geq = value / ctx.h
-            i = geq * (dv - dv_prev)
-        self._two_node(n1, n2, i, geq)
+    def _capacitor(self, e, x, nodes):
+        if self.ctx.mode == "tran":
+            n1, n2 = nodes[e.n1], nodes[e.n2]
+            self._two_node(n1, n2, *_companion(self.ctx, e.name, e.value,
+                                               x, n1, n2))
 
     def _vsource(self, e, x, nodes):
         ctx = self.ctx
@@ -193,119 +207,138 @@ class Assembler:
             target = e.dc_value()
         target *= ctx.sfactor
         row = self.layout.branch[e.name]
-        i_br = x[row]
-        self._current(np_, nn, i_br, (row, 1.0))
+        self._current(np_, nn, x[row], (row + 1, 1.0))
         self.f[row] = _v(x, np_) - _v(x, nn) - target
         self.scale[row] = abs(_v(x, np_)) + abs(_v(x, nn)) + abs(target)
-        if np_ != 0:
-            self.J[row, np_ - 1] += 1.0
-        if nn != 0:
-            self.J[row, nn - 1] -= 1.0
+        self._row(row, (np_, 1.0), (nn, -1.0))
 
     def _isource(self, e, x, nodes):
-        val = e.dc * self.ctx.sfactor
-        self._current(nodes[e.npos], nodes[e.nneg], val)
+        self._current(nodes[e.npos], nodes[e.nneg], e.dc * self.ctx.sfactor)
 
-    def _mosfet(self, params, nd, ng, ns, x, nodes):
-        d, g, s = nodes[nd], nodes[ng], nodes[ns]
+    def _mosfet(self, e, x, nodes):
+        self._drain(e.params, nodes[e.nd], nodes[e.ng], nodes[e.ns], x)
+
+    def _drain(self, params, d, g, s, x):
         v_gs = _v(x, g) - _v(x, s)
         v_ds = _v(x, d) - _v(x, s)
         i, gm, gds = drain_current_and_grads(params, v_gs, v_ds)
-        cols = []
-        if d != 0:
-            cols.append((d - 1, gds))
-        if g != 0:
-            cols.append((g - 1, gm))
-        if s != 0:
-            cols.append((s - 1, -(gm + gds)))
-        self._current(d, s, i, *cols)
+        self._current(d, s, i, (d, gds), (g, gm), (s, -(gm + gds)))
 
     def _rram(self, e, x, nodes):
         ctx = self.ctx
         np_, nn = nodes[e.npos], nodes[e.nneg]
-        xrow = self.layout.state_rows[e.name]
-        xcol = xrow
-        state = x[xcol]
+        xrow = nodes[e.internal_node] - 1
+        state = x[xrow]
         vpn = _v(x, np_) - _v(x, nn)
         i, di_dv, di_dx = rram_current_and_grads(e.params, vpn, state)
-        cols = [(xcol, di_dx)]
-        if np_ != 0:
-            cols.append((np_ - 1, di_dv))
-        if nn != 0:
-            cols.append((nn - 1, -di_dv))
-        self._current(np_, nn, i, *cols)
+        self._current(np_, nn, i, (xrow + 1, di_dx), (np_, di_dv),
+                      (nn, -di_dv))
 
         f, J, scale = self.f, self.J, self.scale
         if ctx.mode == "dc":
             held = self.layout.circuit.state[e.name]
             f[xrow] += state - held
-            J[xrow, xcol] += 1.0
+            J[xrow, xrow] += 1.0
             scale[xrow] += abs(state) + abs(held)
             return
-        x_prev = ctx.x_prev[xcol]
+        x_prev = ctx.x_prev[xrow]
         rate, dr_dv, dr_dx = state_rate_and_grads(e.params, vpn, state)
         if ctx.integrator == "trap" and e.name in ctx.aux_prev:
-            half_h = 0.5 * ctx.h
-            resid = state - x_prev - half_h * (rate + ctx.aux_prev[e.name])
-            w = half_h
+            w = 0.5 * ctx.h
+            resid = state - x_prev - w * (rate + ctx.aux_prev[e.name])
         else:
-            resid = state - x_prev - ctx.h * rate
             w = ctx.h
+            resid = state - x_prev - w * rate
         f[xrow] += resid
-        J[xrow, xcol] += 1.0 - w * dr_dx
-        if np_ != 0:
-            J[xrow, np_ - 1] -= w * dr_dv
-        if nn != 0:
-            J[xrow, nn - 1] += w * dr_dv
+        self._row(xrow, (xrow + 1, 1.0 - w * dr_dx), (np_, -w * dr_dv),
+                  (nn, w * dr_dv))
         scale[xrow] += abs(state) + abs(x_prev) + abs(w * rate)
 
     def _floatgate(self, e, x, nodes):
         ctx = self.ctx
         p = e.params
-        fg = nodes[e.fg_node]
-        self._mosfet(p.mos, e.nd, e.fg_node, e.ns, x, nodes)
+        fg = nodes[e.internal_node]
+        self._drain(p.mos, nodes[e.nd], fg, nodes[e.ns], x)
         if ctx.mode == "dc":
             # charge constraint replaces the floating node's KCL row
-            fgrow = self.layout.fg_rows[e.name]
+            row = fg - 1
             q_held = self.layout.circuit.state[e.name]
-            v_fg = _v(x, fg)
-            q = 0.0
-            for cap, node in ((p.c_sg, e.nsg), (p.c_nfb, e.nnfb),
-                              (p.c_pfb, e.npfb)):
-                n = nodes[node]
-                q += cap * (v_fg - _v(x, n))
-                if n != 0:
-                    self.J[fgrow, n - 1] -= cap / p.c_total
-            self.f[fgrow] += (q - q_held) / p.c_total
-            self.J[fgrow, fg - 1] += 1.0
-            self.scale[fgrow] += (abs(q) + abs(q_held)) / p.c_total
+            q = _fg_charge(e, x, nodes)
+            self._row(row, (fg, 1.0), *((nodes[node], -cap / p.c_total)
+                                        for _, cap, node in _fg_couplings(e)))
+            self.f[row] += (q - q_held) / p.c_total
+            self.scale[row] += (abs(q) + abs(q_held)) / p.c_total
             return
-        for suffix, cap, node in (("#csg", p.c_sg, e.nsg),
-                                  ("#cnfb", p.c_nfb, e.nnfb),
-                                  ("#cpfb", p.c_pfb, e.npfb)):
-            self._capacitor(e.name + suffix, node, e.fg_node, cap, x, nodes)
+        for name, cap, node in _fg_couplings(e):
+            n = nodes[node]
+            self._two_node(n, fg, *_companion(ctx, name, cap, x, n, fg))
         for term in (e.nnfb, e.npfb):
             n = nodes[term]
             v_t = _v(x, n) - _v(x, fg)
             i, di = fn_current_and_grad(p, v_t)
-            cols = [(fg - 1, -di)]
-            if n != 0:
-                cols.append((n - 1, di))
-            self._current(n, fg, i, *cols)
+            self._current(n, fg, i, (fg, -di), (n, di))
 
     def _apply_gmin(self, x):
         if self.ctx.gmin == 0.0:
             return
+        kcl = ("kcl", "fg") if self.ctx.mode == "tran" else ("kcl",)
         for row in range(self.layout.n_nodes - 1):
-            if self.layout.row_kind[row] == "kcl":
+            if self.layout.row_kind[row] in kcl:
                 self.f[row] += self.ctx.gmin * x[row]
                 self.J[row, row] += self.ctx.gmin
 
 
+# -- at an accepted step, record trapezoidal history into aux
+def _capacitor_accept(ctx, e, x, nodes, aux):
+    aux[e.name] = _companion(ctx, e.name, e.value, x, nodes[e.n1],
+                             nodes[e.n2])[0]
+
+
+def _rram_accept(ctx, e, x, nodes, aux):
+    # the filament state leaves [0, 1] only by Newton overshoot
+    row = nodes[e.internal_node] - 1
+    x[row] = state = min(max(x[row], 0.0), 1.0)
+    vpn = _v(x, nodes[e.npos]) - _v(x, nodes[e.nneg])
+    aux[e.name] = state_rate_and_grads(e.params, vpn, state)[0]
+
+
+def _floatgate_accept(ctx, e, x, nodes, aux):
+    fg = nodes[e.internal_node]
+    for name, cap, node in _fg_couplings(e):
+        aux[name] = _companion(ctx, name, cap, x, nodes[node], fg)[0]
+
+
+class _Kind(NamedTuple):
+    """One element kind's numerics; row, seed and state only for a kind
+    with an internal node (its row kind, start value and carried state)."""
+
+    stamp: Callable                      # (asm, e, x, nodes)
+    accept: Optional[Callable] = None    # (ctx, e, x, nodes, aux)
+    row: str = ""
+    seed: Optional[Callable] = None      # (e, carried) -> row value
+    state: Optional[Callable] = None     # (e, x, nodes) -> carried
+
+
+_KINDS = {
+    Resistor: _Kind(Assembler._resistor),
+    Capacitor: _Kind(Assembler._capacitor, _capacitor_accept),
+    VSource: _Kind(Assembler._vsource),
+    ISource: _Kind(Assembler._isource),
+    Mosfet: _Kind(Assembler._mosfet),
+    RramElement: _Kind(
+        Assembler._rram, _rram_accept, row="state",
+        seed=lambda e, x_held: x_held,
+        state=lambda e, x, nodes: _v(x, nodes[e.internal_node])),
+    FloatGateElement: _Kind(
+        Assembler._floatgate, _floatgate_accept, row="fg",
+        seed=lambda e, q_held: q_held / e.params.c_total, state=_fg_charge),
+}
+
+
 def _residual_ok(layout: SystemLayout, f, scale, tol: Tolerances) -> bool:
     for row in range(layout.size):
-        abstol = tol.iabstol if layout.row_kind[row] == "kcl" \
-            else tol.vabstol
+        abstol = tol.vabstol if layout.row_kind[row] in ("vsrc", "state") \
+            else tol.iabstol
         if abs(f[row]) > max(abstol, _RESID_FLOOR * scale[row]):
             return False
     return True
@@ -402,35 +435,12 @@ def solve_dc(layout: SystemLayout, tol: Tolerances,
 
 def post_step_aux(layout: SystemLayout, ctx: EvalContext,
                   x: np.ndarray) -> dict:
-    """Companion-model history for the step just accepted at x.
-
-    Records each capacitor's branch current and each RRAM element's
-    state rate so the next step can integrate trapezoidally.
-    """
-    nodes = layout.circuit.nodes
+    """Accept the step just solved at x: clamp each RRAM state into
+    [0, 1] in place and return the companion-model history (capacitor
+    currents, RRAM state rates) the next trapezoidal step needs."""
     aux = {}
-
-    def cap_current(name, n1, n2, value):
-        dv = _v(x, n1) - _v(x, n2)
-        dv_prev = _v(ctx.x_prev, n1) - _v(ctx.x_prev, n2)
-        if ctx.integrator == "trap" and name in ctx.aux_prev:
-            return 2.0 * value / ctx.h * (dv - dv_prev) - ctx.aux_prev[name]
-        return value / ctx.h * (dv - dv_prev)
-
     for e in layout.circuit.elements:
-        if isinstance(e, Capacitor):
-            aux[e.name] = cap_current(e.name, nodes[e.n1], nodes[e.n2],
-                                      e.value)
-        elif isinstance(e, RramElement):
-            vpn = _v(x, nodes[e.npos]) - _v(x, nodes[e.nneg])
-            state = x[layout.state_rows[e.name]]
-            aux[e.name] = state_rate_and_grads(e.params, vpn, state)[0]
-        elif isinstance(e, FloatGateElement):
-            p = e.params
-            fg = nodes[e.fg_node]
-            for suffix, cap, node in (("#csg", p.c_sg, e.nsg),
-                                      ("#cnfb", p.c_nfb, e.nnfb),
-                                      ("#cpfb", p.c_pfb, e.npfb)):
-                aux[e.name + suffix] = cap_current(e.name + suffix,
-                                                   nodes[node], fg, cap)
+        accept = _KINDS[type(e)].accept
+        if accept is not None:
+            accept(ctx, e, x, layout.circuit.nodes, aux)
     return aux

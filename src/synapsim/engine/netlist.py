@@ -27,12 +27,10 @@ import re
 from dataclasses import dataclass, field
 
 from ..floatgate import FloatingGateParams
-from ..mosfet import MosParams
-from ..rram import RramParams
 from .analysis import AnalysisSpec
-from .circuit import (Capacitor, Circuit, CircuitError, FloatGateElement,
-                      ISource, Mosfet, PulseSpec, Resistor, RramElement,
-                      VSource)
+from .circuit import (FLAG_KEYS, MODEL_CARDS, Capacitor, Circuit,
+                      CircuitError, FloatGateElement, ISource, Mosfet,
+                      PulseSpec, Resistor, RramElement, VSource)
 
 _SUFFIX = {"f": "e-15", "p": "e-12", "n": "e-9", "u": "e-6", "m": "e-3",
            "k": "e3", "meg": "e6", "g": "e9"}
@@ -69,17 +67,6 @@ def parse_number(token: str) -> float:
     return value
 
 
-_MODEL_FIELDS = {
-    "cmg": {"l", "w", "t_si", "eot", "n_a", "n_i", "mu0", "v_fb", "temp",
-            "e_mob", "v_sat", "mob_degradation", "vel_saturation"},
-    "rram": {"g_on", "g_off", "v0", "k_set", "k_reset", "vc_set",
-             "vc_reset", "p", "x_init"},
-    "fg": {"c_sg", "c_nfb", "c_pfb", "t_tun", "a_tun", "alpha_fn",
-           "beta_fn", "mos"},
-}
-_BOOL_FIELDS = {"mob_degradation", "vel_saturation"}
-
-
 class _Parser:
     def __init__(self):
         self.circuit = Circuit()
@@ -87,7 +74,7 @@ class _Parser:
         self.errors: list[str] = []
         self.node_uses: dict[str, int] = {}
         # fg model cards resolve their mos= reference after all lines
-        self.pending_fg: list[tuple[int, str, dict]] = []
+        self.pending_fg: list[tuple[int, str, dict, str | None]] = []
         self.model_lines: dict[str, int] = {}
 
     def fail(self, lineno: int, msg: str):
@@ -297,27 +284,24 @@ class _Parser:
             self.fail(lineno, ".model expects: name kind key=val ...")
             return
         name, kind = rest[0], rest[1]
-        if kind not in _MODEL_FIELDS:
+        if kind not in MODEL_CARDS:
             self.fail(lineno, f"unknown model kind '{kind}' "
                               "(want cmg, rram, or fg)")
             return
-        kv = self._keyvals(lineno, rest[2:], _MODEL_FIELDS[kind])
+        params_class, keys = MODEL_CARDS[kind]
+        kv = self._keyvals(lineno, rest[2:], keys)
+        mos_name = kv.pop("mos", None)
         fields = {}
         for key, val in kv.items():
-            if key == "mos":
-                continue
-            if key in _BOOL_FIELDS:
+            if key in FLAG_KEYS:
                 fields[key] = val not in ("0", "false", "off")
             else:
                 fields[key] = self.num(lineno, val, key)
+        if kind == "fg":
+            self.pending_fg.append((lineno, name, fields, mos_name))
+            return
         try:
-            if kind == "cmg":
-                self.circuit.add_model(name, kind, MosParams(**fields))
-            elif kind == "rram":
-                self.circuit.add_model(name, kind, RramParams(**fields))
-            else:
-                self.pending_fg.append((lineno, name, dict(kv)))
-                return
+            self.circuit.add_model(name, kind, params_class(**fields))
         except (ValueError, CircuitError) as exc:
             self.fail(lineno, str(exc))
             return
@@ -325,11 +309,7 @@ class _Parser:
 
     def finish(self) -> ParseResult:
         # fg cards resolve last so mos= may reference a later cmg card
-        for lineno, name, kv in self.pending_fg:
-            fields = {}
-            mos_name = kv.pop("mos", None)
-            for key, val in kv.items():
-                fields[key] = self.num(lineno, val, key)
+        for lineno, name, fields, mos_name in self.pending_fg:
             if mos_name is not None:
                 entry = self.circuit.models.get(mos_name)
                 if entry is None or entry[0] != "cmg":

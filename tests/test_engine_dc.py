@@ -186,7 +186,10 @@ XF1 d 0 sg nfb pfb model=syn
     assert res.column("v(xf1#fg)")[0] == pytest.approx(0.6, rel=1e-12)
 
 
-def test_fg_dc_respects_stored_charge():
+@pytest.mark.parametrize("gmin", [0.0, 1e-3])
+def test_fg_dc_respects_stored_charge(gmin):
+    # gmin relaxes KCL rows only; the floating-gate row is a charge
+    # constraint in DC and must hold the stored charge exactly
     res, _ = _solve_op("""
 .model syn fg
 Vd d 0 DC 0.0
@@ -195,6 +198,6 @@ Vnfb nfb 0 DC 0.0
 Vpfb pfb 0 DC 0.0
 XF1 d 0 sg nfb pfb model=syn qfg0=6e-17
 .end
-""")
+""", gmin=gmin)
     # v_fg = (sum C_i V_i + Q) / C_tot = 0.3 + 6e-17/3e-16
     assert res.column("v(xf1#fg)")[0] == pytest.approx(0.5, rel=1e-12)
