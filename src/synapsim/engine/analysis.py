@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -59,12 +60,19 @@ class SimResult:
     data: np.ndarray
     metadata: list[str] = field(default_factory=list)
 
-    def column(self, name: str) -> np.ndarray:
-        key = name.lower()
+    @cached_property
+    def _index(self) -> dict:
+        """Lower-cased column name -> index; the first match wins."""
+        index = {}
         for i, c in enumerate(self.columns):
-            if c.lower() == key:
-                return self.data[:, i]
-        raise KeyError(name)
+            index.setdefault(c.lower(), i)
+        return index
+
+    def column(self, name: str) -> np.ndarray:
+        i = self._index.get(name.lower())
+        if i is None:
+            raise KeyError(name)
+        return self.data[:, i]
 
     def to_csv(self, path=None) -> Optional[str]:
         buf = io.StringIO()

@@ -21,7 +21,9 @@ import numpy as np
 
 from ..engine import (AnalysisSpec, Circuit, RramElement, VSource,
                       operating_point, transient)
-from ..rram import RramParams, conductance, state_for_conductance
+from ..mosfet import MosParams
+from ..rram import (_SINH_ARG_MAX, RramParams, _op_1t1r,
+                    conductance, pulse_1t1r, set_1t1r, state_for_conductance)
 
 __all__ = [
     "CrossbarSpec", "TrainConfig", "DeviceReport", "ProgramReport",
@@ -67,7 +69,6 @@ class TrainConfig:
 
     lr: float = 0.5
     epochs: int = 200
-    activation: str = "sigmoid"
     threshold: float = 0.5
     margin: float = 0.02
     write_tol: float = 5e-6
@@ -77,16 +78,12 @@ class TrainConfig:
     min_width: float = 1e-9
     max_width: float = 1e-2
     pulse_steps: int = 50
-    v_set_1t1r: float = 1.0
-    gate_grid: tuple = (0.25, 1.4, 12)
 
     def __post_init__(self):
         if self.lr <= 0.0:
             raise ValueError("learning rate must be positive")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if self.activation not in ("sigmoid", "tanh", "relu"):
-            raise ValueError(f"unknown activation '{self.activation}'")
         if self.write_tol <= 0.0 or self.max_verify < 1:
             raise ValueError("need write_tol > 0 and max_verify >= 1")
         if self.set_amplitude <= 0.0 or self.reset_amplitude >= 0.0:
@@ -199,10 +196,10 @@ def _pulse_width(p: RramParams, x0: float, x1: float, amplitude: float,
     """Drive time moving the state from x0 to x1 under a constant-voltage
     pulse, from the closed-form integral of the windowed rate law."""
     if amplitude > 0.0:
-        k = p.k_set * math.sinh(min(amplitude / p.vc_set, 500.0))
+        k = p.k_set * math.sinh(min(amplitude / p.vc_set, _SINH_ARG_MAX))
         a0, a1 = 1.0 - x0, 1.0 - max(x1, x0)   # shrinking toward 0
     else:
-        k = p.k_reset * math.sinh(min(-amplitude / p.vc_reset, 500.0))
+        k = p.k_reset * math.sinh(min(-amplitude / p.vc_reset, _SINH_ARG_MAX))
         a0, a1 = x0, min(x1, x0)
     a1 = max(a1, 1e-12)
     if p.p == 1.0:
@@ -224,6 +221,23 @@ def _apply_pulse(p: RramParams, x0: float, amplitude: float, width: float,
     return float(c.state["xr"])
 
 
+def _verify(params: RramParams, x0: float, g_target: float,
+            cfg: TrainConfig, pulse) -> tuple:
+    """Pulse-verify loop shared by both access schemes: read G, stop
+    within ``write_tol`` or after ``max_verify`` pulses, otherwise move
+    the state with the scheme's ``pulse(x, g) -> x`` and re-read."""
+    x = float(x0)
+    pulses = 0
+    g = float(conductance(params, x))
+    while abs(g - g_target) > cfg.write_tol and pulses < cfg.max_verify:
+        x = pulse(x, g)
+        g = float(conductance(params, x))
+        pulses += 1
+    return DeviceReport(name="", g_target=g_target, g_achieved=g,
+                        pulses=pulses,
+                        converged=abs(g - g_target) <= cfg.write_tol), x
+
+
 def write_verify_device(params: RramParams, x0: float, g_target: float,
                         cfg: TrainConfig) -> tuple:
     """Pulse-verify loop driving one device's conductance to g_target.
@@ -234,92 +248,67 @@ def write_verify_device(params: RramParams, x0: float, g_target: float,
     iterations reach the tolerance.
     """
     x_target = state_for_conductance(params, g_target)
-    x = float(x0)
-    pulses = 0
-    g = float(conductance(params, x))
-    while abs(g - g_target) > cfg.write_tol and pulses < cfg.max_verify:
+
+    def pulse(x, g):
         amp = cfg.set_amplitude if g < g_target else cfg.reset_amplitude
         width = _pulse_width(params, x, x_target, amp,
                              cfg.min_width, cfg.max_width)
-        x = _apply_pulse(params, x, amp, width, cfg.pulse_steps)
-        g = float(conductance(params, x))
-        pulses += 1
-    return DeviceReport(name="", g_target=g_target, g_achieved=g,
-                        pulses=pulses,
-                        converged=abs(g - g_target) <= cfg.write_tol), x
+        return _apply_pulse(params, x, amp, width, cfg.pulse_steps)
+
+    return _verify(params, x0, g_target, cfg, pulse)
 
 
-def _cell_device_voltage(params: RramParams, mos, v_top: float,
-                         x: float) -> float:
-    """DC voltage across the RRAM inside a 1T1R cell (gate driven hard),
-    with the filament frozen at x."""
-    from ..rram import _build_1t1r
-
-    c = _build_1t1r(params, mos, v_top, 1.5)
-    c.state["xr1"] = float(x)
-    res = operating_point(c, AnalysisSpec(kind="op"))
-    return float(res.column("v(top)")[0] - res.column("v(mid)")[0])
+# 1T1R scheme: SET bias on the cell, and the gate voltages at which the
+# compliance map is sampled
+_V_SET_1T1R = 1.0
+_GATE_GRID = np.linspace(0.25, 1.4, 12)
 
 
-def _gate_calibration(params: RramParams, cfg: TrainConfig):
-    """Compliance map for the 1T1R scheme: gate voltage -> settled X."""
-    from ..mosfet import MosParams
-    from ..rram import set_1t1r
-
-    lo, hi, n = cfg.gate_grid
-    grid = np.linspace(lo, hi, int(n))
-    xs = np.array([set_1t1r(params, MosParams(), float(v)) for v in grid])
-    return grid, xs
+def _gate_calibration(params: RramParams) -> np.ndarray:
+    """Compliance map for the 1T1R scheme: settled X at each gate
+    voltage of ``_GATE_GRID``."""
+    return np.array([set_1t1r(params, MosParams(), float(v),
+                              v_set=_V_SET_1T1R) for v in _GATE_GRID])
 
 
 def _write_verify_1t1r(params: RramParams, x0: float, g_target: float,
-                       cfg: TrainConfig, calibration) -> tuple:
+                       cfg: TrainConfig, ceilings: np.ndarray) -> tuple:
     """1T1R write-verify: gate voltage for SET found by bracketed secant
     on the calibrated compliance curve; overshoot trimmed by
     width-modulated RESET pulses through the hard-driven transistor."""
-    from ..mosfet import MosParams
-    from ..rram import pulse_1t1r
-
-    grid, ceilings = calibration
     mos = MosParams()
     x_target = state_for_conductance(params, g_target)
-    x = float(x0)
-    pulses = 0
-    g = float(conductance(params, x))
 
     # bracket the target state between calibration samples
     idx = int(np.searchsorted(ceilings, x_target))
-    idx = min(max(idx, 1), len(grid) - 1)
-    v_lo, x_lo = float(grid[idx - 1]), float(ceilings[idx - 1])
-    v_hi, x_hi = float(grid[idx]), float(ceilings[idx])
+    idx = min(max(idx, 1), len(_GATE_GRID) - 1)
+    v_lo, x_lo = float(_GATE_GRID[idx - 1]), float(ceilings[idx - 1])
+    v_hi, x_hi = float(_GATE_GRID[idx]), float(ceilings[idx])
 
-    while abs(g - g_target) > cfg.write_tol and pulses < cfg.max_verify:
+    def pulse(x, g):
+        nonlocal v_lo, x_lo, v_hi, x_hi
         if g < g_target:
             if x_hi > x_lo:
                 v_try = v_lo + (v_hi - v_lo) * (x_target - x_lo) / (x_hi - x_lo)
             else:
                 v_try = 0.5 * (v_lo + v_hi)
             v_try = min(max(v_try, v_lo), v_hi)
-            x_new = pulse_1t1r(params, mos, cfg.v_set_1t1r, v_try, x0=x)
+            x_new = pulse_1t1r(params, mos, _V_SET_1T1R, v_try, x0=x)
             if x_new < x_target:
                 v_lo, x_lo = v_try, x_new
             else:
                 v_hi, x_hi = v_try, x_new
-            x = x_new
-        else:
-            # the access transistor divides the applied reset bias, so
-            # invert the width at the voltage the device actually sees
-            v_dev = _cell_device_voltage(params, mos, cfg.reset_amplitude, x)
-            width = _pulse_width(params, x, x_target, v_dev,
-                                 cfg.min_width, cfg.max_width)
-            x = pulse_1t1r(params, mos, cfg.reset_amplitude, 1.5,
-                           width=width, x0=x, steps=4 * cfg.pulse_steps)
-        g = float(conductance(params, x))
-        pulses += 1
-    rep = DeviceReport(name="", g_target=g_target, g_achieved=g,
-                       pulses=pulses,
-                       converged=abs(g - g_target) <= cfg.write_tol)
-    return rep, x
+            return x_new
+        # the access transistor divides the applied reset bias, so
+        # invert the width at the voltage the device actually sees
+        res = _op_1t1r(params, mos, cfg.reset_amplitude, x)
+        v_dev = float(res.column("v(top)")[0] - res.column("v(mid)")[0])
+        width = _pulse_width(params, x, x_target, v_dev,
+                             cfg.min_width, cfg.max_width)
+        return pulse_1t1r(params, mos, cfg.reset_amplitude, 1.5,
+                          width=width, x0=x, steps=4 * cfg.pulse_steps)
+
+    return _verify(params, x0, g_target, cfg, pulse)
 
 
 def program_weights(circuit: Circuit, spec: CrossbarSpec, g_plus, g_minus,
@@ -337,9 +326,9 @@ def program_weights(circuit: Circuit, spec: CrossbarSpec, g_plus, g_minus,
     state_for_conductance(params, g_plus)    # range check, both planes
     state_for_conductance(params, g_minus)
 
-    calibration = None
+    ceilings = None
     if spec.scheme == "1t1r":
-        calibration = _gate_calibration(params, cfg)
+        ceilings = _gate_calibration(params)
 
     report = ProgramReport()
     for i in range(spec.n_inputs):
@@ -349,7 +338,7 @@ def program_weights(circuit: Circuit, spec: CrossbarSpec, g_plus, g_minus,
                 x0 = circuit.state[name]
                 if spec.scheme == "1t1r":
                     rep, x = _write_verify_1t1r(params, x0, float(target),
-                                                cfg, calibration)
+                                                cfg, ceilings)
                 else:
                     rep, x = write_verify_device(params, x0, float(target),
                                                  cfg)
@@ -362,7 +351,9 @@ def program_weights(circuit: Circuit, spec: CrossbarSpec, g_plus, g_minus,
 # ---------------------------------------------------------------------------
 # 3-input AND training (2 logic lines + bias line)
 
-_AND_PATTERNS = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
+# rows: x1, x2 and the always-on bias line
+_AND_FEATS = np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 1.0], [1.0, 0.0, 1.0],
+                       [1.0, 1.0, 1.0]])
 _AND_TARGETS = np.array([0.0, 0.0, 0.0, 1.0])
 
 
@@ -380,12 +371,8 @@ class AndResult:
         return self.n_correct == 4
 
 
-def _activation(kind: str, z):
-    if kind == "sigmoid":
-        return 1.0 / (1.0 + np.exp(-z))
-    if kind == "tanh":
-        return np.tanh(z)
-    return np.maximum(z, 0.0)
+def _sigmoid(z):
+    return 1.0 / (1.0 + np.exp(-z))
 
 
 def _weight_to_pair(w: float, params: RramParams) -> tuple[float, float]:
@@ -413,6 +400,49 @@ def _current_scale(spec: CrossbarSpec, params: RramParams) -> float:
     return 8.0 / (spec.n_inputs * span * spec.v_read)
 
 
+def _count_correct(acts, cfg) -> int:
+    return int(np.sum((acts > cfg.threshold) == (_AND_TARGETS > 0.5)))
+
+
+def _margin(acts, cfg) -> float:
+    return float(np.min(np.abs(acts - cfg.threshold)))
+
+
+def _activations(read, w, scale) -> np.ndarray:
+    """Sigmoid outputs for the four AND patterns at weights w."""
+    return np.array([_sigmoid(scale * read(w, feats)) for feats in _AND_FEATS])
+
+
+def _train_and(cfg: TrainConfig, scale: float, read, write) -> AndResult:
+    """Delta-rule loop shared by the device run and its software twin.
+
+    ``read(w, feats)`` returns the column current for one input pattern
+    and ``write(w)`` realizes updated weights; stops early once all four
+    patterns classify correctly.
+    """
+    w = np.zeros(3)
+    history = []
+    epochs_used = cfg.epochs
+    for epoch in range(cfg.epochs):
+        for feats, target in zip(_AND_FEATS, _AND_TARGETS):
+            a = _sigmoid(scale * read(w, feats))
+            delta = (target - a) * a * (1.0 - a)
+            w = np.clip(w + cfg.lr * delta * feats, -1.0, 1.0)
+            write(w)
+        acts = _activations(read, w, scale)
+        n_correct = _count_correct(acts, cfg)
+        history.append(n_correct)
+        # stop once correct with a small confidence margin, so the
+        # result is not balanced on the classification threshold
+        if n_correct == 4 and _margin(acts, cfg) >= cfg.margin:
+            epochs_used = epoch + 1
+            break
+    acts = _activations(read, w, scale)
+    return AndResult(n_correct=_count_correct(acts, cfg),
+                     epochs_used=epochs_used, weights=w,
+                     activations=acts, history=history)
+
+
 def train_and_gate(spec: CrossbarSpec = None, cfg: TrainConfig = None,
                    params: RramParams = None) -> AndResult:
     """Offline delta-rule training of a 3x1 array to the AND function.
@@ -428,52 +458,20 @@ def train_and_gate(spec: CrossbarSpec = None, cfg: TrainConfig = None,
     if (spec.n_inputs, spec.n_outputs) != (3, 1):
         raise ValueError("AND experiment needs a 3x1 array")
     circuit = build_crossbar(spec, params, x_init=0.0)   # G+ = G- = g_off
-    scale = _current_scale(spec, params)
 
-    w = np.zeros(3)
-    history = []
-    epochs_used = cfg.epochs
-    for epoch in range(cfg.epochs):
-        for k, (x1, x2) in enumerate(_AND_PATTERNS):
-            feats = np.array([x1, x2, 1.0])
-            i_out = read_outputs(circuit, spec, feats * spec.v_read)[0]
-            a = _activation(cfg.activation, scale * i_out)
-            delta = (_AND_TARGETS[k] - a) * a * (1.0 - a)
-            w = np.clip(w + cfg.lr * delta * feats, -1.0, 1.0)
-            pairs = [_weight_to_pair(wi, params) for wi in w]
-            gp = np.array([[p_[0]] for p_ in pairs])
-            gm = np.array([[p_[1]] for p_ in pairs])
-            program_weights(circuit, spec, gp, gm, cfg)
-        acts = _evaluate_patterns(circuit, spec, cfg, scale)
-        n_correct = _count_correct(acts, cfg)
-        history.append(n_correct)
-        # stop once correct with a small confidence margin, so the
-        # result is not balanced on the classification threshold
-        if n_correct == 4 and _margin(acts, cfg) >= cfg.margin:
-            epochs_used = epoch + 1
-            break
-    acts = _evaluate_patterns(circuit, spec, cfg, scale)
-    return AndResult(n_correct=_count_correct(acts, cfg),
-                     epochs_used=epochs_used,
-                     weights=_read_weights(circuit, spec, params)[:, 0],
-                     activations=acts, history=history, circuit=circuit)
+    def read(w, feats):
+        return read_outputs(circuit, spec, feats * spec.v_read)[0]
 
+    def write(w):
+        pairs = [_weight_to_pair(wi, params) for wi in w]
+        gp = np.array([[p_[0]] for p_ in pairs])
+        gm = np.array([[p_[1]] for p_ in pairs])
+        program_weights(circuit, spec, gp, gm, cfg)
 
-def _count_correct(acts, cfg) -> int:
-    return int(np.sum((acts > cfg.threshold) == (_AND_TARGETS > 0.5)))
-
-
-def _margin(acts, cfg) -> float:
-    return float(np.min(np.abs(acts - cfg.threshold)))
-
-
-def _evaluate_patterns(circuit, spec, cfg, scale) -> np.ndarray:
-    acts = np.empty(4)
-    for k, (x1, x2) in enumerate(_AND_PATTERNS):
-        feats = np.array([x1, x2, 1.0])
-        i_out = read_outputs(circuit, spec, feats * spec.v_read)[0]
-        acts[k] = _activation(cfg.activation, scale * i_out)
-    return acts
+    result = _train_and(cfg, _current_scale(spec, params), read, write)
+    result.weights = _read_weights(circuit, spec, params)[:, 0]
+    result.circuit = circuit
+    return result
 
 
 def train_and_gate_software(params: RramParams = None,
@@ -483,34 +481,10 @@ def train_and_gate_software(params: RramParams = None,
     params = params or RramParams()
     cfg = cfg or TrainConfig()
     spec = CrossbarSpec(n_inputs=3, n_outputs=1)
-    scale = _current_scale(spec, params)
     span = params.g_on - params.g_off
 
-    def outputs(w):
-        z = np.empty(4)
-        for k, (x1, x2) in enumerate(_AND_PATTERNS):
-            feats = np.array([x1, x2, 1.0])
-            i_out = float(np.sum(w * span * feats * spec.v_read))
-            z[k] = _activation(cfg.activation, scale * i_out)
-        return z
+    def read(w, feats):
+        return float(np.sum(w * span * feats * spec.v_read))
 
-    w = np.zeros(3)
-    history = []
-    epochs_used = cfg.epochs
-    for epoch in range(cfg.epochs):
-        for k, (x1, x2) in enumerate(_AND_PATTERNS):
-            feats = np.array([x1, x2, 1.0])
-            i_out = float(np.sum(w * span * feats * spec.v_read))
-            a = _activation(cfg.activation, scale * i_out)
-            delta = (_AND_TARGETS[k] - a) * a * (1.0 - a)
-            w = np.clip(w + cfg.lr * delta * feats, -1.0, 1.0)
-        acts = outputs(w)
-        n_correct = _count_correct(acts, cfg)
-        history.append(n_correct)
-        if n_correct == 4 and _margin(acts, cfg) >= cfg.margin:
-            epochs_used = epoch + 1
-            break
-    acts = outputs(w)
-    return AndResult(n_correct=_count_correct(acts, cfg),
-                     epochs_used=epochs_used, weights=w,
-                     activations=acts, history=history)
+    return _train_and(cfg, _current_scale(spec, params), read,
+                      lambda w: None)

@@ -98,16 +98,13 @@ def rram_current_and_grads(p: RramParams, v: float, x: float):
     model stays consistent with the evaluated current.
     """
     arg = min(max(v / p.v0, -_SINH_ARG_MAX), _SINH_ARG_MAX)
-    g = float(conductance(p, x))
+    # scalar form of ``conductance``; np.exp (not math.exp) keeps it
+    # bit-identical to the array path
+    g = float(p.g_off * np.exp(p.ln_g_ratio * min(max(x, 0.0), 1.0)))
     i = g * p.v0 * math.sinh(arg)
     di_dv = g * math.cosh(arg)
     di_dx = p.ln_g_ratio * i if 0.0 <= x <= 1.0 else 0.0
     return i, di_dv, di_dx
-
-
-def _window(p: RramParams, x: float, towards_set: bool) -> float:
-    base = (1.0 - x) if towards_set else x
-    return max(base, 0.0) ** p.p
 
 
 def state_rate(p: RramParams, v: float, x: float) -> float:
@@ -116,13 +113,7 @@ def state_rate(p: RramParams, v: float, x: float) -> float:
     dX/dt = k_set  * sinh(V/vc_set)   * max(1-X, 0)**p   for V >= 0
     dX/dt = k_reset* sinh(V/vc_reset) * max(X, 0)**p     for V <  0
     """
-    if v == 0.0:
-        return 0.0
-    if v > 0.0:
-        arg = min(v / p.vc_set, _SINH_ARG_MAX)
-        return p.k_set * math.sinh(arg) * _window(p, x, towards_set=True)
-    arg = max(v / p.vc_reset, -_SINH_ARG_MAX)
-    return p.k_reset * math.sinh(arg) * _window(p, x, towards_set=False)
+    return state_rate_and_grads(p, v, x)[0]
 
 
 def state_rate_and_grads(p: RramParams, v: float, x: float):
@@ -218,15 +209,22 @@ def set_1t1r(p: RramParams, mos_params, v_pgm: float,
                       steps=max(int(round(width / tstep)), 1))
 
 
+def _op_1t1r(p: RramParams, mos_params, v_top: float, x: float,
+             v_gate: float = 1.5):
+    """DC operating point of a 1T1R cell with the filament frozen at x
+    (nodes ``top`` and ``mid`` bracket the RRAM)."""
+    from .engine import AnalysisSpec, operating_point
+
+    c = _build_1t1r(p, mos_params, v_top, v_gate)
+    c.state["xr1"] = float(x)
+    return operating_point(c, AnalysisSpec(kind="op"))
+
+
 def read_1t1r(p: RramParams, mos_params, x: float, v_read: float = 0.1,
               v_gate: float = 1.5) -> float:
     """DC read current of a 1T1R cell at the given filament state; the
     access gate is driven hard so the cell, not the switch, dominates."""
-    from .engine import AnalysisSpec, operating_point
-
-    c = _build_1t1r(p, mos_params, v_read, v_gate)
-    c.state["xr1"] = float(x)
-    res = operating_point(c, AnalysisSpec(kind="op"))
+    res = _op_1t1r(p, mos_params, v_read, x, v_gate)
     return float(-res.column("i(vpos)")[0])
 
 
@@ -238,11 +236,9 @@ def tuning_curve_1t1r(p: RramParams, mos_params, v_pgm_values,
 
     Returns (x_final, i_read) arrays aligned with v_pgm_values.
     """
-    import numpy as _np
-
     xs, reads = [], []
     for v_pgm in v_pgm_values:
         x = set_1t1r(p, mos_params, float(v_pgm), v_set=v_set, width=width)
         xs.append(x)
         reads.append(read_1t1r(p, mos_params, x, v_read=v_read))
-    return _np.array(xs), _np.array(reads)
+    return np.array(xs), np.array(reads)

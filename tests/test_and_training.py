@@ -58,6 +58,22 @@ def test_history_epochs_match_report(device_result):
     assert len(device_result.history) == device_result.epochs_used
 
 
+@pytest.mark.parametrize("which,epochs,history,weights", [
+    ("device", 7, [3, 3, 3, 3, 3, 4, 4],
+     (0.22181469744968188, 0.19894030864558807, -0.38664516887379385)),
+    ("software", 8, [3, 3, 3, 3, 3, 3, 4, 4],
+     (0.2544781629911104, 0.22930106166240166, -0.42620469696210567)),
+], ids=["device", "software"])
+def test_and_results_are_pinned(request, which, epochs, history, weights):
+    # the device run and its software twin share one training loop; a
+    # change to that loop must not move either result
+    r = request.getfixturevalue(f"{which}_result")
+    assert r.n_correct == 4
+    assert r.epochs_used == epochs
+    assert r.history == history
+    np.testing.assert_allclose(r.weights, weights, rtol=1e-12, atol=0)
+
+
 def test_untrained_crossbar_misclassifies_only_and_pattern():
     # fresh array: both planes at g_off -> zero differential output for
     # every pattern -> activation at the sigmoid midpoint -> the strict

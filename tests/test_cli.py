@@ -134,6 +134,28 @@ def test_run_voltage_divider(tmp_path):
     assert rows[0][header.index("v(mid)")] == pytest.approx(1.5, rel=1e-12)
 
 
+def test_crossbar_and_device_and_software_learn_and(tmp_path):
+    out = tmp_path / "and.csv"
+    assert main(["crossbar-and", "--out", str(out)]) == 0
+    _, header, rows = _read_csv(out)
+    assert rows.shape[0] == 4
+    col = header.index
+    np.testing.assert_array_equal(rows[:, col("pred_dev")],
+                                  rows[:, col("target")])
+    np.testing.assert_array_equal(rows[:, col("pred_sw")],
+                                  rows[:, col("target")])
+
+
+@pytest.mark.parametrize("assignment", ["train.activation=tanh",
+                                        "train.gate_grid=0.3,1.2,8",
+                                        "train.v_set_1t1r=1"])
+def test_crossbar_and_rejects_removed_train_keys(tmp_path, assignment):
+    # these keys never changed the crossbar-and result, so they are not
+    # parameters of it
+    assert main(["crossbar-and", "--set", assignment, "--out",
+                 str(tmp_path / "and.csv")]) == 2
+
+
 def test_bench_zero_points_is_usage_error(tmp_path, capsys):
     assert main(["bench", "--n", "0", "--out", str(tmp_path / "b.csv")]) == 2
     assert "at least one point" in capsys.readouterr().err

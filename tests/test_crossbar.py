@@ -163,6 +163,7 @@ def test_1t1r_scheme_programs_small_array(params):
     cfg = TrainConfig(write_tol=2e-5)
     report = program_weights(c, spec, g_plus, g_minus, cfg)
     assert all(d.converged for d in report.devices)
+    assert [d.pulses for d in report.devices] == [1, 0, 1, 0]
     gp, _ = get_states(c, spec)
     np.testing.assert_allclose(conductance(params, gp), g_plus,
                                atol=cfg.write_tol)

@@ -3,7 +3,7 @@
 import pytest
 
 from synapsim.mosfet import MosParams
-from synapsim.neuro import MacromodelConfig, TrainConfig
+from synapsim.neuro import MacromodelConfig
 from synapsim.paramfile import (ParamError, apply_params, coerce_value,
                                 load_params, parse_assignments, split_scopes)
 
@@ -75,8 +75,7 @@ def test_tuple_fields_with_mixed_elements():
                                             "levels": "64"})
     assert cfg.layer_sizes == (784, 1000, 125, 10)
     assert cfg.levels == 64
-    tc = apply_params(TrainConfig(), {"gate_grid": "0.3,1.2,8"})
-    assert tc.gate_grid == (0.3, 1.2, 8)
+    assert coerce_value("0.3,1.2,8", tuple) == (0.3, 1.2, 8)
 
 
 def test_coerce_value_bool_words():
