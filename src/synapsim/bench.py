@@ -62,8 +62,7 @@ def _median_and_spread(samples):
 
 
 def bench_model_eval(p: MosParams | None = None, n: int = 100_000, reps: int = 5,
-                     seed: int = 0,
-                     variants=("reference", "householder")) -> BenchResult:
+                     seed: int = 0) -> BenchResult:
     """Time `n` complete model evaluations per solver variant.
 
     Each repetition times two stages on the same grid: the charge solves
@@ -78,13 +77,10 @@ def bench_model_eval(p: MosParams | None = None, n: int = 100_000, reps: int = 5
         raise ValueError("benchmark grid must contain at least one point")
     if reps < 1:
         raise ValueError("benchmark needs at least one repetition")
-    for v in variants:
-        if v not in _SOLVERS:
-            raise ValueError(f"unknown solver variant {v!r}")
 
     v_g, v_ds = default_bias_grid(n, seed)
-    t_solver = {v: [] for v in variants}
-    t_eval = {v: [] for v in variants}
+    t_solver = {v: [] for v in _SOLVERS}
+    t_eval = {v: [] for v in _SOLVERS}
 
     def one_pass(variant):
         solve = _SOLVERS[variant]
@@ -97,7 +93,7 @@ def bench_model_eval(p: MosParams | None = None, n: int = 100_000, reps: int = 5
         t2 = time.perf_counter()
         return t1 - t0, t2 - t0
 
-    for variant in variants:        # warm-up passes, untimed
+    for variant in _SOLVERS:        # warm-up passes, untimed
         one_pass(variant)
     # variants interleaved per repetition so slow machine-load drift hits
     # both equally; collector paused across the timed region
@@ -105,7 +101,7 @@ def bench_model_eval(p: MosParams | None = None, n: int = 100_000, reps: int = 5
     gc.disable()
     try:
         for _ in range(reps):
-            for variant in variants:
+            for variant in _SOLVERS:
                 ts, te = one_pass(variant)
                 t_solver[variant].append(ts)
                 t_eval[variant].append(te)
@@ -115,18 +111,15 @@ def bench_model_eval(p: MosParams | None = None, n: int = 100_000, reps: int = 5
 
     solver_s, eval_s = {}, {}
     solver_spread, eval_spread = {}, {}
-    for variant in variants:
+    for variant in _SOLVERS:
         solver_s[variant], solver_spread[variant] = _median_and_spread(
             t_solver[variant])
         eval_s[variant], eval_spread[variant] = _median_and_spread(
             t_eval[variant])
 
     evals_per_s = {v: n / eval_s[v] for v in eval_s}
-    if "reference" in eval_s and "householder" in eval_s:
-        solver_ratio = solver_s["reference"] / solver_s["householder"]
-        eval_ratio = eval_s["reference"] / eval_s["householder"]
-    else:
-        solver_ratio = eval_ratio = float("nan")
+    solver_ratio = solver_s["reference"] / solver_s["householder"]
+    eval_ratio = eval_s["reference"] / eval_s["householder"]
     return BenchResult(n=n, reps=reps, solver_s=solver_s, eval_s=eval_s,
                        evals_per_s=evals_per_s, solver_ratio=solver_ratio,
                        eval_ratio=eval_ratio, solver_spread=solver_spread,

@@ -66,7 +66,8 @@ def _metadata(args, extras: dict, param_objs: dict) -> list:
     for scope in sorted(param_objs):
         obj = param_objs[scope]
         for f in dataclasses.fields(obj):
-            lines.append(f"{scope}.{f.name}: {getattr(obj, f.name)!r}")
+            if f.init:
+                lines.append(f"{scope}.{f.name}: {getattr(obj, f.name)!r}")
     return lines
 
 

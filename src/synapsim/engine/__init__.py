@@ -2,6 +2,7 @@
 DC operating point and sweep, and fixed-step transient with failure
 halving."""
 
+from ..paramfile import parse_number
 from .analysis import (AnalysisSpec, SimResult, TransientError, dc_sweep,
                        operating_point, run_analysis, transient)
 from .circuit import (Capacitor, Circuit, CircuitError, FloatGateElement,
@@ -9,7 +10,7 @@ from .circuit import (Capacitor, Circuit, CircuitError, FloatGateElement,
                       VSource)
 from .mna import ConvergenceError, SystemLayout, Tolerances
 from .netlist import (NetlistError, ParseResult, parse_netlist,
-                      parse_number, serialize_netlist)
+                      serialize_netlist)
 
 __all__ = [
     "AnalysisSpec", "SimResult", "TransientError", "dc_sweep",

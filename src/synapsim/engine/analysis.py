@@ -27,8 +27,10 @@ class TransientError(Exception):
     pass
 
 
-@dataclass
-class AnalysisSpec:
+@dataclass(kw_only=True)
+class AnalysisSpec(Tolerances):
+    """One analysis card plus the Newton tolerances it runs with."""
+
     kind: str                    # "op" | "dc" | "tran"
     src: str = ""
     start: float = 0.0
@@ -38,20 +40,6 @@ class AnalysisSpec:
     tstop: float = 0.0
     uic: bool = False
     integrator: str = "be"       # "be" | "trap"
-    reltol: float = 1e-6
-    vabstol: float = 1e-9
-    iabstol: float = 1e-12
-    max_iter: int = 100
-    gmin: float = 0.0
-    vlimit: float = 0.3
-
-    def tolerances(self) -> Tolerances:
-        for name in ("reltol", "vabstol", "iabstol"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
-        return Tolerances(reltol=self.reltol, vabstol=self.vabstol,
-                          iabstol=self.iabstol, max_iter=self.max_iter,
-                          gmin=self.gmin, vlimit=self.vlimit)
 
 
 @dataclass
@@ -91,7 +79,8 @@ class SimResult:
 
 def operating_point(circuit: Circuit, spec: AnalysisSpec) -> SimResult:
     layout = SystemLayout(circuit)
-    x = solve_dc(layout, spec.tolerances())
+    spec.check()
+    x = solve_dc(layout, spec)
     return SimResult(columns=layout.column_names(),
                      data=x.reshape(1, -1).copy())
 
@@ -103,7 +92,7 @@ def dc_sweep(circuit: Circuit, spec: AnalysisSpec) -> SimResult:
     src = spec.src.lower()
     if src not in layout.branch:
         raise ValueError(f"dc sweep source '{spec.src}' not in circuit")
-    tol = spec.tolerances()
+    spec.check()
     n = int(round((spec.stop - spec.start) / spec.step)) + 1
     if n < 1:
         raise ValueError("dc sweep range and step disagree")
@@ -111,7 +100,7 @@ def dc_sweep(circuit: Circuit, spec: AnalysisSpec) -> SimResult:
     rows = np.empty((n, layout.size + 1))
     x = None
     for k, val in enumerate(values):
-        x = solve_dc(layout, tol, x0=x, src_override={src: float(val)})
+        x = solve_dc(layout, spec, x0=x, src_override={src: float(val)})
         rows[k, 0] = val
         rows[k, 1:] = x
     return SimResult(columns=[src] + layout.column_names(), data=rows)
@@ -121,12 +110,12 @@ def transient(circuit: Circuit, spec: AnalysisSpec) -> SimResult:
     if spec.tstep <= 0.0 or spec.tstop <= 0.0:
         raise ValueError("transient needs positive tstep and tstop")
     layout = SystemLayout(circuit)
-    tol = spec.tolerances()
+    spec.check()
 
     if spec.uic:
         x = layout.initial_vector()
     else:
-        x = solve_dc(layout, tol)
+        x = solve_dc(layout, spec)
 
     times = [0.0]
     rows = [x.copy()]
@@ -138,8 +127,8 @@ def transient(circuit: Circuit, spec: AnalysisSpec) -> SimResult:
         h_try = min(h, spec.tstop - t)
         ctx = EvalContext(mode="tran", time=t + h_try, h=h_try,
                           integrator=spec.integrator, x_prev=x,
-                          aux_prev=aux, gmin=tol.gmin)
-        x_new, ok, worst = newton_solve(layout, ctx, x, tol)
+                          aux_prev=aux, gmin=spec.gmin)
+        x_new, ok, worst = newton_solve(layout, ctx, x, spec)
         if not ok:
             h *= 0.5
             if h < h_min:

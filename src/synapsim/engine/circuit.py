@@ -14,6 +14,7 @@ means one dataclass here plus one entry in the per-kind table in ``mna``.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import ClassVar, Optional
 
@@ -21,19 +22,14 @@ from ..floatgate import FloatingGateParams
 from ..mosfet import MosParams
 from ..rram import RramParams
 
-# model kind -> params class and its netlist keys in card order.  Flag
-# keys are written 0/1; an fg card's mos= names the cmg model of its
-# readout transistor.
-MODEL_CARDS = {
-    "cmg": (MosParams, ("l", "w", "t_si", "eot", "n_a", "n_i", "mu0",
-                        "v_fb", "temp", "e_mob", "v_sat", "mob_degradation",
-                        "vel_saturation")),
-    "rram": (RramParams, ("g_on", "g_off", "v0", "k_set", "k_reset",
-                          "vc_set", "vc_reset", "p", "x_init")),
-    "fg": (FloatingGateParams, ("c_sg", "c_nfb", "c_pfb", "t_tun", "a_tun",
-                                "alpha_fn", "beta_fn", "mos")),
-}
-FLAG_KEYS = frozenset({"mob_degradation", "vel_saturation"})
+# model kind -> params class.  A card's keys are the class's init fields;
+# an fg card's mos= names the cmg model of its readout transistor.
+MODEL_CARDS = {"cmg": MosParams, "rram": RramParams, "fg": FloatingGateParams}
+
+
+def card_fields(kind: str) -> list:
+    """Settable fields of a model kind, in card order."""
+    return [f for f in dataclasses.fields(MODEL_CARDS[kind]) if f.init]
 
 
 def _fmt(x: float) -> str:
@@ -291,14 +287,15 @@ class Circuit:
         lines = []
         for name, (kind, params) in self.models.items():
             pairs = []
-            for key in MODEL_CARDS[kind][1]:
-                if key == "mos":
+            for f in card_fields(kind):
+                value = getattr(params, f.name)
+                if isinstance(value, MosParams):
                     if name in self.fg_mos_ref:
-                        pairs.append(f"mos={self.fg_mos_ref[name]}")
-                elif key in FLAG_KEYS:
-                    pairs.append(f"{key}={int(getattr(params, key))}")
+                        pairs.append(f"{f.name}={self.fg_mos_ref[name]}")
+                elif isinstance(value, bool):
+                    pairs.append(f"{f.name}={int(value)}")
                 else:
-                    pairs.append(f"{key}={_fmt(getattr(params, key))}")
+                    pairs.append(f"{f.name}={_fmt(value)}")
             lines.append(f".model {name} {kind} " + " ".join(pairs))
         lines += [e.card() for e in self.elements]
         return "\n".join(lines) + "\n"

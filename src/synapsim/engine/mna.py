@@ -45,6 +45,12 @@ class Tolerances:
     gmin: float = 0.0
     vlimit: float = 0.3
 
+    def check(self) -> None:
+        """Raise ValueError unless the convergence tolerances are positive."""
+        for name in ("reltol", "vabstol", "iabstol"):
+            if getattr(self, name) <= 0.0:
+                raise ValueError(f"{name} must be positive")
+
 
 @dataclass
 class EvalContext:

@@ -16,26 +16,29 @@ Grammar (keywords case-insensitive, node and model names lowercased):
     .tran <tstep> <tstop> [uic]
     .end
 
-Numbers accept engineering suffixes f p n u m k meg g.  Parsing either
-yields a fully resolved circuit or raises with every error and its line
-number; nodes referenced exactly once produce warnings.
+Numbers accept engineering suffixes f p n u m k meg g.  A ``.model``
+card's keys are the init fields of the kind's parameter class
+(``MosParams``, ``RramParams``, ``FloatingGateParams``), and its values
+are coerced exactly as ``--set`` overrides are: numbers by the grammar
+above, booleans as true/yes/on/1 or false/no/off/0.  An fg card's
+``mos=<name>`` names the cmg model of its readout transistor; the card
+may come before or after it.
+
+Parsing either yields a fully resolved circuit or raises with every
+error and its line number; nodes referenced exactly once produce
+warnings.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
-from ..floatgate import FloatingGateParams
+from ..paramfile import ParamError, apply_params, parse_number
 from .analysis import AnalysisSpec
-from .circuit import (FLAG_KEYS, MODEL_CARDS, Capacitor, Circuit,
-                      CircuitError, FloatGateElement, ISource, Mosfet,
-                      PulseSpec, Resistor, RramElement, VSource)
-
-_SUFFIX = {"f": "e-15", "p": "e-12", "n": "e-9", "u": "e-6", "m": "e-3",
-           "k": "e3", "meg": "e6", "g": "e9"}
-_NUMBER_RE = re.compile(
-    r"^([+-]?(?:\d+\.?\d*|\.\d+))(e[+-]?\d+)?(meg|[fpnumkg])?$")
+from .circuit import (MODEL_CARDS, Capacitor, Circuit, CircuitError,
+                      FloatGateElement, ISource, Mosfet, PulseSpec, Resistor,
+                      RramElement, VSource, card_fields)
 
 
 class NetlistError(Exception):
@@ -53,20 +56,6 @@ class ParseResult:
     warnings: list[str] = field(default_factory=list)
 
 
-def parse_number(token: str) -> float:
-    m = _NUMBER_RE.match(token.lower())
-    if not m:
-        raise ValueError(f"malformed number '{token}'")
-    mantissa, exp, suffix = m.groups()
-    if suffix and not exp:
-        # splice the suffix in as a decimal exponent for an exact parse
-        return float(mantissa + _SUFFIX[suffix])
-    value = float(mantissa + (exp or ""))
-    if suffix:
-        value *= float("1" + _SUFFIX[suffix])
-    return value
-
-
 class _Parser:
     def __init__(self):
         self.circuit = Circuit()
@@ -74,8 +63,7 @@ class _Parser:
         self.errors: list[str] = []
         self.node_uses: dict[str, int] = {}
         # fg model cards resolve their mos= reference after all lines
-        self.pending_fg: list[tuple[int, str, dict, str | None]] = []
-        self.model_lines: dict[str, int] = {}
+        self.pending_fg: list[tuple[int, str, object, str | None]] = []
 
     def fail(self, lineno: int, msg: str):
         self.errors.append(f"line {lineno}: {msg}")
@@ -288,42 +276,39 @@ class _Parser:
             self.fail(lineno, f"unknown model kind '{kind}' "
                               "(want cmg, rram, or fg)")
             return
-        params_class, keys = MODEL_CARDS[kind]
-        kv = self._keyvals(lineno, rest[2:], keys)
+        kv = self._keyvals(lineno, rest[2:],
+                           {f.name for f in card_fields(kind)})
         mos_name = kv.pop("mos", None)
-        fields = {}
-        for key, val in kv.items():
-            if key in FLAG_KEYS:
-                fields[key] = val not in ("0", "false", "off")
-            else:
-                fields[key] = self.num(lineno, val, key)
-        if kind == "fg":
-            self.pending_fg.append((lineno, name, fields, mos_name))
-            return
         try:
-            self.circuit.add_model(name, kind, params_class(**fields))
-        except (ValueError, CircuitError) as exc:
+            params = apply_params(MODEL_CARDS[kind](), kv)
+        except ParamError as exc:
             self.fail(lineno, str(exc))
             return
-        self.model_lines[name] = lineno
+        if kind == "fg":
+            self.pending_fg.append((lineno, name, params, mos_name))
+            return
+        self._add_model(lineno, name, kind, params)
+
+    def _add_model(self, lineno: int, name: str, kind: str, params) -> bool:
+        try:
+            self.circuit.add_model(name, kind, params)
+        except CircuitError as exc:
+            self.fail(lineno, str(exc))
+            return False
+        return True
 
     def finish(self) -> ParseResult:
         # fg cards resolve last so mos= may reference a later cmg card
-        for lineno, name, fields, mos_name in self.pending_fg:
+        for lineno, name, params, mos_name in self.pending_fg:
             if mos_name is not None:
                 entry = self.circuit.models.get(mos_name)
                 if entry is None or entry[0] != "cmg":
                     self.fail(lineno, f"fg model '{name}' references "
                                       f"unknown cmg model '{mos_name}'")
                     continue
-                fields["mos"] = entry[1]
-            try:
-                self.circuit.add_model(name, "fg",
-                                       FloatingGateParams(**fields))
-                if mos_name is not None:
-                    self.circuit.fg_mos_ref[name] = mos_name
-            except (ValueError, CircuitError) as exc:
-                self.fail(lineno, str(exc))
+                params = replace(params, mos=entry[1])
+            if self._add_model(lineno, name, "fg", params) and mos_name:
+                self.circuit.fg_mos_ref[name] = mos_name
         if not self.errors:
             try:
                 self.circuit.resolve()

@@ -37,7 +37,7 @@ normalizing difference degenerates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -91,9 +91,9 @@ class ChargeSolveError(RuntimeError):
 class MosParams:
     """Geometry, doping and transport parameters of the MOSFET core.
 
-    All quantities are SI.  Derived quantities (V_t, C_ox, C_si, Q_B,
-    phi_B and the normalization Q_ref^2) are computed once and cached on
-    the instance.
+    All quantities are SI.  The init fields are the model parameters;
+    derived quantities (V_t, C_ox, C_si, Q_B, phi_B and the normalization
+    Q_ref^2) are not settable and are computed once in __post_init__.
     """
 
     l: float = 30e-9          # channel length, m
@@ -113,14 +113,14 @@ class MosParams:
     vel_saturation: bool = False
 
     # derived, filled by __post_init__
-    v_t: float = 0.0
-    c_ox: float = 0.0
-    c_si: float = 0.0
-    q_b: float = 0.0
-    phi_b: float = 0.0
-    qb5: float = 0.0          # Q_B + 5 V_t C_si
-    q_ref_sq: float = 0.0
-    ln_q_ref_sq: float = 0.0
+    v_t: float = field(init=False, repr=False)
+    c_ox: float = field(init=False, repr=False)
+    c_si: float = field(init=False, repr=False)
+    q_b: float = field(init=False, repr=False)
+    phi_b: float = field(init=False, repr=False)
+    qb5: float = field(init=False, repr=False)        # Q_B + 5 V_t C_si
+    q_ref_sq: float = field(init=False, repr=False)
+    ln_q_ref_sq: float = field(init=False, repr=False)
 
     def __post_init__(self):
         for name in ("l", "w", "t_si", "eot", "n_a", "n_i", "mu0", "temp",
@@ -144,14 +144,6 @@ class MosParams:
         set_(self, "qb5", qb5)
         set_(self, "q_ref_sq", q_ref_sq)
         set_(self, "ln_q_ref_sq", math.log(q_ref_sq))
-
-    def with_effects(self, mob_degradation=None, vel_saturation=None) -> "MosParams":
-        kw = {}
-        if mob_degradation is not None:
-            kw["mob_degradation"] = mob_degradation
-        if vel_saturation is not None:
-            kw["vel_saturation"] = vel_saturation
-        return replace(self, **kw)
 
 
 @dataclass(frozen=True)
@@ -347,12 +339,6 @@ def _pick_solver(method: str):
 
 # ---------------------------------------------------------------------------
 # drain current
-
-
-def _bracket(p: MosParams, q):
-    """Antiderivative B(Q) of Q (dV_ch/dQ) along the channel."""
-    return q * q / (2.0 * p.c_ox) + 2.0 * p.v_t * q \
-        - p.v_t * p.qb5 * np.log(q + p.qb5)
 
 
 def _bracket_diff(p: MosParams, q_hi, q_lo):

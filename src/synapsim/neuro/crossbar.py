@@ -14,6 +14,7 @@ array circuit; the array itself is only ever read.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -264,11 +265,15 @@ _V_SET_1T1R = 1.0
 _GATE_GRID = np.linspace(0.25, 1.4, 12)
 
 
+@functools.lru_cache(maxsize=8)
 def _gate_calibration(params: RramParams) -> np.ndarray:
     """Compliance map for the 1T1R scheme: settled X at each gate
-    voltage of ``_GATE_GRID``."""
-    return np.array([set_1t1r(params, MosParams(), float(v),
-                              v_set=_V_SET_1T1R) for v in _GATE_GRID])
+    voltage of ``_GATE_GRID``.  It depends on the parameter set alone,
+    so it is computed once per set and returned read-only."""
+    ceilings = np.array([set_1t1r(params, MosParams(), float(v),
+                                  v_set=_V_SET_1T1R) for v in _GATE_GRID])
+    ceilings.setflags(write=False)
+    return ceilings
 
 
 def _write_verify_1t1r(params: RramParams, x0: float, g_target: float,
@@ -437,10 +442,9 @@ def _train_and(cfg: TrainConfig, scale: float, read, write) -> AndResult:
         if n_correct == 4 and _margin(acts, cfg) >= cfg.margin:
             epochs_used = epoch + 1
             break
-    acts = _activations(read, w, scale)
-    return AndResult(n_correct=_count_correct(acts, cfg),
-                     epochs_used=epochs_used, weights=w,
-                     activations=acts, history=history)
+    # no write since the last evaluation, so its activations are final
+    return AndResult(n_correct=n_correct, epochs_used=epochs_used,
+                     weights=w, activations=acts, history=history)
 
 
 def train_and_gate(spec: CrossbarSpec = None, cfg: TrainConfig = None,

@@ -1,22 +1,30 @@
 """Parameter files and ``key=value`` override handling for the CLI.
 
 Grammar: one ``key = value`` pair per line, ``#`` starts a comment
-(whole-line or trailing), blank lines ignored.  Values use the same
-SI-suffixed number grammar as netlists (``10n``, ``2meg``, ``1e-3``),
-plus booleans and bare strings.  Keys may carry a dotted scope prefix
-(``mos.l = 10n``); unscoped keys go to the subcommand's primary scope.
+(whole-line or trailing), blank lines ignored.  Values are SI-suffixed
+numbers (``10n``, ``2meg``, ``1e-3``), booleans and bare strings.  Keys
+may carry a dotted scope prefix (``mos.l = 10n``); unscoped keys go to
+the subcommand's primary scope.
+
+The number grammar and the value coercion here are also what netlist
+``.model`` cards use, so a parameter reads the same on a card and on
+the command line.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import re
 import types
 import typing
 
-from .engine import parse_number
-
 __all__ = ["ParamError", "load_params", "parse_assignments", "split_scopes",
-           "apply_params", "coerce_value"]
+           "apply_params", "coerce_value", "parse_number"]
+
+_SUFFIX = {"f": "e-15", "p": "e-12", "n": "e-9", "u": "e-6", "m": "e-3",
+           "k": "e3", "meg": "e6", "g": "e9"}
+_NUMBER_RE = re.compile(
+    r"^([+-]?(?:\d+\.?\d*|\.\d+))(e[+-]?\d+)?(meg|[fpnumkg])?$")
 
 _BOOL_WORDS = {"true": True, "yes": True, "on": True, "1": True,
                "false": False, "no": False, "off": False, "0": False}
@@ -26,6 +34,21 @@ _int_or_float = object()     # sentinel: numeric tuple element of unknown kind
 
 class ParamError(ValueError):
     """Malformed parameter file, override, or unknown/ill-typed key."""
+
+
+def parse_number(token: str) -> float:
+    """Number with an optional engineering suffix f p n u m k meg g."""
+    m = _NUMBER_RE.match(token.lower())
+    if not m:
+        raise ValueError(f"malformed number '{token}'")
+    mantissa, exp, suffix = m.groups()
+    if suffix and not exp:
+        # splice the suffix in as a decimal exponent for an exact parse
+        return float(mantissa + _SUFFIX[suffix])
+    value = float(mantissa + (exp or ""))
+    if suffix:
+        value *= float("1" + _SUFFIX[suffix])
+    return value
 
 
 def _parse_line(line: str, where: str) -> tuple[str, str] | None:
@@ -106,9 +129,9 @@ def coerce_value(raw: str, pytype):
 def apply_params(obj, mapping: dict):
     """Return a dataclass copy with string-valued overrides applied.
 
-    Unknown keys and uncoercible values raise ParamError.  Fields whose
-    dataclass metadata or post-init fill derived values re-derive them
-    through the class's own __post_init__ (dataclasses.replace).
+    Only init fields are parameters; unknown keys and uncoercible values
+    raise ParamError.  Derived (``init=False``) fields are recomputed by
+    the class's own __post_init__ (dataclasses.replace).
     """
     if not mapping:
         return obj
@@ -126,8 +149,6 @@ def apply_params(obj, mapping: dict):
             pytype = args[0] if args else float
         try:
             kw[key] = coerce_value(raw, pytype)
-        except ParamError:
-            raise
         except (ValueError, TypeError) as exc:
             raise ParamError(f"bad value for {key!r}: {raw!r} ({exc})") from exc
     try:

@@ -37,11 +37,6 @@ def test_zero_reps_rejected():
         bench_model_eval(n=10, reps=0)
 
 
-def test_unknown_variant_rejected():
-    with pytest.raises(ValueError, match="variant"):
-        bench_model_eval(n=10, variants=("newton",))
-
-
 def test_default_grid_bounds_and_determinism():
     v_g, v_ds = default_bias_grid(1000, seed=3)
     assert v_g.min() >= -0.5 and v_g.max() <= 1.5

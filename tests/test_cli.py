@@ -1,5 +1,6 @@
 """CLI contracts: exit codes, CSV artifacts, determinism."""
 
+import dataclasses
 import subprocess
 import sys
 
@@ -185,3 +186,21 @@ def test_console_entry_point_version():
                          capture_output=True, text=True)
     assert res.returncode == 0
     assert res.stdout.startswith("synapsim ")
+
+
+@pytest.mark.parametrize("key", ["c_ox", "v_t"])
+def test_derived_mos_quantity_is_not_settable(tmp_path, capsys, key):
+    code = main(["idvg", "--points", "5", "--set", f"mos.{key}=1",
+                 "--out", str(tmp_path / "x.csv")])
+    assert code == 2
+    assert key in capsys.readouterr().err
+
+
+def test_header_lists_only_model_parameters(tmp_path):
+    out = tmp_path / "idvg.csv"
+    assert main(["idvg", "--points", "5", "--out", str(out)]) == 0
+    meta, _, _ = _read_csv(out)
+    keys = [line.split(":")[0] for line in meta if line.startswith("mos.")]
+    assert keys == ["mos." + f.name for f in dataclasses.fields(MosParams)
+                    if f.init]
+    assert len(keys) == 15 and "mos.c_ox" not in keys

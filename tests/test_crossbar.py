@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import synapsim.neuro.crossbar as crossbar
 from synapsim.engine import RramElement, VSource
 from synapsim.neuro import (CrossbarSpec, TrainConfig, build_crossbar,
                             get_states, program_weights, read_outputs,
@@ -154,16 +155,32 @@ def test_state_for_conductance_inverts_conductance(params, rng):
                                atol=1e-12)
 
 
-def test_1t1r_scheme_programs_small_array(params):
+def test_1t1r_scheme_programs_small_array(params, monkeypatch):
     spec = CrossbarSpec(n_inputs=2, n_outputs=1, scheme="1t1r")
-    c = build_crossbar(spec, params, x_init=0.0)
     span = params.g_on - params.g_off
     g_plus = params.g_off + np.array([[0.45], [0.7]]) * span
     g_minus = np.full((2, 1), params.g_off)
     cfg = TrainConfig(write_tol=2e-5)
-    report = program_weights(c, spec, g_plus, g_minus, cfg)
-    assert all(d.converged for d in report.devices)
-    assert [d.pulses for d in report.devices] == [1, 0, 1, 0]
-    gp, _ = get_states(c, spec)
-    np.testing.assert_allclose(conductance(params, gp), g_plus,
-                               atol=cfg.write_tol)
+
+    def program():
+        c = build_crossbar(spec, params, x_init=0.0)
+        report = program_weights(c, spec, g_plus, g_minus, cfg)
+        assert all(d.converged for d in report.devices)
+        assert [d.pulses for d in report.devices] == [1, 0, 1, 0]
+        gp, _ = get_states(c, spec)
+        np.testing.assert_allclose(conductance(params, gp), g_plus,
+                                   atol=cfg.write_tol)
+
+    program()
+    # a second array with the same parameters reuses the compliance map,
+    # so no calibration SET transient runs
+    calls = []
+    set_1t1r = crossbar.set_1t1r
+
+    def counting_set_1t1r(*args, **kw):
+        calls.append(args)
+        return set_1t1r(*args, **kw)
+
+    monkeypatch.setattr(crossbar, "set_1t1r", counting_set_1t1r)
+    program()
+    assert calls == []

@@ -1,6 +1,7 @@
 """Drain current: quadrature oracle, symmetry, slope, derivatives."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -85,9 +86,9 @@ def test_subthreshold_slope_at_300k():
 
 def test_effect_wrappers_reduce_current():
     base = MosParams()
-    p_mob = base.with_effects(mob_degradation=True)
-    p_sat = base.with_effects(vel_saturation=True)
-    p_both = base.with_effects(mob_degradation=True, vel_saturation=True)
+    p_mob = replace(base, mob_degradation=True)
+    p_sat = replace(base, vel_saturation=True)
+    p_both = replace(base, mob_degradation=True, vel_saturation=True)
     i0 = drain_current(base, 1.2, 1.0)
     i_mob = drain_current(p_mob, 1.2, 1.0)
     i_sat = drain_current(p_sat, 1.2, 1.0)

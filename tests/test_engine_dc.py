@@ -60,6 +60,16 @@ M1 mid g 0 model=nfet
     assert circuit.state["xr1"] == 0.6
 
 
+@pytest.mark.parametrize("kind", ["op", "dc", "tran"])
+@pytest.mark.parametrize("tol", ["reltol", "vabstol", "iabstol"])
+def test_every_analysis_rejects_nonpositive_tolerance(kind, tol):
+    r = parse_netlist("V1 a 0 DC 1\nR1 a 0 1k\n.end\n")
+    spec = AnalysisSpec(kind=kind, src="v1", start=0.0, stop=1.0, step=0.5,
+                        tstep=1e-6, tstop=1e-5, **{tol: 0.0})
+    with pytest.raises(ValueError, match=tol):
+        run_analysis(r.circuit, spec)
+
+
 def test_kcl_residual_below_iabstol():
     r = parse_netlist("""
 .model nfet cmg

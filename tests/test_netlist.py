@@ -152,6 +152,41 @@ V1 a 0 DC 1
     assert any("unknown key 'zap'" in m for m in exc.value.errors)
 
 
+@pytest.mark.parametrize("word, value", [("no", False), ("yes", True)])
+def test_model_card_booleans_read_like_set(word, value):
+    r = parse_netlist(f"""
+.model n cmg vel_saturation={word}
+V1 d 0 DC 1
+M1 d d 0 model=n
+.end
+""")
+    assert r.circuit.element("m1").params.vel_saturation is value
+
+
+def test_bad_model_card_boolean_is_line_tagged_error():
+    with pytest.raises(NetlistError) as exc:
+        parse_netlist("""
+V1 d 0 DC 1
+.model n cmg mob_degradation=banana
+M1 d d 0 model=n
+.end
+""")
+    assert any(m.startswith("line 3:") and "mob_degradation" in m
+               and "banana" in m for m in exc.value.errors)
+
+
+def test_model_card_takes_every_model_parameter():
+    r = parse_netlist("""
+.model n cmg eps_ox=3e-11 eps_si=1e-10
+V1 d 0 DC 1
+M1 d d 0 model=n
+.end
+""")
+    p = r.circuit.element("m1").params
+    assert p.eps_ox == 3e-11 and p.eps_si == 1e-10
+    assert p.c_ox == pytest.approx(3e-11 / p.eot)
+
+
 def test_text_after_end_ignored():
     r = parse_netlist("""
 V1 a 0 DC 1
@@ -164,8 +199,9 @@ utter garbage that must not parse
 
 def test_round_trip_identity():
     text = """
-.model nfet cmg l=25n w=50n mob_degradation=1
+.model nfet cmg l=25n w=50n mob_degradation=1 vel_saturation=no
 .model mem rram g_on=2m g_off=5u p=2
+.model syn fg c_sg=0.2f mos=nfet
 V1 in 0 DC 0.5 PULSE(0 1.2 0 0.25m 0.25m 0 1m)
 R1 in mid 10k
 C1 mid 0 1n
