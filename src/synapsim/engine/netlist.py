@@ -34,7 +34,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field, replace
 
-from ..paramfile import ParamError, apply_params, parse_number
+from ..paramfile import ParamError, coerce_field, parse_number
 from .analysis import AnalysisSpec
 from .circuit import (MODEL_CARDS, Capacitor, Circuit, CircuitError,
                       FloatGateElement, ISource, Mosfet, PulseSpec, Resistor,
@@ -279,9 +279,17 @@ class _Parser:
         kv = self._keyvals(lineno, rest[2:],
                            {f.name for f in card_fields(kind)})
         mos_name = kv.pop("mos", None)
+        cls, kw = MODEL_CARDS[kind], {}
+        for key, raw in kv.items():
+            try:
+                kw[key] = coerce_field(cls, key, raw)
+            except ParamError as exc:
+                self.fail(lineno, str(exc))
+        if len(kw) < len(kv):
+            return
         try:
-            params = apply_params(MODEL_CARDS[kind](), kv)
-        except ParamError as exc:
+            params = cls(**kw)
+        except ValueError as exc:
             self.fail(lineno, str(exc))
             return
         if kind == "fg":

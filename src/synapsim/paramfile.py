@@ -19,7 +19,7 @@ import types
 import typing
 
 __all__ = ["ParamError", "load_params", "parse_assignments", "split_scopes",
-           "apply_params", "coerce_value", "parse_number"]
+           "apply_params", "coerce_field", "coerce_value", "parse_number"]
 
 _SUFFIX = {"f": "e-15", "p": "e-12", "n": "e-9", "u": "e-6", "m": "e-3",
            "k": "e3", "meg": "e6", "g": "e9"}
@@ -126,6 +126,23 @@ def coerce_value(raw: str, pytype):
     raise ParamError(f"unsupported parameter type {pytype!r}")
 
 
+def coerce_field(cls, key: str, raw: str):
+    """Coerce one raw string for init field ``key`` of dataclass ``cls``."""
+    fields = {f.name for f in dataclasses.fields(cls) if f.init}
+    if key not in fields:
+        raise ParamError(f"{cls.__name__} has no parameter {key!r} "
+                         f"(known: {', '.join(sorted(fields))})")
+    pytype = typing.get_type_hints(cls).get(key, float)
+    origin = typing.get_origin(pytype)
+    if origin is typing.Union or origin is getattr(types, "UnionType", None):
+        args = [a for a in typing.get_args(pytype) if a is not type(None)]
+        pytype = args[0] if args else float
+    try:
+        return coerce_value(raw, pytype)
+    except (ValueError, TypeError) as exc:
+        raise ParamError(f"bad value for {key!r}: {raw!r} ({exc})") from exc
+
+
 def apply_params(obj, mapping: dict):
     """Return a dataclass copy with string-valued overrides applied.
 
@@ -135,22 +152,8 @@ def apply_params(obj, mapping: dict):
     """
     if not mapping:
         return obj
-    fields = {f.name: f for f in dataclasses.fields(obj) if f.init}
-    hints = typing.get_type_hints(type(obj))
-    kw = {}
-    for key, raw in mapping.items():
-        if key not in fields:
-            raise ParamError(f"{type(obj).__name__} has no parameter {key!r} "
-                             f"(known: {', '.join(sorted(fields))})")
-        pytype = hints.get(key, float)
-        origin = typing.get_origin(pytype)
-        if origin is typing.Union or origin is getattr(types, "UnionType", None):
-            args = [a for a in typing.get_args(pytype) if a is not type(None)]
-            pytype = args[0] if args else float
-        try:
-            kw[key] = coerce_value(raw, pytype)
-        except (ValueError, TypeError) as exc:
-            raise ParamError(f"bad value for {key!r}: {raw!r} ({exc})") from exc
+    kw = {key: coerce_field(type(obj), key, raw)
+          for key, raw in mapping.items()}
     try:
         return dataclasses.replace(obj, **kw)
     except (ValueError, TypeError) as exc:

@@ -163,16 +163,20 @@ M1 d d 0 model=n
     assert r.circuit.element("m1").params.vel_saturation is value
 
 
-def test_bad_model_card_boolean_is_line_tagged_error():
+def test_bad_model_card_values_are_line_tagged_errors():
+    # every bad value on a card is reported, not only the first
     with pytest.raises(NetlistError) as exc:
         parse_netlist("""
 V1 d 0 DC 1
-.model n cmg mob_degradation=banana
+.model n cmg mob_degradation=banana l=3x vel_saturation=maybe
 M1 d d 0 model=n
 .end
 """)
-    assert any(m.startswith("line 3:") and "mob_degradation" in m
-               and "banana" in m for m in exc.value.errors)
+    bad = [m for m in exc.value.errors if m.startswith("line 3:")]
+    assert len(bad) == 3
+    assert any("mob_degradation" in m and "banana" in m for m in bad)
+    assert any("'l'" in m and "3x" in m for m in bad)
+    assert any("vel_saturation" in m and "maybe" in m for m in bad)
 
 
 def test_model_card_takes_every_model_parameter():
