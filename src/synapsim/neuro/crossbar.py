@@ -65,7 +65,8 @@ class TrainConfig:
     The learning loop runs in software; only reads and programming
     pulses touch the array.  ``write_tol`` is the conductance error (S)
     at which verify stops; pulse widths come from inverting the state
-    rate law for the remaining distance, clipped to the width window.
+    rate law for the remaining distance, clipped to the width window,
+    and a move shorter than ``min_width`` lowers the amplitude instead.
     """
 
     lr: float = 0.5
@@ -192,22 +193,36 @@ def read_outputs(circuit: Circuit, spec: CrossbarSpec, v_inputs) -> np.ndarray:
 # write-verify programming
 
 
-def _pulse_width(p: RramParams, x0: float, x1: float, amplitude: float,
-                 lo: float, hi: float) -> float:
-    """Drive time moving the state from x0 to x1 under a constant-voltage
-    pulse, from the closed-form integral of the windowed rate law."""
+def _drive(p: RramParams, amplitude: float, x0: float, x1: float):
+    """Branch of the rate law that a pulse of this sign drives:
+    (prefactor, v_c, window base at x0, window base at x1).  SET shrinks
+    the base 1 - X toward 0, RESET shrinks X."""
     if amplitude > 0.0:
-        k = p.k_set * math.sinh(min(amplitude / p.vc_set, _SINH_ARG_MAX))
-        a0, a1 = 1.0 - x0, 1.0 - max(x1, x0)   # shrinking toward 0
-    else:
-        k = p.k_reset * math.sinh(min(-amplitude / p.vc_reset, _SINH_ARG_MAX))
-        a0, a1 = x0, min(x1, x0)
+        return p.k_set, p.vc_set, 1.0 - x0, 1.0 - max(x1, x0)
+    return p.k_reset, p.vc_reset, x0, min(x1, x0)
+
+
+def _pulse(p: RramParams, x0: float, x1: float, amplitude: float,
+           lo: float, hi: float) -> tuple[float, float]:
+    """(amplitude, width) of a constant-voltage pulse moving the state from
+    x0 to x1, from the closed-form integral of the windowed rate law.
+
+    The width is clipped to [lo, hi].  A move that needs less than ``lo``
+    at this amplitude keeps width ``lo`` at the lower amplitude of the
+    same sign that lands on x1, instead of overshooting it.
+    """
+    k0, vc, a0, a1 = _drive(p, amplitude, x0, x1)
+    k = k0 * math.sinh(min(abs(amplitude) / vc, _SINH_ARG_MAX))
     a1 = max(a1, 1e-12)
     if p.p == 1.0:
         t = math.log(a0 / a1) / k
     else:
         t = (a1 ** (1.0 - p.p) - a0 ** (1.0 - p.p)) / ((p.p - 1.0) * k)
-    return min(max(t, lo), hi)
+    if t < lo:
+        # sinh(A / v_c) * lo = sinh(amplitude / v_c) * t
+        return math.copysign(vc * math.asinh(k * t / (k0 * lo)),
+                             amplitude), lo
+    return amplitude, min(t, hi)
 
 
 def _apply_pulse(p: RramParams, x0: float, amplitude: float, width: float,
@@ -244,16 +259,17 @@ def write_verify_device(params: RramParams, x0: float, g_target: float,
     """Pulse-verify loop driving one device's conductance to g_target.
 
     Each iteration reads G, picks SET or RESET by the sign of the error,
-    pulses for the closed-form width of the remaining distance, and
-    re-reads; integrator landing error shrinks geometrically so a few
-    iterations reach the tolerance.
+    pulses for the closed-form width of the remaining distance (at
+    ``min_width`` and a lower amplitude when the distance needs a shorter
+    pulse), and re-reads; integrator landing error shrinks geometrically
+    so a few iterations reach the tolerance.
     """
     x_target = state_for_conductance(params, g_target)
 
     def pulse(x, g):
         amp = cfg.set_amplitude if g < g_target else cfg.reset_amplitude
-        width = _pulse_width(params, x, x_target, amp,
-                             cfg.min_width, cfg.max_width)
+        amp, width = _pulse(params, x, x_target, amp,
+                            cfg.min_width, cfg.max_width)
         return _apply_pulse(params, x, amp, width, cfg.pulse_steps)
 
     return _verify(params, x0, g_target, cfg, pulse)
@@ -308,8 +324,8 @@ def _write_verify_1t1r(params: RramParams, x0: float, g_target: float,
         # invert the width at the voltage the device actually sees
         res = _op_1t1r(params, mos, cfg.reset_amplitude, x)
         v_dev = float(res.column("v(top)")[0] - res.column("v(mid)")[0])
-        width = _pulse_width(params, x, x_target, v_dev,
-                             cfg.min_width, cfg.max_width)
+        width = _pulse(params, x, x_target, v_dev,
+                       cfg.min_width, cfg.max_width)[1]
         return pulse_1t1r(params, mos, cfg.reset_amplitude, 1.5,
                           width=width, x0=x, steps=4 * cfg.pulse_steps)
 

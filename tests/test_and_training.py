@@ -60,7 +60,7 @@ def test_history_epochs_match_report(device_result):
 
 @pytest.mark.parametrize("which,epochs,history,weights", [
     ("device", 7, [3, 3, 3, 3, 3, 4, 4],
-     (0.22181469744968188, 0.19894030864558807, -0.38664516887379385)),
+     (0.22253632717292662, 0.19877225723686806, -0.3883830114806823)),
     ("software", 8, [3, 3, 3, 3, 3, 3, 4, 4],
      (0.2544781629911104, 0.22930106166240166, -0.42620469696210567)),
 ], ids=["device", "software"])

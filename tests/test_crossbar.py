@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import synapsim.neuro.crossbar as crossbar
 from synapsim.engine import RramElement, VSource
@@ -124,6 +124,9 @@ def test_write_verify_zero_pulses_when_in_tolerance(params):
 
 @settings(max_examples=15, deadline=None)
 @given(x0=st.floats(0.05, 0.95), frac=st.floats(0.05, 0.95))
+# a step shorter than min_width: a clipped full-amplitude pulse overshoots
+# and the loop swings around the target
+@example(x0=0.5, frac=0.53125)
 def test_write_verify_progress_property(x0, frac):
     # closed-loop error after programming is never worse than the open start
     params = RramParams()
