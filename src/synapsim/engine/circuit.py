@@ -226,6 +226,9 @@ class Circuit:
         # fg model name -> cmg model name used for its readout transistor
         self.fg_mos_ref: dict[str, str] = {}
         self._by_name: dict[str, object] = {}
+        # the compiled engine form (``mna.SystemLayout``); adding an
+        # element or a model drops it
+        self._layout = None
 
     # -- construction -------------------------------------------------
     def node_index(self, name: str) -> int:
@@ -241,12 +244,14 @@ class Circuit:
         if kind not in MODEL_CARDS:
             raise CircuitError(f"unknown model kind '{kind}'")
         self.models[name] = (kind, params)
+        self._layout = None
 
     def add(self, element) -> None:
         if element.name in self._by_name:
             raise CircuitError(f"duplicate element '{element.name}'")
         self._by_name[element.name] = element
         self.elements.append(element)
+        self._layout = None
         for node in element.terminals:
             self.node_index(node)
         if element.internal_node is not None:

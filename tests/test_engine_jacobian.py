@@ -63,7 +63,7 @@ def _solved_point(layout, mode):
 def test_jacobian_matches_central_differences(mode):
     layout = SystemLayout(parse_netlist(NETLIST).circuit)
     ctx, x = _solved_point(layout, mode)
-    J = Assembler(layout, ctx).assemble(x)[1].copy()
+    J = Assembler(layout, ctx).assemble(x)[1].dense()
     J_fd = np.empty_like(J)
     for j in range(layout.size):
         step = 1e-6 * max(1.0, abs(x[j]))
