@@ -442,8 +442,6 @@ class SystemLayout:
                                and nodes[e.internal_node] not in terminals)
         # length of the condensed system the Newton step solves
         self.solved_size = self.size - len(self.condensed)
-        self._vrows = np.array([k in ("vsrc", "state") for k in self.row_kind],
-                               dtype=bool)
         self._patterns: dict = {}
         self._abstols: dict = {}
 
@@ -471,7 +469,8 @@ class SystemLayout:
         key = (tol.vabstol, tol.iabstol)
         out = self._abstols.get(key)
         if out is None:
-            f_tol = np.where(self._vrows, tol.vabstol, tol.iabstol)
+            volts = [k in ("vsrc", "state") for k in self.row_kind]
+            f_tol = np.where(volts, tol.vabstol, tol.iabstol)
             x_tol = np.where(np.arange(self.size) < self.n_nodes - 1,
                              tol.vabstol, tol.iabstol)
             out = self._abstols[key] = (f_tol, x_tol)
