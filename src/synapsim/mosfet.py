@@ -16,7 +16,9 @@ solvers are provided:
   correctness-first; used as the ground truth.
 * ``solve_charge_householder`` -- an explicit path: blended asymptotic
   initial guess plus exactly two third-order Householder corrections.
-  Fixed operation count, numpy-vectorized.
+  Fixed operation count, numpy-vectorized over arrays; Python-float
+  inputs (the circuit engine's per-element stamps) run the same formulas
+  on floats, bit-identical to the array path.
 
 Drain current integrates the drift-diffusion sheet charge along the
 channel; the integral has the closed form
@@ -38,6 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -81,6 +84,37 @@ _GL_BLOCK = 1024      # bias points per pass of the rule
 # Relative drain-source charge split below which the Ward-Dutton
 # quadrature degenerates and the series expansion takes over.
 _SYMMETRIC_SPLIT = 1e-6
+
+# The elementwise operations of the model formulas, picked once per call
+# by ``_ops``.  Python floats (np.float64 among them) run the exact or
+# correctly rounded operations (clip, minimum, abs, sqrt) as builtins and
+# the transcendentals as the same numpy ufuncs converted back with
+# float(); that is several times cheaper than numpy's 0-d array round
+# trip and bit-identical to the array path.  math.exp/math.log are not:
+# their last bit differs from numpy's on some inputs.  min(max(x, lo),
+# hi) keeps clip's NaN propagation, since a NaN first argument wins every
+# builtin comparison.  Float division raises on a zero divisor where
+# numpy returns inf; no divisor of these formulas comes near zero (the
+# Householder denominator measured above 0.8 from -100 V to 2e4 V).
+_ARRAY_OPS = SimpleNamespace(
+    exp=np.exp, log=np.log, log1p=np.log1p, logaddexp=np.logaddexp,
+    sqrt=np.sqrt, clip=np.clip, minimum=np.minimum, abs=np.abs)
+_FLOAT_OPS = SimpleNamespace(
+    exp=lambda x: float(np.exp(x)),
+    log=lambda x: float(np.log(x)),
+    log1p=lambda x: float(np.log1p(x)),
+    logaddexp=lambda x, y: float(np.logaddexp(x, y)),
+    sqrt=math.sqrt,
+    clip=lambda x, lo, hi: min(max(x, lo), hi),
+    minimum=min, abs=abs)
+
+
+def _ops(*values):
+    """Float operations when every value is a Python float, else numpy's."""
+    for v in values:
+        if not isinstance(v, float):
+            return _ARRAY_OPS
+    return _FLOAT_OPS
 
 
 class ChargeSolveError(RuntimeError):
@@ -248,11 +282,11 @@ def solve_charge_reference_grid(p: MosParams, v_g, v_ch) -> np.ndarray:
 # explicit (Householder) solver
 
 
-def _householder_step(u, k, c_ox, v_t, qb5):
+def _householder_step(ops, u, k, c_ox, v_t, qb5):
     """One third-order Householder update of G(u) = F(exp(u)) in log space."""
-    q = np.exp(u)
+    q = ops.exp(u)
     qq = q + qb5
-    g0 = k - q / c_ox - v_t * (u + np.log(qq))
+    g0 = k - q / c_ox - v_t * (u + ops.log(qq))
     g1 = -(q / c_ox + v_t + v_t * q / qq)
     g2 = -(q / c_ox + v_t * q * qb5 / (qq * qq))
     g3 = -(q / c_ox + v_t * q * qb5 * (qb5 - q) / (qq * qq * qq))
@@ -260,7 +294,7 @@ def _householder_step(u, k, c_ox, v_t, qb5):
     a = g2 / g1
     b = g3 / g1
     du = -t * (1.0 - 0.5 * t * a) / (1.0 - t * a + t * t * b / 6.0)
-    return u + np.clip(du, -50.0, 50.0)
+    return u + ops.clip(du, -50.0, 50.0)
 
 
 def solve_charge_householder(p: MosParams, v_g, v_ch=0.0):
@@ -271,13 +305,15 @@ def solve_charge_householder(p: MosParams, v_g, v_ch=0.0):
     point.  Accepts scalars or broadcastable arrays and returns the same
     shape; scalar inputs return a float.
     """
-    v_g_arr = np.asarray(v_g, dtype=float)
-    v_ch_arr = np.asarray(v_ch, dtype=float)
-    scalar = v_g_arr.ndim == 0 and v_ch_arr.ndim == 0
+    ops = _ops(v_g, v_ch)
+    if ops is _ARRAY_OPS:
+        v_g = np.asarray(v_g, dtype=float)
+        v_ch = np.asarray(v_ch, dtype=float)
+    scalar = ops is _FLOAT_OPS or (v_g.ndim == 0 and v_ch.ndim == 0)
 
     v_t, c_ox, qb5 = p.v_t, p.c_ox, p.qb5
     ln_qb5 = math.log(qb5)
-    v_ov = v_g_arr - p.v_fb - v_ch_arr - p.q_b / c_ox
+    v_ov = v_g - p.v_fb - v_ch - p.q_b / c_ox
     y = v_ov / v_t
 
     # Subthreshold asymptote in log space: Q -> (Q_ref^2/QB5) e^(v_ov/V_t).
@@ -287,22 +323,22 @@ def solve_charge_householder(p: MosParams, v_g, v_ch=0.0):
     # Q = C_ox (v_ov - V_t ln(Q (Q+QB5)/Q_ref^2)), softplus-limited so the
     # estimate stays positive below threshold (where it is discarded by
     # the blend anyway).
-    q_est = c_ox * v_t * 2.0 * np.logaddexp(0.0, 0.5 * y)
+    q_est = c_ox * v_t * 2.0 * ops.logaddexp(0.0, 0.5 * y)
     for _ in range(2):
-        y_corr = y - (np.log(q_est) + np.log(q_est + qb5) - p.ln_q_ref_sq)
-        q_est = c_ox * v_t * 2.0 * np.logaddexp(0.0, 0.5 * y_corr)
-    u_inv = np.log(q_est)
+        y_corr = y - (ops.log(q_est) + ops.log(q_est + qb5) - p.ln_q_ref_sq)
+        q_est = c_ox * v_t * 2.0 * ops.logaddexp(0.0, 0.5 * y_corr)
+    u_inv = ops.log(q_est)
 
     # Smooth minimum of the asymptotes, width 2 in log-charge units
     # (equivalently 2 V_t on the gate axis in subthreshold).
     width = 2.0
-    u0 = np.minimum(u_sub, u_inv) - width * np.log1p(
-        np.exp(-np.abs(u_sub - u_inv) / width))
+    u0 = ops.minimum(u_sub, u_inv) - width * ops.log1p(
+        ops.exp(-ops.abs(u_sub - u_inv) / width))
 
     k = v_ov + v_t * p.ln_q_ref_sq
-    u1 = _householder_step(np.clip(u0, -700.0, 6.0), k, c_ox, v_t, qb5)
-    u2 = _householder_step(np.clip(u1, -700.0, 6.0), k, c_ox, v_t, qb5)
-    q = np.exp(np.clip(u2, -745.0, 6.0))
+    u1 = _householder_step(ops, ops.clip(u0, -700.0, 6.0), k, c_ox, v_t, qb5)
+    u2 = _householder_step(ops, ops.clip(u1, -700.0, 6.0), k, c_ox, v_t, qb5)
+    q = ops.exp(ops.clip(u2, -745.0, 6.0))
     return float(q) if scalar else q
 
 
@@ -345,7 +381,7 @@ def _bracket_diff(p: MosParams, q_hi, q_lo):
     """B(q_hi) - B(q_lo) in a cancellation-safe difference form."""
     dq = q_hi - q_lo
     return dq * ((q_hi + q_lo) / (2.0 * p.c_ox) + 2.0 * p.v_t) \
-        - p.v_t * p.qb5 * np.log1p(dq / (q_lo + p.qb5))
+        - p.v_t * p.qb5 * _ops(q_hi, q_lo).log1p(dq / (q_lo + p.qb5))
 
 
 def effective_mobility(p: MosParams, q_avg):
@@ -369,7 +405,10 @@ def effective_length(p: MosParams, mu, v_ds):
     """
     if not p.vel_saturation:
         return p.l
-    return p.l + mu * np.sqrt(v_ds * v_ds + VDS_SMOOTHING ** 2) / (2.0 * p.v_sat)
+    ops = _ops(v_ds)
+    if ops is _ARRAY_OPS:
+        v_ds = np.asarray(v_ds, dtype=float)
+    return p.l + mu * ops.sqrt(v_ds * v_ds + VDS_SMOOTHING ** 2) / (2.0 * p.v_sat)
 
 
 def drain_current(p: MosParams, v_gs, v_ds, method: str = "householder"):
@@ -387,7 +426,7 @@ def current_from_charges(p: MosParams, q_is, q_id, v_ds):
     """Drain current from already-solved source/drain end charges."""
     delta_b = _bracket_diff(p, q_is, q_id)
     mu = effective_mobility(p, 0.5 * (q_is + q_id)) if p.mob_degradation else p.mu0
-    l_eff = effective_length(p, mu, np.asarray(v_ds, float)) if p.vel_saturation else p.l
+    l_eff = effective_length(p, mu, v_ds)
     i_d = mu * (p.w / l_eff) * delta_b
     if np.ndim(i_d) == 0:
         return float(i_d)
@@ -425,7 +464,7 @@ def drain_current_and_grads(p: MosParams, v_gs, v_ds,
         l_eff = effective_length(p, mu, v_ds)
         dleff_dvgs = dleff_dvds = 0.0
         if p.vel_saturation:
-            s = np.sqrt(v_ds * v_ds + VDS_SMOOTHING ** 2)
+            s = _ops(v_ds).sqrt(v_ds * v_ds + VDS_SMOOTHING ** 2)
             dleff_dvgs = dmu_dvgs * s / (2.0 * p.v_sat)
             dleff_dvds = (dmu_dvds * s + mu * v_ds / s) / (2.0 * p.v_sat)
         rel_gs = dmu_dvgs / mu - dleff_dvgs / l_eff

@@ -13,7 +13,7 @@ derivatives.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,7 +30,8 @@ class RramParams:
     (X = 1); ``v0`` sets the conduction nonlinearity, ``vc_set`` /
     ``vc_reset`` the rate nonlinearity, ``k_set`` / ``k_reset`` the rate
     prefactors, and ``p`` the window exponent that freezes the state at
-    its bounds.
+    its bounds.  ``ln_g_ratio`` = ln(g_on/g_off) is derived, not
+    settable, and computed once in __post_init__.
     """
 
     g_on: float = 1e-3
@@ -43,6 +44,9 @@ class RramParams:
     p: float = 2.0
     x_init: float = 0.0
 
+    # derived, filled by __post_init__
+    ln_g_ratio: float = field(init=False, repr=False)
+
     def __post_init__(self):
         if not self.g_on > self.g_off > 0.0:
             raise ValueError("require g_on > g_off > 0")
@@ -53,10 +57,8 @@ class RramParams:
             raise ValueError("window exponent p must be >= 1")
         if not 0.0 <= self.x_init <= 1.0:
             raise ValueError("x_init must lie in [0, 1]")
-
-    @property
-    def ln_g_ratio(self) -> float:
-        return math.log(self.g_on / self.g_off)
+        object.__setattr__(self, "ln_g_ratio",
+                           math.log(self.g_on / self.g_off))
 
 
 def conductance(p: RramParams, x):

@@ -117,6 +117,30 @@ def test_householder_scalar_equals_vector(default_params):
         assert solve_charge_householder(p, float(vg), 0.25) == vec[i]
 
 
+def test_householder_float_inputs_equal_array_path_bit_for_bit(default_params):
+    """Python floats (np.float64 is one) take the float operations, 0-d
+    and 1-d arrays numpy's; the charges are the same doubles.  V_g = -50 V
+    drives the seed below the -700 clip, the first step past the -50 step
+    clip and the result onto the -745 floor; 2e4 V puts every log-charge
+    clip at its upper bound 6."""
+    p = default_params
+    nan = float("nan")
+    v_g = np.array([-50.0, -30.0, -0.5, 0.2, 0.9, 1.5, 50.0, 2e4, nan])
+    with np.errstate(all="ignore"):
+        for v_ch in (0.0, 0.4, -0.4, nan):
+            vec = solve_charge_householder(p, v_g, v_ch)
+            for k, vg in enumerate(v_g):
+                for args in ((float(vg), v_ch), (vg, np.float64(v_ch)),
+                             (np.array(vg), np.array(v_ch))):
+                    q = solve_charge_householder(p, *args)
+                    assert type(q) is float
+                    np.testing.assert_array_equal(q, vec[k])
+        assert solve_charge_householder(p, -50.0) == float(np.exp(-745.0))
+        assert solve_charge_householder(p, 2e4) == float(np.exp(6.0))
+        assert math.isnan(solve_charge_householder(p, nan))
+        assert math.isnan(solve_charge_householder(p, 0.5, nan))
+
+
 def test_householder_deterministic(default_params):
     p = default_params
     v_g = np.linspace(-0.5, 1.5, 57)

@@ -196,6 +196,23 @@ def test_derived_mos_quantity_is_not_settable(tmp_path, capsys, key):
     assert key in capsys.readouterr().err
 
 
+def test_derived_rram_quantity_is_not_settable(tmp_path, capsys):
+    code = main(["rram-iv", "--tstep", "5e-5", "--set", "rram.ln_g_ratio=1",
+                 "--out", str(tmp_path / "x.csv")])
+    assert code == 2
+    assert "ln_g_ratio" in capsys.readouterr().err
+
+
+def test_rram_header_lists_only_model_parameters(tmp_path):
+    out = tmp_path / "iv.csv"
+    assert main(["rram-iv", "--tstep", "5e-5", "--out", str(out)]) == 0
+    meta, _, _ = _read_csv(out)
+    keys = [line.split(":")[0] for line in meta if line.startswith("rram.")]
+    assert keys == ["rram.g_on", "rram.g_off", "rram.v0", "rram.k_set",
+                    "rram.k_reset", "rram.vc_set", "rram.vc_reset", "rram.p",
+                    "rram.x_init"]
+
+
 def test_header_lists_only_model_parameters(tmp_path):
     out = tmp_path / "idvg.csv"
     assert main(["idvg", "--points", "5", "--out", str(out)]) == 0

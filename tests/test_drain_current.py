@@ -136,7 +136,31 @@ def test_array_gradients_equal_scalar_calls(rng):
     for k in range(v_gs.size):
         scalars = drain_current_and_grads(p, float(v_gs[k]), float(v_ds[k]))
         for a, s in zip(arrays, scalars):
-            assert a[k] == pytest.approx(s, rel=1e-13, abs=1e-30)
+            assert a[k] == s
+
+
+@pytest.mark.parametrize("effects", [False, True])
+def test_float_inputs_equal_array_path_bit_for_bit(effects):
+    """Python floats (np.float64 is one) take the float operations, 0-d
+    and 1-d arrays numpy's; every output is the same double and NaN stays
+    NaN.  V_ds takes both signs; at V_gs = -50 V the charge solver's
+    -700, -50 (step) and -745 clips bind, at 2e4 V its upper bound 6."""
+    p = MosParams(mob_degradation=effects, vel_saturation=effects)
+    nan = float("nan")
+    v_gs = np.array([-50.0, -0.3, 0.1, 0.45, 0.8, 1.2, 1.5, 50.0, 2e4,
+                     nan, 0.8])
+    v_ds = np.array([0.3, -0.7, 0.05, -0.05, 0.3, 1.0, -1.0, -50.0, -0.3,
+                     0.3, nan])
+    with np.errstate(all="ignore"):
+        arrays = np.array(drain_current_and_grads(p, v_gs, v_ds))
+        for k in range(v_gs.size):
+            g, d = v_gs[k], v_ds[k]           # np.float64
+            for args in ((float(g), float(d)), (g, d),
+                         (np.array(g), np.array(d))):
+                out = drain_current_and_grads(p, *args)
+                np.testing.assert_array_equal(out, arrays[:, k])
+    assert np.all(np.isnan(arrays[:, -2:]))
+    assert not np.any(np.isnan(arrays[:, :-2]))
 
 
 @pytest.mark.parametrize("effects", [False, True])

@@ -91,3 +91,18 @@ def test_bad_terminal_rejected():
     p = FloatingGateParams()
     with pytest.raises(ValueError):
         fg_program_pulse(p, 0.0, "sg", 4.0, WIDTH)
+
+
+def test_strengthen_weaken_results_are_pinned():
+    # both pulses and all reads stamp the MOSFET on every Newton
+    # iteration; a change to that path must not move Q_fg or the reads
+    p = FloatingGateParams()
+    up = program_pulse(p, 0.0, "pfb", STRENGTHEN, WIDTH)
+    down = program_pulse(p, up.q_fg, "nfb", WEAKEN, WIDTH)
+    got = [up.i_before, up.i_after, up.q_fg, down.i_before, down.i_after,
+           down.q_fg]
+    np.testing.assert_allclose(
+        got, [2.5911478041815864e-07, 0.00025617065280010337,
+              2.2496973329950075e-16, 0.00025617065280010337,
+              5.079027168836924e-07, 6.514619535901627e-18],
+        rtol=1e-12, atol=0)

@@ -45,3 +45,16 @@ def test_1t1r_compliance_is_monotone_in_gate_drive():
     assert np.all(np.diff(xs) >= -1e-12)
     assert np.all(np.diff(reads) >= -1e-15)
     assert reads[-1] / reads[0] > 3.0
+
+
+def test_1t1r_tuning_curve_is_pinned():
+    # the 1T1R transients stamp the MOSFET on every Newton iteration; a
+    # change to that path must not move the programmed state or the read
+    xs, reads = tuning_curve_1t1r(RramParams(), MosParams(),
+                                  np.array([0.4, 0.8, 1.2]))
+    np.testing.assert_allclose(
+        xs, [0.5934467337884983, 0.9315284377882005, 0.9795789410733997],
+        rtol=1e-12, atol=0)
+    np.testing.assert_allclose(
+        reads, [1.4040714296714756e-05, 4.71405342559774e-05,
+                5.387773153029676e-05], rtol=1e-12, atol=0)

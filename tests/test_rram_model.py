@@ -1,5 +1,6 @@
 """Device-function tests for the RRAM compact model."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,6 +10,17 @@ from hypothesis import given, strategies as st
 from synapsim.rram import (RramParams, conductance, rram_current,
                            rram_current_and_grads, state_rate,
                            state_rate_and_grads)
+
+
+def test_ln_g_ratio_is_derived_from_the_window():
+    p = RramParams()
+    assert p.ln_g_ratio == math.log(p.g_on / p.g_off)
+    q = dataclasses.replace(p, g_on=2e-3)
+    assert q.ln_g_ratio == math.log(2e-3 / p.g_off)
+    assert conductance(q, 1.0) == pytest.approx(2e-3, rel=1e-15)
+    assert "ln_g_ratio" not in repr(p)
+    with pytest.raises(TypeError):
+        RramParams(ln_g_ratio=1.0)
 
 
 def test_zero_bias_zero_current():
