@@ -7,14 +7,15 @@ each floating-gate element.  Analyses read the carried state in and
 write the final state back, so a programming transient followed by a DC
 read sees the programmed device.
 
-Each element dataclass owns its structure: terminals, internal node,
-model kind, carried-state seed and netlist card.  Adding an element kind
-means one dataclass here plus one entry in the per-kind table in ``mna``.
+Each element dataclass owns its structure: card prefix, terminals,
+internal node, model kind, carried-state seed and the checks of its
+values.  Its init fields are also its netlist card, read by ``netlist``.
+Adding an element kind means one dataclass here plus one entry in the
+per-kind table in ``mna``.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import ClassVar, Optional
 
@@ -25,15 +26,6 @@ from ..rram import RramParams
 # model kind -> params class.  A card's keys are the class's init fields;
 # an fg card's mos= names the cmg model of its readout transistor.
 MODEL_CARDS = {"cmg": MosParams, "rram": RramParams, "fg": FloatingGateParams}
-
-
-def card_fields(kind: str) -> list:
-    """Settable fields of a model kind, in card order."""
-    return [f for f in dataclasses.fields(MODEL_CARDS[kind]) if f.init]
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
 
 
 @dataclass(frozen=True)
@@ -64,8 +56,13 @@ class PulseSpec:
 
 
 class _Element:
-    """Defaults: terminals npos/nneg, no model card, no internal node."""
+    """Defaults: terminals npos/nneg, no model card, no internal node.
 
+    ``prefix`` starts the name of every card of the kind.  A ValueError
+    from ``__post_init__`` rejects an element the engine cannot run.
+    """
+
+    prefix: ClassVar[str]
     terminal_fields: ClassVar[tuple[str, ...]] = ("npos", "nneg")
     model_kind: ClassVar[Optional[str]] = None
     internal_suffix: ClassVar[str] = ""
@@ -80,6 +77,9 @@ class _Element:
         suffix = self.internal_suffix
         return self.name + suffix if suffix else None
 
+    def __post_init__(self):
+        """Checks of the element's values; a kind overrides it."""
+
 
 @dataclass
 class _TwoTerminal(_Element):
@@ -90,16 +90,21 @@ class _TwoTerminal(_Element):
 
     terminal_fields: ClassVar[tuple[str, ...]] = ("n1", "n2")
 
-    def card(self) -> str:
-        return f"{self.name} {self.n1} {self.n2} {_fmt(self.value)}"
-
 
 class Resistor(_TwoTerminal):
     """Linear resistor; ``value`` in ohms."""
 
+    prefix: ClassVar[str] = "r"
+
+    def __post_init__(self):
+        if self.value == 0.0:
+            raise ValueError("zero resistance")
+
 
 class Capacitor(_TwoTerminal):
     """Linear capacitor; ``value`` in farads."""
+
+    prefix: ClassVar[str] = "c"
 
 
 @dataclass
@@ -109,6 +114,8 @@ class VSource(_Element):
     nneg: str
     dc: Optional[float] = None
     pulse: Optional[PulseSpec] = None
+
+    prefix: ClassVar[str] = "v"
 
     def dc_value(self) -> float:
         if self.dc is not None:
@@ -122,26 +129,15 @@ class VSource(_Element):
             return self.pulse.value_at(t)
         return self.dc if self.dc is not None else 0.0
 
-    def card(self) -> str:
-        parts = [self.name, self.npos, self.nneg]
-        if self.dc is not None:
-            parts += ["dc", _fmt(self.dc)]
-        if self.pulse is not None:
-            p = self.pulse
-            parts.append("pulse(" + " ".join(_fmt(v) for v in
-                         (p.v1, p.v2, p.td, p.tr, p.tf, p.pw, p.per)) + ")")
-        return " ".join(parts)
-
 
 @dataclass
 class ISource(_Element):
     name: str
     npos: str
     nneg: str
-    dc: float = 0.0
+    dc: float
 
-    def card(self) -> str:
-        return f"{self.name} {self.npos} {self.nneg} dc {_fmt(self.dc)}"
+    prefix: ClassVar[str] = "i"
 
 
 @dataclass
@@ -153,11 +149,9 @@ class Mosfet(_Element):
     model: str
     params: Optional[MosParams] = None
 
+    prefix: ClassVar[str] = "m"
     terminal_fields: ClassVar[tuple[str, ...]] = ("nd", "ng", "ns")
     model_kind: ClassVar[str] = "cmg"
-
-    def card(self) -> str:
-        return f"{self.name} {self.nd} {self.ng} {self.ns} model={self.model}"
 
 
 @dataclass
@@ -169,18 +163,16 @@ class RramElement(_Element):
     x0: Optional[float] = None
     params: Optional[RramParams] = None
 
+    prefix: ClassVar[str] = "xr"
     model_kind: ClassVar[str] = "rram"
     internal_suffix: ClassVar[str] = "#x"     # filament state X in [0, 1]
 
-    def state_seed(self) -> float:
-        x0 = self.x0 if self.x0 is not None else self.params.x_init
-        return float(min(max(x0, 0.0), 1.0))
+    def __post_init__(self):
+        if self.x0 is not None and not 0.0 <= self.x0 <= 1.0:
+            raise ValueError("x0 must lie in [0, 1]")
 
-    def card(self) -> str:
-        card = f"{self.name} {self.npos} {self.nneg} model={self.model}"
-        if self.x0 is not None:
-            card += f" x0={_fmt(self.x0)}"
-        return card
+    def state_seed(self) -> float:
+        return float(self.x0 if self.x0 is not None else self.params.x_init)
 
 
 @dataclass
@@ -195,6 +187,7 @@ class FloatGateElement(_Element):
     qfg0: float = 0.0
     params: Optional[FloatingGateParams] = None
 
+    prefix: ClassVar[str] = "xf"
     terminal_fields: ClassVar[tuple[str, ...]] = ("nd", "ns", "nsg", "nnfb",
                                                   "npfb")
     model_kind: ClassVar[str] = "fg"
@@ -202,13 +195,6 @@ class FloatGateElement(_Element):
 
     def state_seed(self) -> float:
         return float(self.qfg0)
-
-    def card(self) -> str:
-        card = (f"{self.name} {self.nd} {self.ns} {self.nsg} {self.nnfb} "
-                f"{self.npfb} model={self.model}")
-        if self.qfg0 != 0.0:
-            card += f" qfg0={_fmt(self.qfg0)}"
-        return card
 
 
 class CircuitError(Exception):
@@ -229,6 +215,10 @@ class Circuit:
         # the compiled engine form (``mna.SystemLayout``); adding an
         # element or a model drops it
         self._layout = None
+
+    def __getstate__(self):
+        # the layout is a cache of this circuit; it recompiles on first use
+        return {**self.__dict__, "_layout": None}
 
     # -- construction -------------------------------------------------
     def node_index(self, name: str) -> int:
@@ -286,21 +276,3 @@ class Circuit:
 
     def element(self, name: str):
         return self._by_name[name.lower()]
-
-    # -- serialization -------------------------------------------------
-    def serialize(self) -> str:
-        lines = []
-        for name, (kind, params) in self.models.items():
-            pairs = []
-            for f in card_fields(kind):
-                value = getattr(params, f.name)
-                if isinstance(value, MosParams):
-                    if name in self.fg_mos_ref:
-                        pairs.append(f"{f.name}={self.fg_mos_ref[name]}")
-                elif isinstance(value, bool):
-                    pairs.append(f"{f.name}={int(value)}")
-                else:
-                    pairs.append(f"{f.name}={_fmt(value)}")
-            lines.append(f".model {name} {kind} " + " ".join(pairs))
-        lines += [e.card() for e in self.elements]
-        return "\n".join(lines) + "\n"

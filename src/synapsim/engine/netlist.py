@@ -16,13 +16,32 @@ Grammar (keywords case-insensitive, node and model names lowercased):
     .tran <tstep> <tstop> [uic]
     .end
 
+The element cards above are not written out in this module: each one
+follows from its dataclass in ``circuit``.  A card's name starts with the
+class's ``prefix`` (the longest matching prefix wins), then come one node
+per entry of ``terminal_fields``, then the card fields, in any order.
+The card fields are the init fields other than the name, the terminals
+and the resolved ``params``:
+
+* ``value`` is a bare number;
+* ``dc`` is ``DC <num>``;
+* ``pulse`` is ``PULSE(...)``, the ``PulseSpec`` fields in order;
+* every other field is ``key=value``: ``model`` is a name, the rest are
+  numbers.
+
+A field without a dataclass default must be on the card, and a field may
+appear once.  The writer leaves out a field that equals its default.  The
+element class checks the values, so a card and an API call reject the
+same elements.  The analysis cards list positional ``AnalysisSpec``
+fields (``_ANALYSES``); a bool field is an optional flag word.
+
 Numbers accept engineering suffixes f p n u m k meg g.  A ``.model``
 card's keys are the init fields of the kind's parameter class
-(``MosParams``, ``RramParams``, ``FloatingGateParams``), and its values
-are coerced exactly as ``--set`` overrides are: numbers by the grammar
-above, booleans as true/yes/on/1 or false/no/off/0.  An fg card's
-``mos=<name>`` names the cmg model of its readout transistor; the card
-may come before or after it.
+(``MosParams``, ``RramParams``, ``FloatingGateParams``).  Card values are
+coerced exactly as ``--set`` overrides are: numbers by the grammar above,
+booleans as true/yes/on/1 or false/no/off/0.  An fg card's ``mos=<name>``
+names the cmg model of its readout transistor; the card may come before
+or after it.
 
 Parsing either yields a fully resolved circuit or raises with every
 error and its line number; nodes referenced exactly once produce
@@ -32,13 +51,23 @@ warnings.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 
-from ..paramfile import ParamError, coerce_field, parse_number
+from ..paramfile import ParamError, coerce_field
 from .analysis import AnalysisSpec
-from .circuit import (MODEL_CARDS, Capacitor, Circuit, CircuitError,
-                      FloatGateElement, ISource, Mosfet, PulseSpec, Resistor,
-                      RramElement, VSource, card_fields)
+from .circuit import MODEL_CARDS, Circuit, CircuitError, PulseSpec
+from .mna import _KINDS
+
+# element classes, longest card prefix first
+_ELEMENTS = sorted(_KINDS, key=lambda cls: len(cls.prefix), reverse=True)
+
+# analysis kind -> (positional AnalysisSpec fields, optional flag words)
+_ANALYSES = {"op": ((), ()),
+             "dc": (("src", "start", "stop", "step"), ()),
+             "tran": (("tstep", "tstop"), ("uic",))}
+
+# card fields with a syntax of their own; every other one is key=value
+_OWN_SYNTAX = ("value", "dc", "pulse")
 
 
 class NetlistError(Exception):
@@ -54,6 +83,46 @@ class ParseResult:
     circuit: Circuit
     analyses: list[AnalysisSpec]
     warnings: list[str] = field(default_factory=list)
+
+
+def _card_fields(cls) -> list:
+    """The fields a card of ``cls``, an element or params class, sets."""
+    skip = {"name", "params", *getattr(cls, "terminal_fields", ())}
+    return [f for f in fields(cls) if f.init and f.name not in skip]
+
+
+def _text(value) -> str:
+    """A name as is, a bool as 0/1, a number by its shortest repr."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, bool):
+        return str(int(value))
+    return repr(float(value))
+
+
+def _word(name: str, value) -> str:
+    """One card field as it is written."""
+    if name == "value":
+        return _text(value)
+    if name == "dc":
+        return f"dc {_text(value)}"
+    if name == "pulse":
+        return "pulse(" + " ".join(_text(getattr(value, f.name))
+                                   for f in fields(PulseSpec)) + ")"
+    return f"{name}={_text(value)}"
+
+
+def _value(cls, name: str, text: str):
+    """One card field's value, coerced as ``--set`` coerces it."""
+    if name != "pulse":
+        return coerce_field(cls, name, text)
+    names = [f.name for f in fields(PulseSpec)]
+    words = text.split()
+    if len(words) != len(names):
+        raise ParamError(f"PULSE needs exactly {len(names)} fields "
+                         f"({' '.join(names)})")
+    return PulseSpec(*(coerce_field(PulseSpec, n, w)
+                       for n, w in zip(names, words)))
 
 
 class _Parser:
@@ -73,13 +142,6 @@ class _Parser:
         self.node_uses[name] = self.node_uses.get(name, 0) + 1
         return name
 
-    def num(self, lineno: int, token: str, what: str) -> float:
-        try:
-            return parse_number(token)
-        except ValueError:
-            self.fail(lineno, f"malformed number '{token}' for {what}")
-            return 0.0
-
     # -- cards ---------------------------------------------------------
     def parse_line(self, lineno: int, raw: str) -> bool:
         """Returns False once .end is seen."""
@@ -95,20 +157,12 @@ class _Parser:
         head = tokens[0]
         if head.startswith("."):
             self._directive(lineno, head, tokens[1:])
-        elif head.startswith("xr"):
-            self._rram_card(lineno, tokens)
-        elif head.startswith("xf"):
-            self._fg_card(lineno, tokens)
-        elif head[0] in "rc":
-            self._two_term(lineno, tokens)
-        elif head[0] == "v":
-            self._vsource_card(lineno, tokens)
-        elif head[0] == "i":
-            self._isource_card(lineno, tokens)
-        elif head[0] == "m":
-            self._mosfet_card(lineno, tokens)
-        else:
-            self.fail(lineno, f"unknown card '{tokens[0]}'")
+            return True
+        for cls in _ELEMENTS:
+            if head.startswith(cls.prefix):
+                self._element(lineno, cls, tokens)
+                return True
+        self.fail(lineno, f"unknown card '{head}'")
         return True
 
     def _tokenize(self, lineno: int, line: str):
@@ -124,148 +178,80 @@ class _Parser:
         tokens = line.split()
         return [pulse if t == "\0" else t for t in tokens]
 
-    def _add(self, lineno: int, element) -> None:
+    def _card(self, lineno: int, cls, tokens, keep=()) -> dict | None:
+        """Card tokens after the nodes -> {field: value} by the field
+        rule; fields in ``keep`` stay text.  None after reporting every
+        bad token, missing field and bad value."""
+        n_errors = len(self.errors)
+        card = {f.name: f for f in _card_fields(cls)}
+        raw: dict[str, str] = {}
+        words = iter(tokens)
+        for tok in words:
+            keyed = False
+            if tok.startswith("pulse("):
+                key, text = "pulse", tok[6:-1]
+            elif tok == "dc":
+                key, text = "dc", next(words, "")
+            elif "=" in tok:
+                (key, _, text), keyed = tok.partition("="), True
+            else:
+                key, text = "value", tok
+            # a field of _OWN_SYNTAX is never written key=value
+            if key not in card or keyed == (key in _OWN_SYNTAX):
+                self.fail(lineno, f"unknown key '{key}'" if keyed
+                          else f"unexpected token '{tok}'")
+            elif key in raw:
+                self.fail(lineno, f"'{key}' given twice")
+            else:
+                raw[key] = text
+        for name, f in card.items():
+            if (name not in raw and f.default is MISSING
+                    and f.default_factory is MISSING):
+                self.fail(lineno, f"missing {_word(name, f'<{name}>')}")
+        kw = {}
+        for key, text in raw.items():
+            try:
+                kw[key] = text if key in keep else _value(cls, key, text)
+            except ParamError as exc:
+                self.fail(lineno, str(exc))
+        return kw if len(self.errors) == n_errors else None
+
+    def _element(self, lineno: int, cls, tokens):
+        n = len(cls.terminal_fields)
+        if len(tokens) <= n:
+            self.fail(lineno, f"'{tokens[0]}' needs {n} nodes")
+            return
+        nodes = [self.use_node(t) for t in tokens[1:n + 1]]
+        kw = self._card(lineno, cls, tokens[n + 1:])
+        if kw is None:
+            return
         try:
-            self.circuit.add(element)
-        except CircuitError as exc:
+            self.circuit.add(cls(tokens[0], *nodes, **kw))
+        except (ValueError, CircuitError) as exc:
             self.fail(lineno, str(exc))
 
-    def _two_term(self, lineno: int, t):
-        if len(t) != 4:
-            self.fail(lineno, f"'{t[0]}' expects: name n1 n2 value")
-            return
-        n1, n2 = self.use_node(t[1]), self.use_node(t[2])
-        value = self.num(lineno, t[3], "element value")
-        if t[0][0] == "r":
-            if value == 0.0:
-                self.fail(lineno, "zero resistance")
-                return
-            self._add(lineno, Resistor(t[0], n1, n2, value))
-        else:
-            self._add(lineno, Capacitor(t[0], n1, n2, value))
-
-    def _vsource_card(self, lineno: int, t):
-        if len(t) < 3:
-            self.fail(lineno, "voltage source expects: name n+ n- ...")
-            return
-        npos, nneg = self.use_node(t[1]), self.use_node(t[2])
-        dc = None
-        pulse = None
-        rest = t[3:]
-        k = 0
-        while k < len(rest):
-            tok = rest[k]
-            if tok == "dc":
-                if k + 1 >= len(rest):
-                    self.fail(lineno, "DC keyword without a value")
-                    return
-                dc = self.num(lineno, rest[k + 1], "DC value")
-                k += 2
-            elif tok.startswith("pulse("):
-                fields = tok[6:-1].split()
-                if len(fields) != 7:
-                    self.fail(lineno,
-                              "PULSE needs exactly 7 fields "
-                              "(v1 v2 td tr tf pw per)")
-                    return
-                vals = [self.num(lineno, f, "PULSE field") for f in fields]
-                pulse = PulseSpec(*vals)
-                k += 1
-            else:
-                self.fail(lineno, f"unexpected token '{tok}' on V card")
-                return
-        self._add(lineno, VSource(t[0], npos, nneg, dc=dc, pulse=pulse))
-
-    def _isource_card(self, lineno: int, t):
-        if len(t) != 5 or t[3] != "dc":
-            self.fail(lineno, "current source expects: name n+ n- DC value")
-            return
-        npos, nneg = self.use_node(t[1]), self.use_node(t[2])
-        self._add(lineno, ISource(t[0], npos, nneg,
-                                  self.num(lineno, t[4], "DC value")))
-
-    def _keyvals(self, lineno: int, tokens, allowed) -> dict:
-        out = {}
-        for tok in tokens:
-            if "=" not in tok:
-                self.fail(lineno, f"expected key=value, got '{tok}'")
-                continue
-            key, _, val = tok.partition("=")
-            if key not in allowed:
-                self.fail(lineno, f"unknown key '{key}'")
-                continue
-            out[key] = val
-        return out
-
-    def _mosfet_card(self, lineno: int, t):
-        if len(t) != 5:
-            self.fail(lineno, "MOSFET expects: name d g s model=<name>")
-            return
-        nd, ng, ns = (self.use_node(n) for n in t[1:4])
-        kv = self._keyvals(lineno, t[4:], {"model"})
-        if "model" not in kv:
-            self.fail(lineno, "MOSFET needs model=<name>")
-            return
-        self._add(lineno, Mosfet(t[0], nd, ng, ns, kv["model"]))
-
-    def _rram_card(self, lineno: int, t):
-        if len(t) < 4:
-            self.fail(lineno, "RRAM expects: name n+ n- model=<name> "
-                              "[x0=<val>]")
-            return
-        npos, nneg = self.use_node(t[1]), self.use_node(t[2])
-        kv = self._keyvals(lineno, t[3:], {"model", "x0"})
-        if "model" not in kv:
-            self.fail(lineno, "RRAM needs model=<name>")
-            return
-        x0 = None
-        if "x0" in kv:
-            x0 = self.num(lineno, kv["x0"], "x0")
-            if not 0.0 <= x0 <= 1.0:
-                self.fail(lineno, "x0 must lie in [0, 1]")
-                return
-        self._add(lineno, RramElement(t[0], npos, nneg, kv["model"], x0=x0))
-
-    def _fg_card(self, lineno: int, t):
-        if len(t) < 7:
-            self.fail(lineno, "floating gate expects: name d s sg nfb pfb "
-                              "model=<name> [qfg0=<val>]")
-            return
-        nodes = [self.use_node(n) for n in t[1:6]]
-        kv = self._keyvals(lineno, t[6:], {"model", "qfg0"})
-        if "model" not in kv:
-            self.fail(lineno, "floating gate needs model=<name>")
-            return
-        qfg0 = self.num(lineno, kv["qfg0"], "qfg0") if "qfg0" in kv else 0.0
-        self._add(lineno, FloatGateElement(t[0], *nodes, model=kv["model"],
-                                           qfg0=qfg0))
-
     def _directive(self, lineno: int, head, rest):
-        if head == ".model":
+        kind = head[1:]
+        if kind == "model":
             self._model_card(lineno, rest)
-        elif head == ".op":
-            self.analyses.append(AnalysisSpec(kind="op"))
-        elif head == ".dc":
-            if len(rest) != 4:
-                self.fail(lineno, ".dc expects: src start stop step")
-                return
-            self.analyses.append(AnalysisSpec(
-                kind="dc", src=rest[0],
-                start=self.num(lineno, rest[1], "start"),
-                stop=self.num(lineno, rest[2], "stop"),
-                step=self.num(lineno, rest[3], "step")))
-        elif head == ".tran":
-            if len(rest) not in (2, 3) or (len(rest) == 3 and
-                                           rest[2] != "uic"):
-                self.fail(lineno, ".tran expects: tstep tstop [uic]")
-                return
-            self.analyses.append(AnalysisSpec(
-                kind="tran",
-                tstep=self.num(lineno, rest[0], "tstep"),
-                tstop=self.num(lineno, rest[1], "tstop"),
-                uic=len(rest) == 3))
-        else:
+            return
+        if kind not in _ANALYSES:
             self.fail(lineno, f"unknown directive '{head}'")
+            return
+        names, flags = _ANALYSES[kind]
+        words = rest[len(names):]
+        if (len(rest) < len(names) or len(words) > len(flags)
+                or not set(words) <= set(flags)):
+            usage = " ".join([*names, *(f"[{f}]" for f in flags)])
+            self.fail(lineno, f"{head} expects: {usage or 'no arguments'}")
+            return
+        kw = dict.fromkeys(words, True)
+        for name, text in zip(names, rest):
+            try:
+                kw[name] = coerce_field(AnalysisSpec, name, text)
+            except ParamError as exc:
+                self.fail(lineno, str(exc))
+        self.analyses.append(AnalysisSpec(kind=kind, **kw))
 
     def _model_card(self, lineno: int, rest):
         if len(rest) < 2:
@@ -276,17 +262,11 @@ class _Parser:
             self.fail(lineno, f"unknown model kind '{kind}' "
                               "(want cmg, rram, or fg)")
             return
-        kv = self._keyvals(lineno, rest[2:],
-                           {f.name for f in card_fields(kind)})
-        mos_name = kv.pop("mos", None)
-        cls, kw = MODEL_CARDS[kind], {}
-        for key, raw in kv.items():
-            try:
-                kw[key] = coerce_field(cls, key, raw)
-            except ParamError as exc:
-                self.fail(lineno, str(exc))
-        if len(kw) < len(kv):
+        cls = MODEL_CARDS[kind]
+        kw = self._card(lineno, cls, rest[2:], keep=("mos",))
+        if kw is None:
             return
+        mos_name = kw.pop("mos", None)
         try:
             params = cls(**kw)
         except ValueError as exc:
@@ -340,14 +320,24 @@ def parse_netlist(text: str) -> ParseResult:
 
 def serialize_netlist(circuit: Circuit,
                       analyses: list[AnalysisSpec] | None = None) -> str:
-    out = circuit.serialize()
+    lines = []
+    for name, (kind, params) in circuit.models.items():
+        words = [".model", name, kind]
+        for f in _card_fields(type(params)):
+            value = getattr(params, f.name)
+            if f.name == "mos":      # an fg card names its cmg model, if any
+                value = circuit.fg_mos_ref.get(name)
+                if value is None:
+                    continue
+            words.append(_word(f.name, value))
+        lines.append(" ".join(words))
+    for e in circuit.elements:
+        lines.append(" ".join([e.name, *e.terminals] + [
+            _word(f.name, getattr(e, f.name)) for f in _card_fields(type(e))
+            if getattr(e, f.name) != f.default]))
     for spec in analyses or []:
-        if spec.kind == "op":
-            out += ".op\n"
-        elif spec.kind == "dc":
-            out += (f".dc {spec.src} {spec.start!r} {spec.stop!r} "
-                    f"{spec.step!r}\n")
-        elif spec.kind == "tran":
-            out += f".tran {spec.tstep!r} {spec.tstop!r}"
-            out += " uic\n" if spec.uic else "\n"
-    return out + ".end\n"
+        names, flags = _ANALYSES[spec.kind]
+        lines.append(" ".join([f".{spec.kind}",
+                               *(_text(getattr(spec, n)) for n in names),
+                               *(f for f in flags if getattr(spec, f))]))
+    return "\n".join(lines + [".end"]) + "\n"

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mosfet import MosParams
+from .mosfet import _ARRAY_OPS, MosParams, _ops
 
 
 @dataclass(frozen=True)
@@ -56,23 +56,26 @@ def fn_current(p: FloatingGateParams, v):
     E = |V| / t_tun.  The E -> 0 limit is an exact zero (the exponential
     underflows to 0 before the polynomial factor matters).
     """
-    varr = np.asarray(v, dtype=float)
-    e = np.abs(varr) / p.t_tun
-    with np.errstate(divide="ignore"):
-        expo = np.exp(-np.divide(p.beta_fn, e,
-                                 out=np.full_like(e, np.inf), where=e > 0))
-    i = np.sign(varr) * p.a_tun * p.alpha_fn * e * e * expo
-    return float(i) if np.ndim(v) == 0 else i
+    return fn_current_and_grad(p, v)[0]
 
 
-def fn_current_and_grad(p: FloatingGateParams, v: float):
-    """(I, dI/dV); dI/dV is even in V and zero in the V -> 0 limit."""
-    if v == 0.0:
-        return 0.0, 0.0
-    e = abs(v) / p.t_tun
-    expo = math.exp(-p.beta_fn / e) if p.beta_fn / e < 745.0 else 0.0
-    i = math.copysign(p.a_tun * p.alpha_fn * e * e * expo, v)
+def fn_current_and_grad(p: FloatingGateParams, v):
+    """(I, dI/dV) for a float or an array V; dI/dV is even in V.
+
+    A float runs the array path's operations on floats (``mosfet._ops``),
+    bit for bit.  Below E = beta_fn/800 the exponential is exactly 0, so
+    flooring E there before the division changes no result and keeps
+    0 V from dividing by zero: it gives (0.0, 0.0).
+    """
+    ops = _ops(v)
+    if ops is _ARRAY_OPS:
+        v = np.asarray(v, dtype=float)
+    e = ops.abs(v) / p.t_tun
+    expo = ops.exp(-p.beta_fn / ops.clip(e, p.beta_fn / 800.0, math.inf))
+    i = ops.copysign(p.a_tun * p.alpha_fn * e * e * expo, v)
     di_dv = p.a_tun * p.alpha_fn * (2.0 * e + p.beta_fn) * expo / p.t_tun
+    if ops is _ARRAY_OPS and v.ndim == 0:
+        return float(i), float(di_dv)
     return i, di_dv
 
 

@@ -87,10 +87,10 @@ _SYMMETRIC_SPLIT = 1e-6
 
 # The elementwise operations of the model formulas, picked once per call
 # by ``_ops``.  Python floats (np.float64 among them) run the exact or
-# correctly rounded operations (clip, minimum, abs, sqrt) as builtins and
-# the transcendentals as the same numpy ufuncs converted back with
-# float(); that is several times cheaper than numpy's 0-d array round
-# trip and bit-identical to the array path.  math.exp/math.log are not:
+# correctly rounded operations (clip, minimum, abs, sqrt, copysign) as
+# builtins and the transcendentals as the same numpy ufuncs converted
+# back with float(); that is several times cheaper than numpy's 0-d array
+# round trip and bit-identical to the array path.  math.exp/math.log are not:
 # their last bit differs from numpy's on some inputs.  min(max(x, lo),
 # hi) keeps clip's NaN propagation, since a NaN first argument wins every
 # builtin comparison.  Float division raises on a zero divisor where
@@ -98,7 +98,8 @@ _SYMMETRIC_SPLIT = 1e-6
 # Householder denominator measured above 0.8 from -100 V to 2e4 V).
 _ARRAY_OPS = SimpleNamespace(
     exp=np.exp, log=np.log, log1p=np.log1p, logaddexp=np.logaddexp,
-    sqrt=np.sqrt, clip=np.clip, minimum=np.minimum, abs=np.abs)
+    sqrt=np.sqrt, clip=np.clip, minimum=np.minimum, abs=np.abs,
+    copysign=np.copysign)
 _FLOAT_OPS = SimpleNamespace(
     exp=lambda x: float(np.exp(x)),
     log=lambda x: float(np.log(x)),
@@ -106,7 +107,7 @@ _FLOAT_OPS = SimpleNamespace(
     logaddexp=lambda x, y: float(np.logaddexp(x, y)),
     sqrt=math.sqrt,
     clip=lambda x, lo, hi: min(max(x, lo), hi),
-    minimum=min, abs=abs)
+    minimum=min, abs=abs, copysign=math.copysign)
 
 
 def _ops(*values):

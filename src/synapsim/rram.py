@@ -97,11 +97,16 @@ def rram_current_and_grads(p: RramParams, v: float, x: float):
     """(I, dI/dV, dI/dX) for Newton assembly.
 
     dI/dX is zero where the conductance clamp is active so the linearized
-    model stays consistent with the evaluated current.
+    model stays consistent with the evaluated current.  This scalar twin
+    of ``rram_current`` stays because the engine calls it once per device
+    and a numpy call per device costs more than the model (ROADMAP
+    item 7).
     """
     arg = min(max(v / p.v0, -_SINH_ARG_MAX), _SINH_ARG_MAX)
-    # scalar form of ``conductance``; np.exp (not math.exp) keeps it
-    # bit-identical to the array path
+    # scalar form of ``conductance``: np.exp (not math.exp) keeps g
+    # bit-identical to the array path.  math.sinh/math.cosh are not
+    # numpy's SIMD kernels, so I can differ from ``rram_current`` in the
+    # last bit (under 1e-15 relative)
     g = float(p.g_off * np.exp(p.ln_g_ratio * min(max(x, 0.0), 1.0)))
     i = g * p.v0 * math.sinh(arg)
     di_dv = g * math.cosh(arg)

@@ -1,5 +1,7 @@
 """Device-in-the-loop AND-gate training and its software twin."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -72,6 +74,19 @@ def test_and_results_are_pinned(request, which, epochs, history, weights):
     assert r.epochs_used == epochs
     assert r.history == history
     np.testing.assert_allclose(r.weights, weights, rtol=1e-12, atol=0)
+
+
+def test_device_result_round_trips_through_pickle(device_result):
+    r = device_result
+    copy = pickle.loads(pickle.dumps(r))
+    assert (copy.n_correct, copy.epochs_used, copy.history) == (
+        r.n_correct, r.epochs_used, r.history)
+    assert copy.weights.tobytes() == r.weights.tobytes()
+    assert copy.activations.tobytes() == r.activations.tobytes()
+    assert copy.circuit.state == r.circuit.state
+    spec, feats = CrossbarSpec(n_inputs=3, n_outputs=1), np.array([1, 1, 1])
+    assert (read_outputs(copy.circuit, spec, 0.1 * feats).tobytes()
+            == read_outputs(r.circuit, spec, 0.1 * feats).tobytes())
 
 
 def test_untrained_crossbar_misclassifies_only_and_pattern():

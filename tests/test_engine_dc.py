@@ -1,5 +1,7 @@
 """DC operating point and sweep: exactness, consistency, homotopy."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -211,3 +213,20 @@ XF1 d 0 sg nfb pfb model=syn qfg0=6e-17
 """, gmin=gmin)
     # v_fg = (sum C_i V_i + Q) / C_tot = 0.3 + 6e-17/3e-16
     assert res.column("v(xf1#fg)")[0] == pytest.approx(0.5, rel=1e-12)
+
+
+def test_circuit_pickled_after_an_analysis_gives_the_same_point():
+    # the compiled layout cached on the circuit is not pickled; the copy
+    # compiles its own and solves to the same bits
+    res, c = _solve_op("""
+.model mem rram
+.model n cmg
+V1 top 0 DC 0.4
+XR1 top mid model=mem x0=0.6
+M1 mid top 0 model=n
+.end
+""")
+    copy = pickle.loads(pickle.dumps(c))
+    again = operating_point(copy, AnalysisSpec(kind="op"))
+    assert again.columns == res.columns
+    assert again.data.tobytes() == res.data.tobytes()

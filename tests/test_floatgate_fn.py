@@ -1,6 +1,7 @@
 """Fowler-Nordheim tunnel-law tests for the floating-gate device."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,32 @@ def test_zero_bias_exact_zero():
     assert fn_current(p, 0.0) == 0.0
     i, g = fn_current_and_grad(p, 0.0)
     assert i == 0.0 and g == 0.0
+
+
+def test_zero_bias_is_exact_zero_on_both_paths_without_warnings():
+    p = FloatingGateParams()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert fn_current_and_grad(p, 0.0) == (0.0, 0.0)
+        i, g = fn_current_and_grad(p, np.array([0.0, 1e-320, -1e-320]))
+    assert np.all(i == 0.0) and np.all(g == 0.0)
+
+
+def test_float_inputs_equal_array_path_bit_for_bit():
+    # one formula serves both: the engine's float calls must give the
+    # bits of the array path, on random biases and at the edge cases
+    p = FloatingGateParams()
+    rng = np.random.default_rng(20261018)
+    v = np.concatenate([rng.uniform(-12.0, 12.0, 5000),
+                        [0.0, 1e-320, -1e-320, 0.01, -0.01, np.nan]])
+    i_arr, g_arr = fn_current_and_grad(p, v)
+    pairs = [fn_current_and_grad(p, float(x)) for x in v]
+    assert all(type(a) is float and type(b) is float for a, b in pairs)
+    np.testing.assert_array_equal([a for a, _ in pairs], i_arr)
+    np.testing.assert_array_equal([b for _, b in pairs], g_arr)
+    np.testing.assert_array_equal(np.signbit([a for a, _ in pairs]),
+                                  np.signbit(i_arr))
+    np.testing.assert_array_equal(fn_current(p, v), i_arr)
 
 
 def test_odd_symmetry():

@@ -1,9 +1,15 @@
 """Netlist parser, number grammar, and round-trip serialization."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from synapsim.engine import (Capacitor, NetlistError, Resistor, VSource,
+from synapsim.engine import (AnalysisSpec, Capacitor, Circuit,
+                             FloatGateElement, ISource, Mosfet, NetlistError,
+                             PulseSpec, Resistor, RramElement, VSource,
                              parse_netlist, parse_number, serialize_netlist)
+from synapsim.floatgate import FloatingGateParams
+from synapsim.mosfet import MosParams
+from synapsim.rram import RramParams
 
 
 def test_engineering_suffixes():
@@ -225,3 +231,71 @@ Vg g 0 DC 0.9
     assert second.analyses == first.analyses
     # serialization is a fixed point after one pass
     assert serialize_netlist(second.circuit, second.analyses) == ser
+
+
+def test_api_rejects_the_values_a_card_rejects():
+    with pytest.raises(ValueError, match="zero resistance"):
+        Resistor("r1", "a", "0", 0.0)
+    with pytest.raises(ValueError, match=r"x0 must lie in \[0, 1\]"):
+        RramElement("xr1", "a", "0", "mem", x0=1.5)
+    with pytest.raises(NetlistError) as exc:
+        parse_netlist("R1 a 0 0\nXR1 a 0 model=mem x0=1.5\n.model mem rram\n")
+    assert exc.value.errors == ["line 1: zero resistance",
+                                "line 2: x0 must lie in [0, 1]"]
+
+
+_NUM = st.floats(allow_nan=False, allow_infinity=False)
+_NODE = st.sampled_from(["0", "a", "b", "c"])
+
+
+@st.composite
+def _circuits(draw):
+    """A circuit with every element kind at least once, on three models."""
+    c = Circuit()
+    nfet = MosParams(l=draw(st.floats(20e-9, 40e-9)))
+    c.add_model("nfet", "cmg", nfet)
+    c.add_model("mem", "rram", RramParams(x_init=draw(st.floats(0.0, 1.0))))
+    c.add_model("syn", "fg", FloatingGateParams(
+        c_sg=draw(st.floats(1e-17, 1e-15)), mos=nfet))
+    c.fg_mos_ref["syn"] = "nfet"
+    c.add(Resistor("rgnd", "a", "0", 1.0))
+    kinds = draw(st.permutations(
+        list(range(7)) + draw(st.lists(st.integers(0, 6), max_size=4))))
+    for j, kind in enumerate(kinds):
+        two = (draw(_NODE), draw(_NODE))
+        c.add([
+            lambda: Resistor(f"r{j}", *two, draw(_NUM.filter(bool))),
+            lambda: Capacitor(f"c{j}", *two, draw(_NUM)),
+            lambda: VSource(f"v{j}", *two, dc=draw(st.none() | _NUM),
+                            pulse=draw(st.none() | st.builds(
+                                PulseSpec, *[_NUM] * 7))),
+            lambda: ISource(f"i{j}", *two, draw(_NUM)),
+            lambda: Mosfet(f"m{j}", *two, draw(_NODE), "nfet"),
+            lambda: RramElement(f"xr{j}", *two, "mem",
+                                x0=draw(st.none() | st.floats(0.0, 1.0))),
+            lambda: FloatGateElement(f"xf{j}", *two,
+                                     *(draw(_NODE) for _ in range(3)),
+                                     model="syn", qfg0=draw(_NUM)),
+        ][kind]())
+    c.resolve()
+    return c
+
+
+_ANALYSIS = st.one_of(
+    st.just(AnalysisSpec(kind="op")),
+    st.builds(AnalysisSpec, kind=st.just("dc"), src=st.just("v1"),
+              start=_NUM, stop=_NUM, step=_NUM),
+    st.builds(AnalysisSpec, kind=st.just("tran"), tstep=_NUM, tstop=_NUM,
+              uic=st.booleans()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(c=_circuits(), analyses=st.lists(_ANALYSIS, max_size=3))
+def test_random_circuits_round_trip(c, analyses):
+    text = serialize_netlist(c, analyses)
+    r = parse_netlist(text)
+    assert r.circuit.elements == c.elements
+    assert r.circuit.models == c.models
+    assert r.circuit.fg_mos_ref == c.fg_mos_ref
+    assert r.analyses == analyses
+    assert serialize_netlist(r.circuit, r.analyses) == text

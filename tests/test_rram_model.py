@@ -124,6 +124,19 @@ def test_param_validation():
         RramParams(v0=0.0)
 
 
+def test_scalar_current_within_1e15_of_array_path():
+    # the scalar twin shares np.exp for G but uses math.sinh, which can
+    # differ from numpy's sinh in the last bit
+    p = RramParams()
+    rng = np.random.default_rng(20261018)
+    v = rng.uniform(-2.0, 2.0, 20000)
+    x = rng.uniform(0.0, 1.0, 20000)
+    i_arr = rram_current(p, v, x)
+    i_scalar = np.array([rram_current_and_grads(p, float(a), float(b))[0]
+                         for a, b in zip(v, x)])
+    np.testing.assert_allclose(i_scalar, i_arr, rtol=1e-15, atol=0)
+
+
 def test_vectorized_current():
     p = RramParams()
     v = np.linspace(-1, 1, 11)
