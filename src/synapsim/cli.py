@@ -4,8 +4,8 @@ Characterization sweeps (idvg, idvd, cv, gummel), canned device
 experiments (rram-iv, rram-tune, fg-pulse), the crossbar AND experiment,
 MNIST macromodel training, netlist execution and the solver-variant
 throughput benchmark.  Every subcommand writes exactly one CSV whose
-commented header block records the resolved parameters, so a run can be
-reconstructed from its own artifact.
+commented header block records every option and the resolved parameters,
+so a run can be reconstructed from its own artifact.
 
 Exit statuses: 0 success, 1 simulation failure, 2 usage/parse error.
 """
@@ -59,25 +59,33 @@ def _resolve(args, primary: str, defaults: dict) -> dict:
     return out
 
 
-def _metadata(args, extras: dict, param_objs: dict) -> list:
+# parsed arguments the header leaves out: the dispatch entries, the output
+# path, and --params/--set, which appear as the resolved parameter lines
+_UNRECORDED = ("subcommand", "func", "out", "params", "set")
+
+
+def _metadata(args, param_objs: dict, **extras) -> list:
+    """Header lines: every option of the subcommand, the resolved
+    parameters, then ``extras`` (results and column notes)."""
     lines = [f"synapsim {__version__}", f"subcommand: {args.subcommand}"]
-    for key in extras:
-        lines.append(f"{key}: {extras[key]}")
+    lines += [f"{key}: {value!r}" for key, value in vars(args).items()
+              if key not in _UNRECORDED]
     for scope in sorted(param_objs):
         obj = param_objs[scope]
         for f in dataclasses.fields(obj):
             if f.init:
                 lines.append(f"{scope}.{f.name}: {getattr(obj, f.name)!r}")
+    lines += [f"{key}: {value}" for key, value in extras.items()]
     return lines
 
 
-def _write(args, columns, data, metadata, default_name) -> str:
-    path = args.out or default_name
+def _write(args, columns, data, metadata) -> None:
+    """Write the CSV to --out, by default ``<subcommand>.csv``."""
+    path = args.out or args.subcommand.replace("-", "_") + ".csv"
     res = SimResult(columns=list(columns), data=np.atleast_2d(np.asarray(data, float)),
                     metadata=metadata)
     res.to_csv(path)
     print(f"wrote {path} ({res.data.shape[0]} rows)")
-    return path
 
 
 def _float_list(text: str):
@@ -97,10 +105,7 @@ def cmd_idvg(args) -> int:
     currents = [drain_current(p, v_g, v_ds, method=args.method) for v_ds in vds_list]
     data = np.column_stack([v_g] + currents)
     cols = ["v_g"] + [f"i_d_vds{v:g}" for v in vds_list]
-    meta = _metadata(args, {"method": args.method, "v_ds": args.vds,
-                            "sweep": f"v_g {args.start} {args.stop} {args.points}"},
-                     objs)
-    _write(args, cols, data, meta, "idvg.csv")
+    _write(args, cols, data, _metadata(args, objs))
     return EXIT_OK
 
 
@@ -112,10 +117,7 @@ def cmd_idvd(args) -> int:
     currents = [drain_current(p, v_g, v_ds, method=args.method) for v_g in vg_list]
     data = np.column_stack([v_ds] + currents)
     cols = ["v_ds"] + [f"i_d_vg{v:g}" for v in vg_list]
-    meta = _metadata(args, {"method": args.method, "v_g": args.vg,
-                            "sweep": f"v_ds {args.start} {args.stop} {args.points}"},
-                     objs)
-    _write(args, cols, data, meta, "idvd.csv")
+    _write(args, cols, data, _metadata(args, objs))
     return EXIT_OK
 
 
@@ -127,11 +129,9 @@ def cmd_cv(args) -> int:
     data = np.column_stack([v_g, tc.q_g, tc.q_s, tc.q_d, tc.q_bulk,
                             np.gradient(tc.q_g, v_g)])
     cols = ["v_g", "q_g", "q_s", "q_d", "q_bulk", "c_gg"]
-    meta = _metadata(args, {"method": args.method, "v_ds": args.vds,
-                            "sweep": f"v_g {args.start} {args.stop} {args.points}",
-                            "c_gg": "central differences of q_g on the sweep grid"},
-                     objs)
-    _write(args, cols, data, meta, "cv.csv")
+    meta = _metadata(args, objs,
+                     c_gg="central differences of q_g on the sweep grid")
+    _write(args, cols, data, meta)
     return EXIT_OK
 
 
@@ -143,12 +143,9 @@ def cmd_gummel(args) -> int:
     d1 = np.gradient(i, v_x)
     d2 = np.gradient(d1, v_x)
     d3 = np.gradient(d2, v_x)
-    meta = _metadata(args, {"method": args.method, "v_g": args.vg,
-                            "sweep": f"v_x -{args.span} {args.span} {args.points}",
-                            "derivatives": "repeated central differences"},
-                     objs)
+    meta = _metadata(args, objs, derivatives="repeated central differences")
     _write(args, ["v_x", "i", "di1", "di2", "di3"],
-           np.column_stack([v_x, i, d1, d2, d3]), meta, "gummel.csv")
+           np.column_stack([v_x, i, d1, d2, d3]), meta)
     return EXIT_OK
 
 
@@ -160,10 +157,8 @@ def cmd_rram_iv(args) -> int:
     v, i, x = hysteresis_loop(p, v_peak=args.v_peak, period=args.period,
                               tstep=args.tstep)
     t = np.arange(v.size) * args.tstep
-    meta = _metadata(args, {"v_peak": args.v_peak, "period": args.period,
-                            "tstep": args.tstep}, objs)
     _write(args, ["t", "v", "i", "x"], np.column_stack([t, v, i, x]),
-           meta, "rram_iv.csv")
+           _metadata(args, objs))
     return EXIT_OK
 
 
@@ -173,10 +168,8 @@ def cmd_rram_tune(args) -> int:
     x, i_read = tuning_curve_1t1r(objs["rram"], objs["mos"], v_pgm,
                                   v_set=args.v_set, v_read=args.v_read,
                                   width=args.width)
-    meta = _metadata(args, {"v_set": args.v_set, "v_read": args.v_read,
-                            "width": args.width}, objs)
     _write(args, ["v_pgm", "x", "i_read"], np.column_stack([v_pgm, x, i_read]),
-           meta, "rram_tune.csv")
+           _metadata(args, objs))
     return EXIT_OK
 
 
@@ -193,12 +186,10 @@ def cmd_fg_pulse(args) -> int:
                             v_read=args.v_read, v_sg=args.v_sg)
         q_fg = res.q_fg
         rows.append((k, 1 if terminal == "pfb" else 0, amp, q_fg, res.i_after))
-    meta = _metadata(args, {"width": args.width, "v_read": args.v_read,
-                            "v_sg": args.v_sg,
-                            "pfb_column": "1 strengthen pulse, 0 weaken pulse"},
-                     objs)
+    meta = _metadata(args, objs,
+                     pfb_column="1 strengthen pulse, 0 weaken pulse")
     _write(args, ["pulse", "pfb", "amplitude", "q_fg", "i_read"],
-           np.array(rows, float), meta, "fg_pulse.csv")
+           np.array(rows, float), meta)
     return EXIT_OK
 
 
@@ -216,16 +207,16 @@ def cmd_crossbar_and(args) -> int:
         device.activations, (device.activations > cfg.threshold).astype(float),
         software.activations, (software.activations > cfg.threshold).astype(float),
     ])
-    meta = _metadata(args, {
-        "device_epochs": device.epochs_used,
-        "device_correct": device.n_correct,
-        "software_epochs": software.epochs_used,
-        "software_correct": software.n_correct,
-        "device_weights": np.array2string(device.weights, precision=6),
-        "software_weights": np.array2string(software.weights, precision=6),
-    }, objs)
+    meta = _metadata(
+        args, objs,
+        device_epochs=device.epochs_used,
+        device_correct=device.n_correct,
+        software_epochs=software.epochs_used,
+        software_correct=software.n_correct,
+        device_weights=np.array2string(device.weights, precision=6),
+        software_weights=np.array2string(software.weights, precision=6))
     _write(args, ["a", "b", "target", "act_dev", "pred_dev", "act_sw", "pred_sw"],
-           data, meta, "crossbar_and.csv")
+           data, meta)
     if not (device.success and software.success):
         print("AND training did not reach 4/4", file=sys.stderr)
         return EXIT_SIM
@@ -234,62 +225,43 @@ def cmd_crossbar_and(args) -> int:
 
 def cmd_mnist_train(args) -> int:
     objs = _resolve(args, "train", {"train": MacromodelConfig()})
-    cfg = objs["train"]
-    if args.seed is not None:
-        cfg = dataclasses.replace(cfg, seed=args.seed)
     located = find_mnist(args.data_dir)
     if located is None:
         print("mnist-train: no IDX files found (use --data-dir or "
               "SYNAPSIM_MNIST_DIR)", file=sys.stderr)
         return EXIT_SIM
     train, test = located
-    report = train_macromodel(cfg, train, test)
+    report = train_macromodel(objs["train"], train, test)
     epochs = np.arange(1, len(report.epoch_loss) + 1)
     data = np.column_stack([epochs, report.epoch_loss,
                             report.epoch_train_acc, report.epoch_test_acc])
-    meta = _metadata(args, {"mode": report.mode,
-                            "final_test_acc": report.final_test_acc}, objs)
+    meta = _metadata(args, objs, mode=report.mode,
+                     final_test_acc=report.final_test_acc)
     for row in report.confusion:
         meta.append("confusion: " + " ".join(str(int(v)) for v in row))
-    _write(args, ["epoch", "loss", "train_acc", "test_acc"], data, meta,
-           "mnist_train.csv")
+    _write(args, ["epoch", "loss", "train_acc", "test_acc"], data, meta)
     return EXIT_OK
 
 
 def cmd_run(args) -> int:
-    try:
-        with open(args.netlist) as fh:
-            text = fh.read()
-    except OSError as exc:
-        print(f"run: cannot read netlist: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    parsed = parse_netlist(text)
+    with open(args.netlist) as fh:
+        parsed = parse_netlist(fh.read())
     for warning in parsed.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     if not parsed.analyses:
         print("run: netlist has no analysis card", file=sys.stderr)
         return EXIT_USAGE
-    result = None
     for spec in parsed.analyses:
         result = run_analysis(parsed.circuit, spec)
-    head = [f"synapsim {__version__}", f"subcommand: run",
-            f"netlist: {args.netlist}",
-            f"analyses: {', '.join(s.kind for s in parsed.analyses)}"]
-    result.metadata = head + result.metadata
-    path = args.out or "run.csv"
-    result.to_csv(path)
-    print(f"wrote {path} ({result.data.shape[0]} rows)")
+    meta = _metadata(args, {},
+                     analyses=", ".join(s.kind for s in parsed.analyses))
+    _write(args, result.columns, result.data, meta)
     return EXIT_OK
 
 
 def cmd_bench(args) -> int:
     objs = _resolve(args, "mos", {"mos": MosParams()})
-    try:
-        r = bench_model_eval(objs["mos"], n=args.n, reps=args.reps,
-                             seed=args.seed if args.seed is not None else 0)
-    except ValueError as exc:
-        print(f"bench: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    r = bench_model_eval(objs["mos"], n=args.n, reps=args.reps, seed=args.seed)
     row = [r.n, r.reps,
            r.solver_s["reference"], r.solver_s["householder"],
            r.eval_s["reference"], r.eval_s["householder"],
@@ -299,12 +271,12 @@ def cmd_bench(args) -> int:
     cols = ["n", "reps", "solver_s_ref", "solver_s_hh", "eval_s_ref",
             "eval_s_hh", "evals_per_s_ref", "evals_per_s_hh",
             "solver_ratio", "eval_ratio", "eval_spread_ref", "eval_spread_hh"]
-    meta = _metadata(args, {
-        "grid": "v_g uniform [-0.5, 1.5], v_ds uniform [0, 1]",
-        "timed": "charge solves (solver stage) + shared I_d/terminal-charge stage",
-        "stat": f"median of {r.reps} repetitions after one warm-up pass",
-    }, objs)
-    _write(args, cols, [row], meta, "bench.csv")
+    meta = _metadata(
+        args, objs,
+        grid="v_g uniform [-0.5, 1.5], v_ds uniform [0, 1]",
+        timed="charge solves (solver stage) + shared I_d/terminal-charge stage",
+        stat=f"median of {r.reps} repetitions after one warm-up pass")
+    _write(args, cols, [row], meta)
     print(f"solver ratio reference/householder: {r.solver_ratio:.1f}x")
     print(f"complete-eval ratio reference/householder: {r.eval_ratio:.2f}x")
     return EXIT_OK
@@ -314,9 +286,20 @@ def cmd_bench(args) -> int:
 
 def _common(sub):
     sub.add_argument("--params", help="key=value parameter file")
-    sub.add_argument("--out", help="output CSV path")
+    sub.add_argument("--out", help="output CSV path (default <subcommand>.csv, - as _)")
     sub.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                      help="override one parameter (repeatable)")
+
+
+def _mos_sweep(sub, start=None, stop=None):
+    """The grid and solver flags of the MOSFET sweeps; without ``start``
+    the grid is set by the subcommand's own flags (gummel's --span)."""
+    if start is not None:
+        sub.add_argument("--start", type=float, default=start)
+        sub.add_argument("--stop", type=float, default=stop)
+    sub.add_argument("--points", type=int, default=201)
+    sub.add_argument("--method", choices=["householder", "reference"],
+                     default="householder")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -329,41 +312,27 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = subs.add_parser("idvg", help="transfer sweep I_d(V_g)")
     _common(sp)
-    sp.add_argument("--start", type=float, default=-0.5)
-    sp.add_argument("--stop", type=float, default=1.5)
-    sp.add_argument("--points", type=int, default=201)
+    _mos_sweep(sp, start=-0.5, stop=1.5)
     sp.add_argument("--vds", default="0.05,1.0", help="comma list of V_ds")
-    sp.add_argument("--method", choices=["householder", "reference"],
-                    default="householder")
     sp.set_defaults(func=cmd_idvg)
 
     sp = subs.add_parser("idvd", help="output sweep I_d(V_ds)")
     _common(sp)
-    sp.add_argument("--start", type=float, default=0.0)
-    sp.add_argument("--stop", type=float, default=1.0)
-    sp.add_argument("--points", type=int, default=201)
+    _mos_sweep(sp, start=0.0, stop=1.0)
     sp.add_argument("--vg", default="0.6,0.8,1.0,1.2", help="comma list of V_g")
-    sp.add_argument("--method", choices=["householder", "reference"],
-                    default="householder")
     sp.set_defaults(func=cmd_idvd)
 
     sp = subs.add_parser("cv", help="quasi-static terminal charges vs V_g")
     _common(sp)
-    sp.add_argument("--start", type=float, default=-0.5)
-    sp.add_argument("--stop", type=float, default=1.5)
-    sp.add_argument("--points", type=int, default=201)
+    _mos_sweep(sp, start=-0.5, stop=1.5)
     sp.add_argument("--vds", type=float, default=0.0)
-    sp.add_argument("--method", choices=["householder", "reference"],
-                    default="householder")
     sp.set_defaults(func=cmd_cv)
 
     sp = subs.add_parser("gummel", help="symmetry sweep I(V_x) and derivatives")
     _common(sp)
+    _mos_sweep(sp)
     sp.add_argument("--vg", type=float, default=1.0)
     sp.add_argument("--span", type=float, default=0.1)
-    sp.add_argument("--points", type=int, default=201)
-    sp.add_argument("--method", choices=["householder", "reference"],
-                    default="householder")
     sp.set_defaults(func=cmd_gummel)
 
     sp = subs.add_parser("rram-iv", help="bipolar hysteresis loop")
@@ -401,7 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = subs.add_parser("mnist-train", help="macromodel MLP on MNIST IDX data")
     _common(sp)
     sp.add_argument("--data-dir", help="directory with the four IDX files")
-    sp.add_argument("--seed", type=int, default=None)
     sp.set_defaults(func=cmd_mnist_train)
 
     sp = subs.add_parser("run", help="parse and run a netlist")
@@ -413,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     _common(sp)
     sp.add_argument("--n", type=int, default=100_000)
     sp.add_argument("--reps", type=int, default=5)
-    sp.add_argument("--seed", type=int, default=None)
+    sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(func=cmd_bench)
 
     return parser
@@ -424,19 +392,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParamError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except NetlistError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (ConvergenceError, TransientError, ChargeSolveError) as exc:
         print(f"simulation failed: {exc}", file=sys.stderr)
         return EXIT_SIM
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:    # ParamError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -198,7 +198,11 @@ class FloatGateElement(_Element):
 
 
 class CircuitError(Exception):
-    pass
+    """``by_element`` maps each offending element's name to its message."""
+
+    def __init__(self, msg: str, by_element: dict | None = None):
+        super().__init__(msg)
+        self.by_element = by_element or {}
 
 
 class Circuit:
@@ -249,24 +253,27 @@ class Circuit:
 
     # -- finalization --------------------------------------------------
     def resolve(self) -> None:
-        """Bind model references and seed carried state; idempotent."""
+        """Bind model references and seed carried state; idempotent.
+        Raises one ``CircuitError`` naming every element that cannot bind."""
+        bad = {}
         for e in self.elements:
             want = e.model_kind
             if want is None:
                 continue
-            entry = self.models.get(e.model)
-            if entry is None:
-                raise CircuitError(
-                    f"element '{e.name}' references unknown model "
-                    f"'{e.model}'")
-            kind, params = entry
+            kind, params = self.models.get(e.model, (None, None))
+            if kind is None:
+                bad[e.name] = (f"element '{e.name}' references unknown "
+                               f"model '{e.model}'")
+                continue
             if kind != want:
-                raise CircuitError(
-                    f"element '{e.name}' needs a '{want}' model but "
-                    f"'{e.model}' is '{kind}'")
+                bad[e.name] = (f"element '{e.name}' needs a '{want}' model "
+                               f"but '{e.model}' is '{kind}'")
+                continue
             e.params = params
             if e.internal_node and e.name not in self.state:
                 self.state[e.name] = e.state_seed()
+        if bad:
+            raise CircuitError("\n".join(bad.values()), bad)
         ground_touched = any("0" in e.terminals for e in self.elements)
         if self.elements and not ground_touched:
             raise CircuitError("no element connects to ground node 0")

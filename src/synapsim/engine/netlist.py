@@ -131,6 +131,7 @@ class _Parser:
         self.analyses: list[AnalysisSpec] = []
         self.errors: list[str] = []
         self.node_uses: dict[str, int] = {}
+        self.element_lines: dict[str, int] = {}
         # fg model cards resolve their mos= reference after all lines
         self.pending_fg: list[tuple[int, str, object, str | None]] = []
 
@@ -172,7 +173,7 @@ class _Parser:
         if m:
             pulse = "pulse(" + m.group(1).strip() + ")"
             line = line[:m.start()] + " \0 " + line[m.end():]
-        elif "pulse" in line:
+        elif any(t == "pulse" or t.startswith("pulse(") for t in line.split()):
             self.fail(lineno, "malformed PULSE(...) clause")
             return None
         tokens = line.split()
@@ -229,6 +230,8 @@ class _Parser:
             self.circuit.add(cls(tokens[0], *nodes, **kw))
         except (ValueError, CircuitError) as exc:
             self.fail(lineno, str(exc))
+            return
+        self.element_lines[tokens[0]] = lineno
 
     def _directive(self, lineno: int, head, rest):
         kind = head[1:]
@@ -301,7 +304,10 @@ class _Parser:
             try:
                 self.circuit.resolve()
             except CircuitError as exc:
-                self.errors.append(str(exc))
+                for name, msg in exc.by_element.items():
+                    self.fail(self.element_lines[name], msg)
+                if not exc.by_element:      # circuit-wide, no card to name
+                    self.errors.append(str(exc))
         if self.errors:
             raise NetlistError(self.errors)
         warnings = [f"node '{n}' is used only once"

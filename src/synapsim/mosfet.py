@@ -343,15 +343,13 @@ def solve_charge_householder(p: MosParams, v_g, v_ch=0.0):
     return float(q) if scalar else q
 
 
-def charge_solution(p: MosParams, v_g: float, v_ds: float,
-                    method: str = "householder") -> ChargeSolution:
+def charge_solution(p: MosParams, v_g: float, v_ds: float) -> ChargeSolution:
     """Solve both channel ends and report surface potentials.
 
     psi_s follows from Q_i = C_ox (V_g - V_fb - psi_s) - Q_B.
     """
-    solve = _pick_solver(method)
-    q_is = float(solve(p, v_g, 0.0))
-    q_id = float(solve(p, v_g, v_ds))
+    q_is = float(solve_charge_householder(p, v_g, 0.0))
+    q_id = float(solve_charge_householder(p, v_g, v_ds))
     psi_ss = v_g - p.v_fb - (q_is + p.q_b) / p.c_ox
     psi_sd = v_g - p.v_fb - (q_id + p.q_b) / p.c_ox
     res = max(abs(float(implicit_residual(p, q_is, v_g, 0.0))),
@@ -439,17 +437,15 @@ def _charge_slope(p: MosParams, q):
     return 1.0 / p.c_ox + p.v_t / q + p.v_t / (q + p.qb5)
 
 
-def drain_current_and_grads(p: MosParams, v_gs, v_ds,
-                            method: str = "householder"):
+def drain_current_and_grads(p: MosParams, v_gs, v_ds):
     """(I_d, dI_d/dV_gs, dI_d/dV_ds) with analytic chain-rule derivatives.
 
     Accepts scalars or broadcastable arrays.  Along the implicit solution
     dB(Q)/dV = Q, so d[B(Q_is) - B(Q_id)]/dV_gs = Q_is - Q_id and
     d[...]/dV_ds = Q_id; the effect wrappers add I_d (mu'/mu - L_eff'/L_eff).
     """
-    solve = _pick_solver(method)
-    q_is = solve(p, v_gs, 0.0)
-    q_id = solve(p, v_gs, v_ds)
+    q_is = solve_charge_householder(p, v_gs, 0.0)
+    q_id = solve_charge_householder(p, v_gs, v_ds)
     i_d = current_from_charges(p, q_is, q_id, v_ds)
     mu, l_eff = p.mu0, p.l
     rel_gs = rel_ds = 0.0
@@ -484,8 +480,8 @@ def gummel_current(p: MosParams, v_g, v_x, method: str = "householder"):
     return drain_current(p, v_g + 0.5 * v_x, v_x, method=method)
 
 
-def gummel_diagnostics(p: MosParams, v_g: float, h: float = 0.05, n: int = 4,
-                       method: str = "householder") -> dict:
+def gummel_diagnostics(p: MosParams, v_g: float, h: float = 0.05,
+                       n: int = 4) -> dict:
     """Finite-difference symmetry diagnostics of I(V_x) on a +-n*h grid.
 
     Returns raw central stencils for the odd derivatives (orders 1 and 3)
@@ -496,7 +492,7 @@ def gummel_diagnostics(p: MosParams, v_g: float, h: float = 0.05, n: int = 4,
     """
     ks = np.arange(-n, n + 1)
     v_x = ks * h
-    i = gummel_current(p, v_g, v_x, method=method)
+    i = gummel_current(p, v_g, v_x)
     at = {int(k): val for k, val in zip(ks, i)}
     odd1 = (at[1] - at[-1]) / 2.0
     odd3 = (at[2] - 2.0 * at[1] + 2.0 * at[-1] - at[-2]) / 2.0

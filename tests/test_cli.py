@@ -7,8 +7,9 @@ import sys
 import numpy as np
 import pytest
 
-from synapsim.cli import main
+from synapsim.cli import build_parser, main
 from synapsim.mosfet import MosParams, drain_current
+from test_mnist_loader import _image_bytes, _label_bytes
 
 
 def _read_csv(path):
@@ -44,7 +45,8 @@ def test_csv_metadata_is_self_describing(tmp_path):
     joined = "\n".join(meta)
     assert "subcommand: idvg" in joined
     assert "mos.l: 2e-08" in joined          # override present, resolved
-    assert "sweep: v_g -0.5 1.5 11" in joined
+    for line in ("start: -0.5", "stop: 1.5", "points: 11"):   # sweep spec
+        assert line in meta
     for line in meta:                        # deterministic: no timestamps
         assert "time" not in line.lower().split(":")[0]
 
@@ -115,8 +117,14 @@ def test_run_reports_parse_error_with_line(tmp_path, capsys):
     assert "line 2" in err
 
 
-def test_run_missing_file_exits_2(tmp_path):
+def test_run_missing_file_exits_2(tmp_path, capsys):
     assert main(["run", str(tmp_path / "absent.sp")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_out_naming_a_directory_exits_2(tmp_path, capsys):
+    assert main(["idvg", "--points", "5", "--out", str(tmp_path)]) == 2
+    assert "error: " in capsys.readouterr().err
 
 
 def test_run_netlist_without_analysis_exits_2(tmp_path, capsys):
@@ -221,3 +229,71 @@ def test_header_lists_only_model_parameters(tmp_path):
     assert keys == ["mos." + f.name for f in dataclasses.fields(MosParams)
                     if f.init]
     assert len(keys) == 15 and "mos.c_ox" not in keys
+
+
+@pytest.fixture
+def mnist_dir(tmp_path):
+    """A tiny synthetic IDX set of 4x4 images under the standard names."""
+    rng = np.random.default_rng(5)
+    for split, n in (("train", 40), ("t10k", 20)):
+        images = rng.integers(0, 256, (n, 4, 4), dtype=np.uint8)
+        labels = rng.integers(0, 10, n, dtype=np.uint8)
+        (tmp_path / f"{split}-images-idx3-ubyte").write_bytes(_image_bytes(images))
+        (tmp_path / f"{split}-labels-idx1-ubyte").write_bytes(_label_bytes(labels))
+    return tmp_path
+
+
+_TINY_MNIST = ["--set", "train.layer_sizes=16,8,10", "--set", "train.epochs=1"]
+
+
+def test_mnist_train_records_its_seed_and_reruns_identically(mnist_dir,
+                                                             tmp_path):
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    for out in (a, b):
+        assert main(["mnist-train", "--data-dir", str(mnist_dir), *_TINY_MNIST,
+                     "--set", "train.seed=7", "--out", str(out)]) == 0
+    meta, header, rows = _read_csv(a)
+    assert "train.seed: 7" in meta
+    assert header == ["epoch", "loss", "train_acc", "test_acc"]
+    assert rows.shape == (1, 4)
+    assert a.read_bytes() == b.read_bytes()
+
+
+def test_mnist_train_has_no_seed_flag(mnist_dir):
+    # the seed is train.seed, set by --set like every other train.* key
+    with pytest.raises(SystemExit) as exc:
+        main(["mnist-train", "--data-dir", str(mnist_dir), "--seed", "7"])
+    assert exc.value.code == 2
+
+
+# one cheap invocation per subcommand; {dir} and {net} are filled per test
+_CHEAP_RUNS = {
+    "idvg": ["--points", "5"],
+    "idvd": ["--points", "5", "--vg", "0.8"],
+    "cv": ["--points", "5", "--vds", "0.1"],
+    "gummel": ["--points", "9"],
+    "rram-iv": ["--tstep", "5e-5"],
+    "rram-tune": ["--vpgm-points", "2"],
+    "fg-pulse": ["--strengthen", "1", "--weaken", "1"],
+    "crossbar-and": [],
+    "mnist-train": ["--data-dir", "{dir}", *_TINY_MNIST],
+    "run": ["{net}"],
+    "bench": ["--n", "500", "--reps", "2", "--seed", "3"],
+}
+
+
+@pytest.mark.parametrize("subcommand", sorted(_CHEAP_RUNS))
+def test_header_records_every_option(subcommand, mnist_dir, tmp_path):
+    net = tmp_path / "div.sp"
+    net.write_text("v1 in 0 dc 2\nr1 in 0 1k\n.op\n.end\n")
+    argv = [subcommand] + [a.format(dir=mnist_dir, net=net)
+                           for a in _CHEAP_RUNS[subcommand]]
+    out = tmp_path / "o.csv"
+    assert main(argv + ["--out", str(out)]) == 0
+    meta, _, _ = _read_csv(out)
+    options = vars(build_parser().parse_args(argv))
+    skipped = {"subcommand", "func", "out", "params", "set"}
+    assert set(options) >= skipped
+    for key, value in options.items():
+        if key not in skipped:
+            assert f"{key}: {value!r}" in meta

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from synapsim.engine import (AnalysisSpec, Capacitor, Circuit,
+from synapsim.engine import (AnalysisSpec, Capacitor, Circuit, CircuitError,
                              FloatGateElement, ISource, Mosfet, NetlistError,
                              PulseSpec, Resistor, RramElement, VSource,
                              parse_netlist, parse_number, serialize_netlist)
@@ -106,6 +106,49 @@ M1 d d 0 model=missing
 .end
 """)
     assert any("unknown model 'missing'" in m for m in exc.value.errors)
+
+
+def test_every_unbound_element_is_reported_on_its_line():
+    with pytest.raises(NetlistError) as exc:
+        parse_netlist("V1 d 0 DC 1\nM1 d d 0 model=missing\n"
+                      "XR1 d 0 model=gone\n.model nfet cmg\n"
+                      "XR2 d 0 model=nfet\n.end\n")
+    assert exc.value.errors == [
+        "line 2: element 'm1' references unknown model 'missing'",
+        "line 3: element 'xr1' references unknown model 'gone'",
+        "line 5: element 'xr2' needs a 'rram' model but 'nfet' is 'cmg'"]
+
+
+def test_resolve_raises_circuit_error_naming_every_element():
+    c = Circuit()
+    c.add(Mosfet("m1", "d", "d", "0", "missing"))
+    c.add(RramElement("xr1", "d", "0", "gone"))
+    with pytest.raises(CircuitError) as exc:
+        c.resolve()
+    assert set(exc.value.by_element) == {"m1", "xr1"}
+    assert "'missing'" in str(exc.value) and "'gone'" in str(exc.value)
+
+
+def test_ground_error_has_no_line():
+    with pytest.raises(NetlistError) as exc:
+        parse_netlist("V1 a b DC 1\nR1 a b 1k\n.op\n.end\n")
+    assert exc.value.errors == ["no element connects to ground node 0"]
+
+
+@pytest.mark.parametrize("name", ["pulsed", "pulse2"])
+def test_names_starting_with_pulse_parse(name):
+    r = parse_netlist(f".model {name} rram\nV1 {name} 0 DC 1\n"
+                      f"XR1 {name} 0 model={name}\n.op\n.end\n")
+    assert r.circuit.element("v1").terminals == (name, "0")
+    assert r.circuit.element("xr1").model == name
+
+
+@pytest.mark.parametrize("card", ["V1 a 0 PULSE(0 1",
+                                  "V1 a 0 PULSE 0 1 0 1n 1n 5n 10n"])
+def test_unclosed_or_bare_pulse_is_malformed(card):
+    with pytest.raises(NetlistError) as exc:
+        parse_netlist(f"{card}\nR1 a 0 1k\n.end\n")
+    assert exc.value.errors == ["line 1: malformed PULSE(...) clause"]
 
 
 def test_dangling_node_warning():
