@@ -21,7 +21,8 @@ import numpy as np
 from . import __version__
 from .bench import bench_model_eval
 from .engine import (AnalysisSpec, ConvergenceError, NetlistError, SimResult,
-                     TransientError, parse_netlist, run_analysis)
+                     TransientError, parse_netlist, run_analysis,
+                     serialize_netlist)
 from .floatgate import FloatingGateParams, fg_read_current, program_pulse
 from .mosfet import (ChargeSolveError, MosParams, drain_current,
                      gummel_current, terminal_charges)
@@ -251,10 +252,11 @@ def cmd_run(args) -> int:
     if not parsed.analyses:
         print("run: netlist has no analysis card", file=sys.stderr)
         return EXIT_USAGE
+    # the netlist as parsed, one card per line: it parses back to this run
+    cards = serialize_netlist(parsed.circuit, parsed.analyses).splitlines()
     for spec in parsed.analyses:
         result = run_analysis(parsed.circuit, spec)
-    meta = _metadata(args, {},
-                     analyses=", ".join(s.kind for s in parsed.analyses))
+    meta = _metadata(args, {}) + [f"card: {card}" for card in cards]
     _write(args, result.columns, result.data, meta)
     return EXIT_OK
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -47,17 +46,18 @@ class SimResult:
     columns: list[str]
     data: np.ndarray
     metadata: list[str] = field(default_factory=list)
+    # lower-cased column name -> index, the first match winning; built
+    # from the columns unless given (the analyses pass their layout's)
+    index: Optional[dict] = field(default=None, repr=False, compare=False)
 
-    @cached_property
-    def _index(self) -> dict:
-        """Lower-cased column name -> index; the first match wins."""
-        index = {}
-        for i, c in enumerate(self.columns):
-            index.setdefault(c.lower(), i)
-        return index
+    def __post_init__(self):
+        if self.index is None:
+            self.index = {}
+            for i, c in enumerate(self.columns):
+                self.index.setdefault(c.lower(), i)
 
     def column(self, name: str) -> np.ndarray:
-        i = self._index.get(name.lower())
+        i = self.index.get(name.lower())
         if i is None:
             raise KeyError(name)
         return self.data[:, i]
@@ -81,8 +81,9 @@ def operating_point(circuit: Circuit, spec: AnalysisSpec) -> SimResult:
     layout = SystemLayout(circuit)
     spec.check()
     x = solve_dc(layout, spec)
-    return SimResult(columns=layout.column_names(),
-                     data=x.reshape(1, -1).copy())
+    columns, index = layout.columns()
+    return SimResult(columns=columns, data=x.reshape(1, -1).copy(),
+                     index=index)
 
 
 def dc_sweep(circuit: Circuit, spec: AnalysisSpec) -> SimResult:
@@ -103,7 +104,8 @@ def dc_sweep(circuit: Circuit, spec: AnalysisSpec) -> SimResult:
         x = solve_dc(layout, spec, x0=x, src_override={src: float(val)})
         rows[k, 0] = val
         rows[k, 1:] = x
-    return SimResult(columns=[src] + layout.column_names(), data=rows)
+    columns, index = layout.columns((src,))
+    return SimResult(columns=columns, data=rows, index=index)
 
 
 def transient(circuit: Circuit, spec: AnalysisSpec) -> SimResult:
@@ -146,7 +148,8 @@ def transient(circuit: Circuit, spec: AnalysisSpec) -> SimResult:
     layout.store_state(x)
     data = np.column_stack([np.array(times),
                             np.vstack(rows)])
-    return SimResult(columns=["time"] + layout.column_names(), data=data)
+    columns, index = layout.columns(("time",))
+    return SimResult(columns=columns, data=data, index=index)
 
 
 def run_analysis(circuit: Circuit, spec: AnalysisSpec) -> SimResult:

@@ -30,7 +30,9 @@ charge row), each one set of index arrays over every element that uses
 it; per analysis mode the layout compiles the COO pattern of every
 residual, scale and Jacobian contribution and the scatter of the
 condensed system.  An assembly gathers terminal voltages, calls each
-device model once per element, and scatters everything in one
+device model once per element, except the RRAM model, which it calls
+once per stamp on arrays when the stamp has many elements (on Python
+floats per element when it has few), and scatters everything in one
 ``np.bincount``.
 
 Element numerics live in one table, ``_KINDS``, with one entry per
@@ -43,6 +45,7 @@ here, and a primitive stamp class if no existing one fits.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
@@ -60,6 +63,11 @@ _RESID_FLOOR = 5e-15
 
 # padded vectors put ground at index 0, so node k is entry k and unknown
 # i is entry i + 1; ground entries are dropped by the compiled scatter
+
+# the fewest RRAM elements a stamp evaluates as one array call: the call
+# costs about 20 us more per assembly than one float call, a float call
+# about 2 us per element, and the two were measured equal at 16 elements
+_VECTOR_MIN = 16
 
 
 class ConvergenceError(Exception):
@@ -97,6 +105,9 @@ class EvalContext:
     sfactor: float = 1.0
     gmin: float = 0.0
     src_override: dict = field(default_factory=dict)
+    # DC: the carried device state as seeded into x (``initial_vector``),
+    # filled on first use when the analysis does not pass it
+    seed: Optional[np.ndarray] = None
 
 
 def _ints(values) -> np.ndarray:
@@ -128,7 +139,8 @@ def _trap_history(ctx: EvalContext) -> dict:
 #   ("row", r, cols): residual f of row r, its scale, then df/dx along
 #       each column in cols.
 # ``values(asm, v, out)`` appends, element by element, the values of
-# those slots in the same order (v holds the padded unknowns as floats).
+# those slots in the same order (v holds the padded unknowns as floats);
+# a ``vector`` stamp instead writes them all at once with ``fill``.
 # ``accept(ctx, v, x, aux)``, where present, records the history the
 # next trapezoidal step needs.  A stamp takes part only in its ``modes``.
 
@@ -136,6 +148,7 @@ def _trap_history(ctx: EvalContext) -> dict:
 class _Stamp:
     accept = None
     modes = ("dc", "tran")
+    vector = False
 
     def __init__(self, recs):
         self.recs = recs
@@ -230,7 +243,23 @@ class _Drain(_Stamp):
 
 
 class _Rram(_Stamp):
-    """RRAM conduction plus its state row, one model call per element."""
+    """RRAM conduction plus its state row.
+
+    A stamp of at least ``_VECTOR_MIN`` elements of one model card calls
+    the model once on arrays gathered through compiled indices
+    (``vector``), and ``fill`` writes its slots in place of ``values``;
+    a smaller one, or one of several cards, calls it per element on
+    Python floats.
+    """
+
+    def __init__(self, recs):
+        super().__init__(recs)
+        models = {r[1] for r in recs}
+        self.vector = self.n >= _VECTOR_MIN and len(models) == 1
+        if self.vector:
+            (self.params,) = models
+            self.npos, self.nneg, self.state = (
+                _ints(self.column(k)) for k in (2, 3, 4))
 
     # record: (name, RramParams, npos, nneg, state)
     def blocks(self, mode):
@@ -240,35 +269,54 @@ class _Rram(_Stamp):
             return [cur, ("row", state, (state,))]
         return [cur, ("row", state, (state, npos, nneg))]
 
+    @staticmethod
+    def _slots(ctx, key, p, vpn, s, held):
+        """Slot values of elements at terminal voltage vpn and state s, on
+        floats or arrays alike; ``held`` is the carried state in DC and
+        the previous step's in transient, ``key`` the trapezoidal
+        history's."""
+        i, di_dv, di_dx = rram_current_and_grads(p, vpn, s)
+        if ctx.mode == "dc":
+            return (i, di_dx, di_dv, -di_dv, s - held, abs(s) + abs(held), 1.0)
+        rate, dr_dv, dr_dx = state_rate_and_grads(p, vpn, s)
+        hist, h = _trap_history(ctx), ctx.h
+        if key in hist:
+            w = 0.5 * h
+            resid = s - held - w * (rate + hist[key])
+        else:
+            w = h
+            resid = s - held - w * rate
+        return (i, di_dx, di_dv, -di_dv,
+                resid, abs(s) + abs(held) + abs(w * rate),
+                1.0 - w * dr_dx, -w * dr_dv, w * dr_dv)
+
     def values(self, asm, v, out):
         ctx = asm.ctx
-        if ctx.mode == "dc":
-            carried = asm.layout.circuit.state
-            for name, params, npos, nneg, state in self.recs:
-                s = v[state]
-                i, di_dv, di_dx = rram_current_and_grads(
-                    params, v[npos] - v[nneg], s)
-                held = carried[name]
-                out += (i, di_dx, di_dv, -di_dv,
-                        s - held, abs(s) + abs(held), 1.0)
-            return
-        vp, hist, h = asm.v_prev(), _trap_history(ctx), ctx.h
+        dc = ctx.mode == "dc"
+        held = asm.layout.circuit.state if dc else asm.v_prev()
         for name, params, npos, nneg, state in self.recs:
-            s, s_prev, vpn = v[state], vp[state], v[npos] - v[nneg]
-            i, di_dv, di_dx = rram_current_and_grads(params, vpn, s)
-            rate, dr_dv, dr_dx = state_rate_and_grads(params, vpn, s)
-            if name in hist:
-                w = 0.5 * h
-                resid = s - s_prev - w * (rate + hist[name])
-            else:
-                w = h
-                resid = s - s_prev - w * rate
-            out += (i, di_dx, di_dv, -di_dv,
-                    resid, abs(s) + abs(s_prev) + abs(w * rate),
-                    1.0 - w * dr_dx, -w * dr_dv, w * dr_dv)
+            out += self._slots(ctx, name, params, v[npos] - v[nneg], v[state],
+                               held[name if dc else state])
+
+    def fill(self, asm, xp, blk):
+        """Write the slots, one row of ``blk`` per slot, from the padded
+        unknowns xp."""
+        ctx, rows = asm.ctx, self.state - 1
+        held = (asm.seed() if ctx.mode == "dc" else ctx.x_prev)[rows]
+        for k, value in enumerate(self._slots(
+                ctx, self, self.params, xp[self.npos] - xp[self.nneg],
+                xp[self.state], held)):
+            blk[k] = value
 
     def accept(self, ctx, v, x, aux):
         # the filament state leaves [0, 1] only by Newton overshoot
+        if self.vector:
+            rows = self.state - 1
+            x[rows] = np.clip(x[rows], 0.0, 1.0)
+            xp = np.concatenate(([0.0], x))
+            aux[self] = state_rate_and_grads(
+                self.params, xp[self.npos] - xp[self.nneg], xp[self.state])[0]
+            return
         for name, params, npos, nneg, state in self.recs:
             x[state - 1] = v[state] = s = min(max(v[state], 0.0), 1.0)
             aux[name] = state_rate_and_grads(params, v[npos] - v[nneg], s)[0]
@@ -353,7 +401,8 @@ def _floatgate_parts(e: FloatGateElement, n: dict, layout):
 class _Kind(NamedTuple):
     """One element kind's numerics: the (primitive, record) pairs the
     element compiles into; row, seed and state only for a kind with an
-    internal node (its row kind, start value and carried state)."""
+    internal node (its row kind, start value and carried state).  A kind
+    without a seed starts its row at the carried state itself."""
 
     parts: Callable                      # (e, nodes, layout) -> [(P, rec)]
     row: str = ""
@@ -375,8 +424,7 @@ _KINDS = {
     RramElement: _Kind(
         lambda e, n, lay: [(_Rram, (e.name, e.params, n[e.npos], n[e.nneg],
                                     n[e.internal_node]))],
-        row="state", seed=lambda e, x_held: x_held,
-        state=lambda e, x, nodes: _v(x, nodes[e.internal_node])),
+        row="state", state=lambda e, x, nodes: _v(x, nodes[e.internal_node])),
     FloatGateElement: _Kind(
         _floatgate_parts, row="fg",
         seed=lambda e, q_held: q_held / e.params.c_total, state=_fg_charge),
@@ -431,9 +479,22 @@ class SystemLayout:
                 records.setdefault(prim, []).append(rec)
         stamps = [prim(records[prim]) for prim in _PRIMITIVES
                   if prim in records]
-        # mode -> the stamps that take part in it
+        # mode -> the stamps that take part in it; the assembly loops over
+        # the per-element ones and fills the vector ones
         self.stamps = {mode: [st for st in stamps if mode in st.modes]
                        for mode in ("dc", "tran")}
+        self.scalar = {mode: [st for st in sts if not st.vector]
+                       for mode, sts in self.stamps.items()}
+        self.vector = {mode: [st for st in sts if st.vector]
+                       for mode, sts in self.stamps.items()}
+        # rows that start at the carried state itself, gathered in one call
+        direct = [(e.name, row) for e, row in self.internal
+                  if _KINDS[type(e)].seed is None]
+        self._seeded = [(e, row) for e, row in self.internal
+                        if _KINDS[type(e)].seed is not None]
+        self._direct_rows = _ints([row for _, row in direct])
+        self._direct_state = (operator.itemgetter(*(n for n, _ in direct))
+                              if direct else None)
         # RRAM states that no element uses as a terminal are condensed
         terminals = {nodes[t] for e in circuit.elements for t in e.terminals}
         self.condensed = tuple(nodes[e.internal_node]
@@ -444,6 +505,7 @@ class SystemLayout:
         self.solved_size = self.size - len(self.condensed)
         self._patterns: dict = {}
         self._abstols: dict = {}
+        self._results: dict = {}
 
     def pattern(self, mode: str, gmin: bool) -> "_Pattern":
         """Compiled contribution pattern of one mode, with or without the
@@ -451,7 +513,7 @@ class SystemLayout:
         key = (mode, gmin)
         pat = self._patterns.get(key)
         if pat is None:
-            groups = [(st.n, tuple(st.blocks(mode)))
+            groups = [(st.n, tuple(st.blocks(mode)), st.vector)
                       for st in self.stamps[mode]]
             gmin_rows = None
             if gmin:
@@ -459,7 +521,7 @@ class SystemLayout:
                 gmin_rows = tuple(r + 1 for r in range(self.n_nodes - 1)
                                   if self.row_kind[r] in kcl)
                 groups.append((len(gmin_rows),
-                               (("row", gmin_rows, (gmin_rows,)),)))
+                               (("row", gmin_rows, (gmin_rows,)),), False))
             pat = self._patterns[key] = _compiled_pattern(
                 self.size, self.condensed, tuple(groups), gmin_rows)
         return pat
@@ -481,14 +543,27 @@ class SystemLayout:
             return self.node_names[row + 1]
         return "i(" + self.vsrc[row - (self.n_nodes - 1)].name + ")"
 
-    def column_names(self) -> list[str]:
-        return list(self._columns)
+    def columns(self, lead: tuple = ()) -> tuple[list, dict]:
+        """Column names of a result whose rows are the ``lead`` values and
+        then x, and its lower-cased name -> index map (the first match
+        wins), compiled once per lead."""
+        out = self._results.get(lead)
+        if out is None:
+            names = [*lead, *self._columns]
+            index: dict = {}
+            for i, name in enumerate(names):
+                index.setdefault(name.lower(), i)
+            out = self._results[lead] = (names, index)
+        return list(out[0]), out[1]
 
     def initial_vector(self) -> np.ndarray:
         """All-zero start, except carried device state."""
         x = np.zeros(self.size)
-        for e, row in self.internal:
-            x[row] = _KINDS[type(e)].seed(e, self.circuit.state[e.name])
+        state = self.circuit.state
+        if self._direct_state is not None:
+            x[self._direct_rows] = self._direct_state(state)
+        for e, row in self._seeded:
+            x[row] = _KINDS[type(e)].seed(e, state[e.name])
         return x
 
     def store_state(self, x: np.ndarray) -> None:
@@ -501,18 +576,21 @@ class SystemLayout:
 def _coo(groups):
     """Slot layout of the stamps' values and the COO entries they feed.
 
-    ``groups`` holds (element count, blocks) per stamp, whose values run
-    element by element.  Returns, in padded indices, the residual
-    entries (row, slot, sign), the scale slot of each residual entry
-    (same row, absolute value taken), the Jacobian entries (row, col,
-    slot, sign) and the number of slots.
+    ``groups`` holds (element count, blocks, vector) per stamp, whose
+    values run element by element.  Returns, in padded indices, the
+    residual entries (row, slot, sign), the scale slot of each residual
+    entry (same row, absolute value taken), the Jacobian entries (row,
+    col, slot, sign), the number of slots and each group's (first slot,
+    slots per element).
     """
     f_rows, f_slot, f_sign, s_slot = [], [], [], []
     j_rows, j_cols, j_slot, j_sign = [], [], [], []
+    spans = []
     off = 0
-    for n, blocks in groups:
+    for n, blocks, _ in groups:
         width = sum((1 if b[0] == "cur" else 2) + len(b[-1]) for b in blocks)
         slot = off + width * np.arange(n)
+        spans.append((off, width))
         off += width * n
         for blk in blocks:
             cols = [_ints(c) for c in blk[-1]]
@@ -541,15 +619,17 @@ def _coo(groups):
 
     return (cat(f_rows, np.intp), cat(f_slot, np.intp), cat(f_sign, float),
             cat(s_slot, np.intp), cat(j_rows, np.intp), cat(j_cols, np.intp),
-            cat(j_slot, np.intp), cat(j_sign, float), off)
+            cat(j_slot, np.intp), cat(j_sign, float), off, spans)
 
 
 class _Pattern:
     """One mode's compiled scatter.
 
     The stamps' values are concatenated into one array, ``raw`` (slots
-    as laid out by ``_coo``).  One bincount over values gathered from
-    ``raw`` fills four regions: the full residual, the full scale, the
+    as laid out by ``_coo``): the per-element stamps' list is ``raw``
+    when no stamp is a vector one, and goes to ``scalar_slots`` beside
+    each vector stamp's ``views`` block otherwise.  One bincount over
+    values gathered from ``raw`` fills four regions: the full residual, the full scale, the
     condensed residual and the condensed Jacobian (dense, padded).
     Condensing state x with diagonal a_x, residual f_x, column entries
     J[r, x] and row entries J[x, c] adds -J[r, x] f_x / a_x to the
@@ -560,8 +640,17 @@ class _Pattern:
 
     def __init__(self, size: int, condensed: tuple, groups, gmin_rows):
         (f_rows, f_slot, f_sign, s_slot, j_rows, j_cols, j_slot, j_sign,
-         self.n_raw) = _coo(groups)
+         self.n_raw, spans) = _coo(groups)
         self.gmin_rows = gmin_rows
+        # (first slot, end, slots per element) of each vector stamp, and
+        # the slots of the others, which run in assembly order
+        self.vector = tuple((off, off + width * n, width) for (off, width),
+                            (n, _, vector) in zip(spans, groups) if vector)
+        if self.vector:
+            scalar = np.ones(self.n_raw, bool)
+            for lo, hi, _ in self.vector:
+                scalar[lo:hi] = False
+            self.scalar_slots = np.flatnonzero(scalar)
         self.j_rows, self.j_cols, self.j_slot, self.j_sign = (
             j_rows, j_cols, j_slot, j_sign)
 
@@ -635,6 +724,12 @@ class _Pattern:
             j_base + cpos[j_rows[j_keep]] * m1 + cpos[j_cols[j_keep]],
             j_base + fill_rows[fill] * m1 + fill_cols[fill]))
 
+    def views(self, raw: np.ndarray) -> list:
+        """Each vector stamp's block of ``raw``, one row per slot of an
+        element and one column per element."""
+        return [raw[lo:hi].reshape(-1, width).T
+                for lo, hi, width in self.vector]
+
     def scatter(self, raw: np.ndarray):
         """(f, jacobian, scale) from the stamps' concatenated values."""
         assert len(raw) == self.n_raw
@@ -706,6 +801,12 @@ class Assembler:
             self._v_prev = [0.0] + self.ctx.x_prev.tolist()
         return self._v_prev
 
+    def seed(self) -> np.ndarray:
+        """The DC carried-state vector, read once per context."""
+        if self.ctx.seed is None:
+            self.ctx.seed = self.layout.initial_vector()
+        return self.ctx.seed
+
     def assemble(self, x: np.ndarray):
         """(f, jacobian, scale) at x; the jacobian's ``newton_step()``
         solves the condensed system and ``dense()`` gives the full J."""
@@ -713,13 +814,20 @@ class Assembler:
         pat = self.layout.pattern(ctx.mode, ctx.gmin != 0.0)
         v = [0.0] + x.tolist()
         out: list = []
-        for st in self.layout.stamps[ctx.mode]:
+        for st in self.layout.scalar[ctx.mode]:
             st.values(self, v, out)
         if pat.gmin_rows is not None:
             gmin = ctx.gmin
             for r in pat.gmin_rows:
                 out += (gmin * v[r], 0.0, gmin)
-        return pat.scatter(np.array(out, dtype=float))
+        if not pat.vector:
+            return pat.scatter(np.array(out, dtype=float))
+        raw = np.empty(pat.n_raw)
+        raw[pat.scalar_slots] = out
+        xp = np.concatenate(([0.0], x))
+        for st, blk in zip(self.layout.vector[ctx.mode], pat.views(raw)):
+            st.fill(self, xp, blk)
+        return pat.scatter(raw)
 
 
 def _residual_ok(layout: SystemLayout, f, scale, tol: Tolerances) -> bool:
@@ -772,14 +880,15 @@ def solve_dc(layout: SystemLayout, tol: Tolerances,
              src_override: Optional[dict] = None) -> np.ndarray:
     """Operating point with gmin-stepping and source-stepping fallbacks."""
     override = src_override or {}
+    seed = layout.initial_vector()
 
     def attempt(xstart, sfactor=1.0, gmin=None):
         ctx = EvalContext(mode="dc", sfactor=sfactor,
                           gmin=tol.gmin if gmin is None else gmin,
-                          src_override=override)
+                          src_override=override, seed=seed)
         return newton_solve(layout, ctx, xstart, tol)
 
-    start = layout.initial_vector() if x0 is None else x0
+    start = seed if x0 is None else x0
     x, ok, worst = attempt(start)
     if ok:
         return x
@@ -799,7 +908,7 @@ def solve_dc(layout: SystemLayout, tol: Tolerances,
             return x
 
     # source stepping from the dead circuit
-    x = layout.initial_vector()
+    x = seed
     lam, step = 0.0, 0.25
     while lam < 1.0:
         target = min(1.0, lam + step)

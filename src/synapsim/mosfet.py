@@ -87,27 +87,36 @@ _SYMMETRIC_SPLIT = 1e-6
 
 # The elementwise operations of the model formulas, picked once per call
 # by ``_ops``.  Python floats (np.float64 among them) run the exact or
-# correctly rounded operations (clip, minimum, abs, sqrt, copysign) as
-# builtins and the transcendentals as the same numpy ufuncs converted
-# back with float(); that is several times cheaper than numpy's 0-d array
-# round trip and bit-identical to the array path.  math.exp/math.log are not:
-# their last bit differs from numpy's on some inputs.  min(max(x, lo),
-# hi) keeps clip's NaN propagation, since a NaN first argument wins every
-# builtin comparison.  Float division raises on a zero divisor where
-# numpy returns inf; no divisor of these formulas comes near zero (the
-# Householder denominator measured above 0.8 from -100 V to 2e4 V).
+# correctly rounded operations as builtins or conditional expressions and
+# the exp/log family as the same numpy ufuncs converted back with float();
+# that is several times cheaper than numpy's 0-d array round trip and
+# bit-identical to the array path (math.exp/math.log are not: their last
+# bit differs from numpy's on some inputs).  clip, minimum and maximum
+# return what min(max(x, lo), hi), min and max return, signed zeros and
+# NaN included (a NaN fails every comparison), at a third of the
+# builtins' cost; where is an if.  sinh and cosh, which only the RRAM
+# model uses, are math's on floats, as its one-device stamp always ran
+# them, and can differ from numpy's in the last bit (under 1e-15
+# relative).  Float division raises on a zero divisor where numpy returns
+# inf; no divisor of these formulas comes near zero (the Householder
+# denominator measured above 0.8 from -100 V to 2e4 V).
 _ARRAY_OPS = SimpleNamespace(
     exp=np.exp, log=np.log, log1p=np.log1p, logaddexp=np.logaddexp,
-    sqrt=np.sqrt, clip=np.clip, minimum=np.minimum, abs=np.abs,
-    copysign=np.copysign)
+    sqrt=np.sqrt, clip=np.clip, minimum=np.minimum, maximum=np.maximum,
+    abs=np.abs, copysign=np.copysign, sinh=np.sinh, cosh=np.cosh,
+    where=np.where)
 _FLOAT_OPS = SimpleNamespace(
     exp=lambda x: float(np.exp(x)),
     log=lambda x: float(np.log(x)),
     log1p=lambda x: float(np.log1p(x)),
     logaddexp=lambda x, y: float(np.logaddexp(x, y)),
     sqrt=math.sqrt,
-    clip=lambda x, lo, hi: min(max(x, lo), hi),
-    minimum=min, abs=abs, copysign=math.copysign)
+    clip=lambda x, lo, hi: lo if x < lo else (hi if x > hi else x),
+    minimum=lambda a, b: b if b < a else a,
+    maximum=lambda a, b: b if b > a else a,
+    abs=abs, copysign=math.copysign,
+    sinh=math.sinh, cosh=math.cosh,
+    where=lambda cond, a, b: a if cond else b)
 
 
 def _ops(*values):

@@ -17,6 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .mosfet import _ops
+
 # sinh argument guard: keeps intermediate Newton iterates finite without
 # altering any result for |V| < 500*V0 (exp(500) is representable).
 _SINH_ARG_MAX = 500.0
@@ -67,8 +69,11 @@ def conductance(p: RramParams, x):
     The clamp only affects evaluation at out-of-range iterates; accepted
     solutions keep X inside the interval.
     """
-    xc = np.clip(x, 0.0, 1.0)
-    return p.g_off * np.exp(p.ln_g_ratio * xc)
+    return _conductance(p, x, _ops(x))
+
+
+def _conductance(p: RramParams, x, ops):
+    return p.g_off * ops.exp(p.ln_g_ratio * ops.clip(x, 0.0, 1.0))
 
 
 def state_for_conductance(p: RramParams, g):
@@ -86,35 +91,29 @@ def state_for_conductance(p: RramParams, g):
 
 
 def rram_current(p: RramParams, v, x):
-    """Terminal current I = G(X) * v0 * sinh(V / v0)."""
-    arg = np.clip(np.asarray(v, dtype=float) / p.v0, -_SINH_ARG_MAX,
-                  _SINH_ARG_MAX)
-    i = conductance(p, x) * p.v0 * np.sinh(arg)
-    return float(i) if np.isscalar(v) or np.ndim(v) == 0 else i
+    """Terminal current I = G(X) * v0 * sinh(V / v0), evaluated on numpy
+    arrays: a float argument gives a numpy float with the array path's
+    bits."""
+    return rram_current_and_grads(p, np.asarray(v, dtype=float),
+                                  np.asarray(x, dtype=float))[0]
 
 
-def rram_current_and_grads(p: RramParams, v: float, x: float):
-    """(I, dI/dV, dI/dX) for Newton assembly.
+def rram_current_and_grads(p: RramParams, v, x):
+    """(I, dI/dV, dI/dX) for Newton assembly, on floats or arrays.
 
     dI/dX is zero where the conductance clamp is active so the linearized
-    model stays consistent with the evaluated current.  This scalar twin
-    of ``rram_current`` stays because the engine calls it once per device
-    and a numpy call per device costs more than the model (ROADMAP
-    item 7).
+    model stays consistent with the evaluated current.
     """
-    arg = min(max(v / p.v0, -_SINH_ARG_MAX), _SINH_ARG_MAX)
-    # scalar form of ``conductance``: np.exp (not math.exp) keeps g
-    # bit-identical to the array path.  math.sinh/math.cosh are not
-    # numpy's SIMD kernels, so I can differ from ``rram_current`` in the
-    # last bit (under 1e-15 relative)
-    g = float(p.g_off * np.exp(p.ln_g_ratio * min(max(x, 0.0), 1.0)))
-    i = g * p.v0 * math.sinh(arg)
-    di_dv = g * math.cosh(arg)
-    di_dx = p.ln_g_ratio * i if 0.0 <= x <= 1.0 else 0.0
+    ops = _ops(v, x)
+    arg = ops.clip(v / p.v0, -_SINH_ARG_MAX, _SINH_ARG_MAX)
+    g = _conductance(p, x, ops)
+    i = g * p.v0 * ops.sinh(arg)
+    di_dv = g * ops.cosh(arg)
+    di_dx = ops.where((x >= 0.0) & (x <= 1.0), p.ln_g_ratio * i, 0.0)
     return i, di_dv, di_dx
 
 
-def state_rate(p: RramParams, v: float, x: float) -> float:
+def state_rate(p: RramParams, v, x):
     """dX/dt: positive bias drives X toward 1, negative toward 0.
 
     dX/dt = k_set  * sinh(V/vc_set)   * max(1-X, 0)**p   for V >= 0
@@ -123,26 +122,23 @@ def state_rate(p: RramParams, v: float, x: float) -> float:
     return state_rate_and_grads(p, v, x)[0]
 
 
-def state_rate_and_grads(p: RramParams, v: float, x: float):
-    """(dX/dt, d(rate)/dV, d(rate)/dX)."""
-    if v >= 0.0:
-        k, vc = p.k_set, p.vc_set
-        base = 1.0 - x
-        dbase_dx = -1.0
-    else:
-        k, vc = p.k_reset, p.vc_reset
-        base = x
-        dbase_dx = 1.0
-    arg = min(max(v / vc, -_SINH_ARG_MAX), _SINH_ARG_MAX)
-    w = max(base, 0.0) ** p.p
-    rate = k * math.sinh(arg) * w
-    dr_dv = k * math.cosh(arg) / vc * w
-    if base > 0.0:
-        dw_dx = p.p * max(base, 0.0) ** (p.p - 1.0) * dbase_dx
-    else:
-        dw_dx = 0.0
-    dr_dx = k * math.sinh(arg) * dw_dx
-    return rate, dr_dv, dr_dx
+def state_rate_and_grads(p: RramParams, v, x):
+    """(dX/dt, d(rate)/dV, d(rate)/dX), on floats or arrays."""
+    ops = _ops(v, x)
+    set_ = v >= 0.0
+    k = ops.where(set_, p.k_set, p.k_reset)
+    vc = ops.where(set_, p.vc_set, p.vc_reset)
+    # the window's base: the distance to the bound the bias drives toward
+    base = ops.where(set_, 1.0 - x, x)
+    arg = ops.clip(v / vc, -_SINH_ARG_MAX, _SINH_ARG_MAX)
+    pos = ops.maximum(base, 0.0)
+    w = pos ** p.p
+    k_sinh = k * ops.sinh(arg)
+    dr_dv = k * ops.cosh(arg) / vc * w
+    dw_dx = ops.where(base > 0.0,
+                      p.p * pos ** (p.p - 1.0) * ops.where(set_, -1.0, 1.0),
+                      0.0)
+    return k_sinh * w, dr_dv, k_sinh * dw_dx
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from synapsim.cli import build_parser, main
+from synapsim.engine import parse_netlist, run_analysis, serialize_netlist
 from synapsim.mosfet import MosParams, drain_current
 from test_mnist_loader import _image_bytes, _label_bytes
 
@@ -141,6 +142,26 @@ def test_run_voltage_divider(tmp_path):
     assert main(["run", str(net), "--out", str(out)]) == 0
     _, header, rows = _read_csv(out)
     assert rows[0][header.index("v(mid)")] == pytest.approx(1.5, rel=1e-12)
+
+
+def test_run_header_reparses_to_the_same_circuit(tmp_path):
+    net = tmp_path / "cell.sp"
+    net.write_text(".model mem rram g_on=2m\n"
+                   "v1 in 0 PULSE(0 1 1n 1n 1n 20n 50n)\n"
+                   "r1 in a 1k\nxr1 a 0 model=mem x0=0.25\n"
+                   ".op\n.tran 1n 30n uic\n.end\n")
+    out = tmp_path / "cell.csv"
+    assert main(["run", str(net), "--out", str(out)]) == 0
+    meta, _, rows = _read_csv(out)
+    cards = [m[len("card: "):] for m in meta if m.startswith("card: ")]
+    parsed = parse_netlist("\n".join(cards))
+    original = parse_netlist(net.read_text())
+    assert (serialize_netlist(parsed.circuit, parsed.analyses)
+            == serialize_netlist(original.circuit, original.analyses))
+    assert [s.kind for s in parsed.analyses] == ["op", "tran"]
+    # the rebuilt run gives the recorded rows
+    res = [run_analysis(parsed.circuit, s) for s in parsed.analyses][-1]
+    np.testing.assert_allclose(res.data, rows, rtol=1e-14, atol=0)
 
 
 def test_crossbar_and_device_and_software_learn_and(tmp_path):

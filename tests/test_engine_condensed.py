@@ -3,16 +3,21 @@
 The condensed step (RRAM states eliminated, solve over the rest, states
 back-substituted) is checked against a dense solve of the full Jacobian
 on random small netlists; the compiled layout is checked for its solved
-size and for dropping its cache when the circuit grows.
+size and for dropping its cache when the circuit grows.  The RRAM stamp
+calls its model per device on floats when it has few devices and once
+on arrays when it has many; the two paths are checked against each
+other.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import synapsim.engine.mna as mna
 from synapsim.engine import (AnalysisSpec, Capacitor, Circuit, ISource,
                              Mosfet, Resistor, RramElement, SystemLayout,
-                             VSource, operating_point)
+                             VSource, operating_point, parse_netlist,
+                             run_analysis)
 from synapsim.engine.mna import Assembler, EvalContext, post_step_aux
 from synapsim.mosfet import MosParams
 from synapsim.neuro import CrossbarSpec, build_crossbar, read_outputs
@@ -64,10 +69,16 @@ def _random_point(layout, rng):
 
 @settings(max_examples=60, deadline=None)
 @given(circuit=netlists(), mode=st.sampled_from(["dc", "be", "trap"]),
-       gmin=st.sampled_from([0.0, 1e-6]), seed=st.integers(0, 2 ** 32 - 1))
-def test_condensed_step_equals_full_solve(circuit, mode, gmin, seed):
+       gmin=st.sampled_from([0.0, 1e-6]), seed=st.integers(0, 2 ** 32 - 1),
+       vector_min=st.sampled_from([2, mna._VECTOR_MIN]))
+def test_condensed_step_equals_full_solve(circuit, mode, gmin, seed,
+                                          vector_min):
     rng = np.random.default_rng(seed)
-    layout = SystemLayout(circuit)
+    # a vector_min of 2 puts every stamp of two or more RRAM devices on
+    # the array path, which these small circuits reach no other way
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mna, "_VECTOR_MIN", vector_min)
+        layout = SystemLayout(circuit)
     x = _random_point(layout, rng)
     if mode == "dc":
         ctx = EvalContext(mode="dc", gmin=gmin)
@@ -117,3 +128,56 @@ def test_element_added_after_an_analysis_is_seen():
     before = SystemLayout(c)
     c.add_model("mem", "rram", RramParams())
     assert SystemLayout(c) is not before
+
+
+def _pulse_copies(k: int, card: str) -> str:
+    """k disjoint copies of a one-device pulse circuit: a source driving
+    an RRAM device through a series resistor."""
+    lines = [".model mem rram"]
+    for j in range(k):
+        lines += [f"v{j} in{j} 0 dc 0.8", f"r{j} in{j} a{j} 100",
+                  f"xr{j} a{j} 0 model=mem x0=0.3"]
+    return "\n".join(lines + [card, ".end"])
+
+
+@pytest.mark.parametrize("card,integrator", [(".op", "be"),
+                                             (".tran 1n 40n", "be"),
+                                             (".tran 1n 40n", "trap")])
+def test_array_stamp_matches_one_device_float_stamp(card, integrator):
+    k_array = mna._VECTOR_MIN
+    assert SystemLayout(parse_netlist(_pulse_copies(
+        k_array, card)).circuit).vector["dc"]
+    results = []
+    for k in (1, k_array):
+        parsed = parse_netlist(_pulse_copies(k, card))
+        spec = parsed.analyses[0]
+        spec.integrator = integrator
+        results.append(run_analysis(parsed.circuit, spec))
+    one, copies = results
+    # the transient moves the state, so the whole model is exercised
+    assert one.column("v(xr0#x)")[-1] > (0.7 if card != ".op" else 0.29)
+    for j in range(k_array):
+        for col in ("v(a{})", "i(v{})", "v(xr{}#x)"):
+            np.testing.assert_allclose(copies.column(col.format(j)),
+                                       one.column(col.format(0)),
+                                       rtol=1e-15, atol=0)
+
+
+def test_rram_stamp_passes_floats_for_few_devices_arrays_for_many(
+        monkeypatch):
+    seen = []
+    model = mna.rram_current_and_grads
+
+    def spy(p, v, x):
+        seen.append((type(v), type(x), np.shape(v)))
+        return model(p, v, x)
+
+    monkeypatch.setattr(mna, "rram_current_and_grads", spy)
+    many = mna._VECTOR_MIN
+    for k, expected in ((1, (float, float, ())),
+                        (many - 1, (float, float, ())),
+                        (many, (np.ndarray, np.ndarray, (many,)))):
+        seen.clear()
+        operating_point(parse_netlist(_pulse_copies(k, ".op")).circuit,
+                        AnalysisSpec(kind="op"))
+        assert seen and set(seen) == {expected}

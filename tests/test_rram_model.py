@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from synapsim.rram import (RramParams, conductance, rram_current,
-                           rram_current_and_grads, state_rate,
+from synapsim.rram import (_SINH_ARG_MAX, RramParams, conductance,
+                           rram_current, rram_current_and_grads, state_rate,
                            state_rate_and_grads)
 
 
@@ -124,17 +124,43 @@ def test_param_validation():
         RramParams(v0=0.0)
 
 
-def test_scalar_current_within_1e15_of_array_path():
-    # the scalar twin shares np.exp for G but uses math.sinh, which can
-    # differ from numpy's sinh in the last bit
+def _parity_points():
+    """(V, X) points for the float/array parity check: random biases and
+    states, X outside [0, 1], V = +-0 where the rate switches from SET to
+    RESET, |V| beyond the sinh guard of both laws, and NaNs."""
     p = RramParams()
     rng = np.random.default_rng(20261018)
-    v = rng.uniform(-2.0, 2.0, 20000)
-    x = rng.uniform(0.0, 1.0, 20000)
-    i_arr = rram_current(p, v, x)
-    i_scalar = np.array([rram_current_and_grads(p, float(a), float(b))[0]
-                         for a, b in zip(v, x)])
-    np.testing.assert_allclose(i_scalar, i_arr, rtol=1e-15, atol=0)
+    n = 60000
+    v = rng.uniform(-3.0, 3.0, n)
+    x = rng.uniform(-0.5, 1.5, n)
+    v[:2000] = 0.0
+    v[2000:4000] = -0.0
+    big = _SINH_ARG_MAX * max(p.v0, p.vc_set, p.vc_reset)
+    v[4000:6000] = rng.uniform(big, 3.0 * big, 2000) * rng.choice(
+        [-1.0, 1.0], 2000)
+    x[6000:8000] = rng.choice([0.0, 1.0, -0.0], 2000)
+    v[8000:8100] = np.nan
+    x[8100:8200] = np.nan
+    return p, v, x
+
+
+@pytest.mark.parametrize("fn", [rram_current_and_grads, state_rate_and_grads])
+def test_float_and_array_paths_agree(fn):
+    # the engine passes floats for a one-device stamp and arrays for a
+    # many-device one; math.sinh/math.cosh on floats may differ from
+    # numpy's in the last bit, so the paths agree to 1e-15 relative, and
+    # exactly on the zeros of dI/dX and of the window
+    p, v, x = _parity_points()
+    assert len(v) >= 50000
+    arrays = fn(p, v, x)
+    floats = np.array([fn(p, a, b) for a, b in zip(v.tolist(), x.tolist())])
+    assert all(type(q) is float for q in fn(p, 0.3, 0.4))
+    for k, (a, f) in enumerate(zip(arrays, floats.T)):
+        assert a.shape == v.shape
+        np.testing.assert_array_equal(np.isnan(f), np.isnan(a))
+        np.testing.assert_array_equal(f == 0.0, a == 0.0)
+        np.testing.assert_allclose(f, a, rtol=1e-15, atol=0)
+    assert np.isnan(arrays[0][8000:8200]).all()
 
 
 def test_vectorized_current():
