@@ -4,7 +4,8 @@ halving."""
 
 from ..paramfile import parse_number
 from .analysis import (AnalysisSpec, SimResult, TransientError, dc_sweep,
-                       operating_point, run_analysis, transient)
+                       operating_point, run_analysis, transient,
+                       transient_batch)
 from .circuit import (Capacitor, Circuit, CircuitError, FloatGateElement,
                       ISource, Mosfet, PulseSpec, Resistor, RramElement,
                       VSource)
@@ -14,7 +15,7 @@ from .netlist import (NetlistError, ParseResult, parse_netlist,
 
 __all__ = [
     "AnalysisSpec", "SimResult", "TransientError", "dc_sweep",
-    "operating_point", "run_analysis", "transient",
+    "operating_point", "run_analysis", "transient", "transient_batch",
     "Capacitor", "Circuit", "CircuitError", "FloatGateElement", "ISource",
     "Mosfet", "PulseSpec", "Resistor", "RramElement", "VSource",
     "ConvergenceError", "SystemLayout", "Tolerances",

@@ -5,25 +5,42 @@ option; the trapezoidal path takes its first step (and the first step
 after any history reset) with backward Euler because no companion
 history exists yet.  A failed Newton solve halves the step, down to
 tstep/1024; accepted steps grow back toward the base step.
+
+``transient_batch`` runs the transients of circuits of one topology in
+lockstep: each circuit keeps its own time, step, step halving and
+trapezoidal history, and at every step the circuits still running solve
+their Newton iterations together (``newton_solve_batch``).  Each
+circuit's result is bit for bit the one it gets alone.  ``transient`` is
+the one-circuit case; while a single circuit of a batch is still
+stepping, it steps through ``newton_solve``, the same loop with K = 1.
+Each transient result carries deterministic ``stats``: accepted steps,
+step halvings and Newton iterations.
 """
 
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
 
 from .circuit import Circuit
 from .mna import (EvalContext, SystemLayout, Tolerances, newton_solve,
-                  post_step_aux, solve_dc)
+                  newton_solve_batch, post_step_aux, solve_dc)
 
 _MIN_STEP_DIV = 1024.0
 
 
 class TransientError(Exception):
-    pass
+    """A transient that cannot step on; ``circuit`` is the failing
+    circuit's position in its batch and ``worst_row`` its worst residual
+    row."""
+
+    def __init__(self, message: str, circuit: int = 0, worst_row: str = ""):
+        super().__init__(message)
+        self.circuit = circuit
+        self.worst_row = worst_row
 
 
 @dataclass(kw_only=True)
@@ -49,6 +66,9 @@ class SimResult:
     # lower-cased column name -> index, the first match winning; built
     # from the columns unless given (the analyses pass their layout's)
     index: Optional[dict] = field(default=None, repr=False, compare=False)
+    # deterministic counts of the run: a transient's accepted steps,
+    # step halvings and Newton iterations
+    stats: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
         if self.index is None:
@@ -109,47 +129,120 @@ def dc_sweep(circuit: Circuit, spec: AnalysisSpec) -> SimResult:
 
 
 def transient(circuit: Circuit, spec: AnalysisSpec) -> SimResult:
-    if spec.tstep <= 0.0 or spec.tstop <= 0.0:
-        raise ValueError("transient needs positive tstep and tstop")
-    layout = SystemLayout(circuit)
-    spec.check()
+    """Transient analysis of one circuit: ``transient_batch`` with one
+    circuit."""
+    return transient_batch((circuit,), (spec,))[0]
 
-    if spec.uic:
-        x = layout.initial_vector()
-    else:
-        x = solve_dc(layout, spec)
 
-    times = [0.0]
-    rows = [x.copy()]
-    aux: dict = {}
-    t = 0.0
-    h = spec.tstep
-    h_min = spec.tstep / _MIN_STEP_DIV
-    while t < spec.tstop * (1.0 - 1e-12):
-        h_try = min(h, spec.tstop - t)
-        ctx = EvalContext(mode="tran", time=t + h_try, h=h_try,
-                          integrator=spec.integrator, x_prev=x,
-                          aux_prev=aux, gmin=spec.gmin)
-        x_new, ok, worst = newton_solve(layout, ctx, x, spec)
-        if not ok:
-            h *= 0.5
-            if h < h_min:
-                raise TransientError(
-                    f"timestep underflow at t={t:.6e} s (worst residual "
-                    f"row: {worst})")
-            continue
-        aux = post_step_aux(layout, ctx, x_new)
-        t += h_try
-        x = x_new
-        times.append(t)
-        rows.append(x.copy())
-        h = min(spec.tstep, 2.0 * h)
+class _Run:
+    """One circuit's stepping state in a lockstep transient."""
 
-    layout.store_state(x)
-    data = np.column_stack([np.array(times),
-                            np.vstack(rows)])
-    columns, index = layout.columns(("time",))
-    return SimResult(columns=columns, data=data, index=index)
+    def __init__(self, circuit: Circuit, spec: AnalysisSpec):
+        self.spec = spec
+        self.layout = layout = SystemLayout(circuit)
+        self.x = (layout.initial_vector() if spec.uic
+                  else solve_dc(layout, spec))
+        self.times, self.rows = [0.0], [self.x]
+        self.aux: dict = {}
+        self.t, self.h, self.tstep = 0.0, spec.tstep, spec.tstep
+        self.h_min = spec.tstep / _MIN_STEP_DIV
+        # only a trapezoidal run reads the companion history
+        self.trap = spec.integrator == "trap"
+        self.end = spec.tstop * (1.0 - 1e-12)
+        self.stats = {"steps": 0, "halvings": 0, "newton_iterations": 0}
+
+    def context(self) -> EvalContext:
+        """The context of this circuit's next step."""
+        h = min(self.h, self.spec.tstop - self.t)
+        return EvalContext(mode="tran", time=self.t + h, h=h,
+                           integrator=self.spec.integrator, x_prev=self.x,
+                           aux_prev=self.aux, gmin=self.spec.gmin)
+
+
+_TOL_FIELDS = tuple(f.name for f in fields(Tolerances))
+
+
+def transient_batch(circuits, specs) -> list:
+    """Transient analyses of circuits that share one topology, stepped in
+    lockstep; returns one SimResult per circuit.
+
+    Each circuit keeps its own time, step, step halving and trapezoidal
+    history; at every step the circuits still running solve their
+    Newton iterations together (``newton_solve_batch``), so each
+    circuit's result is bit for bit the one it has alone.  Each
+    result's ``stats`` counts the accepted steps, the halvings and the
+    Newton iterations of its stepping loop.  The specs must share their
+    tolerances, and the circuits their compiled pattern (ValueError
+    otherwise).  A timestep underflow raises TransientError naming the
+    circuit's position in the batch, and then no circuit's state is
+    written back.
+    """
+    if len(circuits) != len(specs) or not circuits:
+        raise ValueError("transient_batch needs one spec per circuit")
+    tol = specs[0]
+    for spec in specs:
+        if spec.tstep <= 0.0 or spec.tstop <= 0.0:
+            raise ValueError("transient needs positive tstep and tstop")
+        spec.check()
+        if any(getattr(spec, name) != getattr(tol, name)
+               for name in _TOL_FIELDS):
+            raise ValueError("the circuits of a batch must share their "
+                             "tolerances")
+    runs = [_Run(c, spec) for c, spec in zip(circuits, specs)]
+    if len(runs) > 1:
+        pattern = runs[0].layout.pattern("tran", tol.gmin != 0.0)
+        for run in runs:
+            if run.layout.pattern("tran", tol.gmin != 0.0) is not pattern:
+                raise ValueError("the circuits of a batch must share one "
+                                 "topology")
+
+    active = [run for run in runs if run.t < run.end]
+    while active:
+        if len(active) == 1:
+            # a lone circuit steps through newton_solve, the same loop
+            # with one circuit, which the benchmark traces per solve
+            run = active[0]
+            ctx = run.context()
+            steps = ((run, ctx, newton_solve(run.layout, ctx, run.x, tol)),)
+        else:
+            ctxs = [run.context() for run in active]
+            steps = zip(active, ctxs, newton_solve_batch(
+                [run.layout for run in active], ctxs,
+                [run.x for run in active], tol))
+        finished = False
+        for run, ctx, (x_new, ok, worst) in steps:
+            stats = run.stats
+            stats["newton_iterations"] += ctx.iterations
+            if not ok:
+                run.h *= 0.5
+                stats["halvings"] += 1
+                if run.h < run.h_min:
+                    where = (f" in circuit {runs.index(run)} of the batch"
+                             if len(runs) > 1 else "")
+                    raise TransientError(
+                        f"timestep underflow{where} at t={run.t:.6e} s "
+                        f"(worst residual row: {worst})",
+                        circuit=runs.index(run), worst_row=worst)
+                continue
+            run.aux = post_step_aux(run.layout, ctx, x_new, run.trap)
+            run.t = t = run.t + ctx.h
+            run.x = x_new
+            run.times.append(t)
+            run.rows.append(x_new)
+            run.h = min(run.tstep, 2.0 * run.h)
+            stats["steps"] += 1
+            finished = finished or t >= run.end
+        if finished:
+            active = [run for run in active if run.t < run.end]
+
+    results = []
+    for run in runs:
+        run.layout.store_state(run.x)
+        data = np.column_stack([np.array(run.times), np.vstack(run.rows)])
+        columns, index = run.layout.columns(("time",))
+        results.append(SimResult(columns=columns, data=data, index=index,
+                                 stats=run.stats))
+    return results
 
 
 def run_analysis(circuit: Circuit, spec: AnalysisSpec) -> SimResult:

@@ -35,6 +35,19 @@ once per stamp on arrays when the stamp has many elements (on Python
 floats per element when it has few), and scatters everything in one
 ``np.bincount``.
 
+Lockstep Newton loop: ``newton_solve_batch`` iterates K circuits that
+share one compiled pattern, each with its own ``EvalContext``.  Each
+iteration, every active circuit's stamps append their slot values (on
+floats, as for one circuit); then one ``np.bincount`` over index arrays
+stacked per circuit (``_Stack``, compiled once per pattern and K), one
+stacked ``np.linalg.solve`` and one stacked back-substitution serve all
+K.  Damping, the residual and update tests and the iteration cap stay
+per circuit, reductions run over the whole batch first and per circuit
+only when one fails, and a circuit that converges or fails leaves the
+active set, so each circuit runs exactly the iterates, and gets exactly
+the bits, it gets alone.  ``newton_solve`` is the K = 1 case of the same
+loop; its solve is the plain 2-D one.
+
 Element numerics live in one table, ``_KINDS``, with one entry per
 element class: the primitive stamps the element compiles into, and for a
 kind with an internal node its row kind, start value and carried state.
@@ -63,6 +76,11 @@ _RESID_FLOOR = 5e-15
 
 # padded vectors put ground at index 0, so node k is entry k and unknown
 # i is entry i + 1; ground entries are dropped by the compiled scatter
+
+# whole-array and per-row reductions, called on the ufuncs: the ndarray
+# methods add a Python frame per call, a measurable share of a
+# one-device Newton iteration
+_all, _max = np.logical_and.reduce, np.maximum.reduce
 
 # the fewest RRAM elements a stamp evaluates as one array call: the call
 # costs about 20 us more per assembly than one float call, a float call
@@ -108,6 +126,8 @@ class EvalContext:
     # DC: the carried device state as seeded into x (``initial_vector``),
     # filled on first use when the analysis does not pass it
     seed: Optional[np.ndarray] = None
+    # the assemblies the last Newton solve in this context ran
+    iterations: int = 0
 
 
 def _ints(values) -> np.ndarray:
@@ -141,8 +161,10 @@ def _trap_history(ctx: EvalContext) -> dict:
 # ``values(asm, v, out)`` appends, element by element, the values of
 # those slots in the same order (v holds the padded unknowns as floats);
 # a ``vector`` stamp instead writes them all at once with ``fill``.
-# ``accept(ctx, v, x, aux)``, where present, records the history the
-# next trapezoidal step needs.  A stamp takes part only in its ``modes``.
+# ``accept(ctx, v, x, aux)``, where present, records in aux the history
+# the next trapezoidal step needs (aux is None when no step will read
+# it) and clamps what must be clamped.  A stamp takes part only in its
+# ``modes``.
 
 
 class _Stamp:
@@ -188,6 +210,8 @@ class _Companion(_Stamp):
             out += (i, geq, -geq)
 
     def accept(self, ctx, v, x, aux):
+        if aux is None:
+            return
         vp, hist = [0.0] + ctx.x_prev.tolist(), _trap_history(ctx)
         for n1, n2, cap, key in self.recs:
             aux[key] = _companion(cap, key, v[n1] - v[n2], vp[n1] - vp[n2],
@@ -313,13 +337,17 @@ class _Rram(_Stamp):
         if self.vector:
             rows = self.state - 1
             x[rows] = np.clip(x[rows], 0.0, 1.0)
-            xp = np.concatenate(([0.0], x))
-            aux[self] = state_rate_and_grads(
-                self.params, xp[self.npos] - xp[self.nneg], xp[self.state])[0]
+            if aux is not None:
+                xp = np.concatenate(([0.0], x))
+                aux[self] = state_rate_and_grads(
+                    self.params, xp[self.npos] - xp[self.nneg],
+                    xp[self.state])[0]
             return
         for name, params, npos, nneg, state in self.recs:
             x[state - 1] = v[state] = s = min(max(v[state], 0.0), 1.0)
-            aux[name] = state_rate_and_grads(params, v[npos] - v[nneg], s)[0]
+            if aux is not None:
+                aux[name] = state_rate_and_grads(params, v[npos] - v[nneg],
+                                                 s)[0]
 
 
 class _Tunnel(_Stamp):
@@ -527,7 +555,8 @@ class SystemLayout:
         return pat
 
     def abstols(self, tol: Tolerances):
-        """(per-row residual abstol, per-unknown update abstol)."""
+        """(per-row residual abstol, per-unknown update abstol, padded
+        with a 0 for ground)."""
         key = (tol.vabstol, tol.iabstol)
         out = self._abstols.get(key)
         if out is None:
@@ -535,6 +564,7 @@ class SystemLayout:
             f_tol = np.where(volts, tol.vabstol, tol.iabstol)
             x_tol = np.where(np.arange(self.size) < self.n_nodes - 1,
                              tol.vabstol, tol.iabstol)
+            x_tol = np.concatenate(([0.0], x_tol))
             out = self._abstols[key] = (f_tol, x_tol)
         return out
 
@@ -629,8 +659,9 @@ class _Pattern:
     as laid out by ``_coo``): the per-element stamps' list is ``raw``
     when no stamp is a vector one, and goes to ``scalar_slots`` beside
     each vector stamp's ``views`` block otherwise.  One bincount over
-    values gathered from ``raw`` fills four regions: the full residual, the full scale, the
-    condensed residual and the condensed Jacobian (dense, padded).
+    values gathered from ``raw`` fills four regions: the full residual,
+    the full scale, the condensed residual and the condensed Jacobian
+    (dense); ``stack(k)`` runs it for k circuits at once.
     Condensing state x with diagonal a_x, residual f_x, column entries
     J[r, x] and row entries J[x, c] adds -J[r, x] f_x / a_x to the
     condensed residual of r and the fill -J[r, x] J[x, c] / a_x to the
@@ -642,6 +673,7 @@ class _Pattern:
         (f_rows, f_slot, f_sign, s_slot, j_rows, j_cols, j_slot, j_sign,
          self.n_raw, spans) = _coo(groups)
         self.gmin_rows = gmin_rows
+        self._stacks: dict = {}
         # (first slot, end, slots per element) of each vector stamp, and
         # the slots of the others, which run in assembly order
         self.vector = tuple((off, off + width * n, width) for (off, width),
@@ -663,10 +695,10 @@ class _Pattern:
         x_id = np.full(n1, -1)
         x_id[xs] = np.arange(nx)
         self.solved = np.flatnonzero(~is_x[1:]) + 1
-        m1 = len(self.solved) + 1
+        m = len(self.solved)
         cpos = np.zeros(n1, np.intp)
-        cpos[self.solved] = np.arange(1, m1)
-        self.n1, self.m1, self.nx, self.x_rows = n1, m1, nx, xs
+        cpos[self.solved] = np.arange(1, m + 1)
+        self.n, self.n1, self.m, self.nx, self.x_rows = size, n1, m, nx, xs
 
         # a state row holds its own residual and diagonal once, and it
         # couples to other unknowns only through its device's terminals
@@ -693,9 +725,12 @@ class _Pattern:
         pc = _ints([c for c, _ in pairs])
         pk = _ints([k for _, k in pairs])
 
-        # bins: full f | full scale | condensed f | condensed J
-        s_base, c_base, j_base = n1, 2 * n1, 2 * n1 + m1
-        self.n_bins = j_base + m1 * m1
+        # bins, ground dropped: full f (size) | full scale (size) |
+        # condensed f (m) | condensed J (m x m, row-major); a padded
+        # unknown r is bin r - 1 of the full parts, a condensed one c
+        # bin c - 1 of the condensed parts
+        s_base, c_base, j_base = size - 1, 2 * size - 1, 2 * size - 1
+        self.n_bins = 2 * size + m + m * m
         f_keep = f_rows != 0
         fc_keep = cpos[f_rows] != 0
         j_keep = (cpos[j_rows] != 0) & (cpos[j_cols] != 0)
@@ -719,10 +754,10 @@ class _Pattern:
             f_sign[f_keep], np.ones(f_keep.sum()), f_sign[fc_keep],
             -j_sign[col], j_sign[j_keep], -j_sign[pc] * self.r_sign[pk]))
         self.bins = np.concatenate((
-            f_rows[f_keep], s_base + f_rows[f_keep],
+            f_rows[f_keep] - 1, s_base + f_rows[f_keep],
             c_base + cpos[f_rows[fc_keep]], c_base + cpos[j_rows[col]],
-            j_base + cpos[j_rows[j_keep]] * m1 + cpos[j_cols[j_keep]],
-            j_base + fill_rows[fill] * m1 + fill_cols[fill]))
+            j_base + cpos[j_rows[j_keep]] * m + cpos[j_cols[j_keep]],
+            j_base + fill_rows[fill] * m + fill_cols[fill]))
 
     def views(self, raw: np.ndarray) -> list:
         """Each vector stamp's block of ``raw``, one row per slot of an
@@ -730,17 +765,13 @@ class _Pattern:
         return [raw[lo:hi].reshape(-1, width).T
                 for lo, hi, width in self.vector]
 
-    def scatter(self, raw: np.ndarray):
-        """(f, jacobian, scale) from the stamps' concatenated values."""
-        assert len(raw) == self.n_raw
-        ext = [raw, np.abs(raw)]
-        if len(self.t_left):
-            ext.append(raw[self.t_left] * raw[self.t_right]
-                       / raw[self.t_diag])
-        ext = np.concatenate(ext)
-        out = np.bincount(self.bins, ext[self.slot] * self.sign, self.n_bins)
-        jac = _Jacobian(self, raw, out)
-        return jac.f, jac, out[self.n1 + 1:2 * self.n1]
+    def stack(self, k: int) -> "_Stack":
+        """The scatter and Newton step of k circuits at once, compiled on
+        first use."""
+        st = self._stacks.get(k)
+        if st is None:
+            st = self._stacks[k] = _Stack(self, k)
+        return st
 
 
 @functools.lru_cache(maxsize=64)
@@ -752,17 +783,111 @@ def _compiled_pattern(size: int, condensed: tuple, groups: tuple,
     return _Pattern(size, condensed, groups, gmin_rows)
 
 
-class _Jacobian:
-    """One assembly's Jacobian: the full matrix as values on the compiled
-    COO pattern, and the condensed system the Newton step solves."""
+class _Stack:
+    """A pattern's scatter and Newton step over k circuits at once.
 
-    def __init__(self, pattern: _Pattern, raw, out):
+    The circuits' values lie one after another in ``raw`` (k blocks of
+    ``n_raw``).  Every compiled index of the pattern is repeated per
+    circuit with that circuit's offsets, into flat 1-D arrays: one
+    bincount fills k blocks of bins, one stacked solve factors k
+    condensed matrices, one bincount back-substitutes k circuits'
+    states.  Each bin sums its contributions in a lone circuit's order
+    and LAPACK solves each matrix of a stack on its own, so every
+    circuit's numbers are bit for bit those it has alone.  For k = 1 the
+    solve is the plain 2-D one.
+    """
+
+    def __init__(self, p: _Pattern, k: int):
+        self.p, self.k = p, k
+        n_raw, n_terms, n1 = p.n_raw, len(p.t_left), p.n1
+        off = np.arange(k)[:, None]
+
+        def rep(idx, step):
+            # one circuit uses the pattern's own arrays
+            return idx if k == 1 else (idx + step * off).ravel()
+
+        self.t_left, self.t_right, self.t_diag = (
+            rep(a, n_raw) for a in (p.t_left, p.t_right, p.t_diag))
+        # the weights are (raw | |raw| | terms)[slot] * sign, each of the
+        # three parts stacked over the circuits
+        s = p.slot
+        terms = s >= 2 * n_raw
+        base = np.where(s < n_raw, 0, np.where(terms, 2 * (k - 1) * n_raw,
+                                               (k - 1) * n_raw))
+        self.slot = rep(s + base, np.where(terms, n_terms, n_raw))
+        self.sign = rep(p.sign, 0)          # the signs repeat unchanged
+        self.bins = rep(p.bins, p.n_bins)
+        self.n_bins = k * p.n_bins
+        if p.vector:
+            self.scalar_slots = rep(p.scalar_slots, n_raw)
+        self.solved = rep(p.solved, n1)
+        self.x_rows = rep(p.x_rows, n1)
+        self.fx_slot, self.a_slot, self.r_slot = (
+            rep(a, n_raw) for a in (p.fx_slot, p.a_slot, p.r_slot))
+        self.r_x, self.r_col = rep(p.r_x, p.nx), rep(p.r_col, n1)
+        self.r_sign = rep(p.r_sign, 0)
+
+    def scatter(self, raw: np.ndarray) -> np.ndarray:
+        """The bins of each circuit, one row per circuit: full residual,
+        full scale, condensed residual, condensed Jacobian."""
+        ext = [raw, np.abs(raw)]
+        if len(self.t_left):
+            ext.append(raw[self.t_left] * raw[self.t_right]
+                       / raw[self.t_diag])
+        ext = np.concatenate(ext)
+        out = np.bincount(self.bins, ext[self.slot] * self.sign, self.n_bins)
+        return out.reshape(self.k, -1)
+
+    def step(self, raw: np.ndarray, out: np.ndarray):
+        """(dx, singular): the Newton updates -J^-1 f of the k circuits,
+        padded, one row per circuit, and the rows whose condensed matrix
+        is singular (their update is NaN).  The condensed system is
+        solved, then each condensed state is back-substituted,
+        dx_x = -(f_x + sum_c J[x, c] dx_c) / a_x."""
+        p, k = self.p, self.k
+        n, m = p.n, p.m
+        jc = out[:, 2 * n + m:].reshape(k, m, m)
+        fc = out[:, 2 * n:2 * n + m]
+        singular = []
+        try:
+            if k == 1:
+                sol = np.linalg.solve(jc[0], -fc[0])
+            else:
+                sol = np.linalg.solve(jc, -fc[:, :, None]).reshape(-1)
+        except np.linalg.LinAlgError:
+            sol = np.empty((k, m))
+            for row in range(k):
+                try:
+                    sol[row] = np.linalg.solve(jc[row], -fc[row])
+                except np.linalg.LinAlgError:
+                    sol[row] = np.nan
+                    singular.append(row)
+            sol = sol.reshape(-1)
+        dx = np.zeros((k, p.n1))
+        flat = dx.reshape(-1)
+        flat[self.solved] = sol
+        if p.nx:
+            rhs = raw[self.fx_slot]
+            if len(self.r_slot):
+                rhs = rhs + np.bincount(
+                    self.r_x, self.r_sign * raw[self.r_slot] * flat[self.r_col],
+                    k * p.nx)
+            flat[self.x_rows] = -rhs / raw[self.a_slot]
+        return dx, singular
+
+
+class _Jacobian:
+    """One circuit's assembled system outside the Newton loop: the full
+    matrix as values on the compiled COO pattern, and the condensed
+    system the Newton step solves."""
+
+    def __init__(self, pattern: _Pattern, raw: np.ndarray):
         self.pattern, self.raw = pattern, raw
-        n1, m1 = pattern.n1, pattern.m1
-        self.f = out[1:n1]
-        self.fc = out[2 * n1 + 1:2 * n1 + m1]
-        self.jc = out[2 * n1 + m1:].reshape(m1, m1)[1:, 1:]
-        self.finite = bool(np.isfinite(out).all())
+        self.stack = pattern.stack(1)
+        self.out = self.stack.scatter(raw)
+        n = pattern.n
+        self.f = self.out[0, :n]
+        self.scale = self.out[0, n:2 * n]
 
     def dense(self) -> np.ndarray:
         """The full size x size Jacobian."""
@@ -772,27 +897,20 @@ class _Jacobian:
         return full.reshape(p.n1, p.n1)[1:, 1:]
 
     def newton_step(self) -> np.ndarray:
-        """The Newton update -J^-1 f: solve the condensed system, then
-        back-substitute each condensed state,
-        dx_x = -(f_x + sum_c J[x, c] dx_c) / a_x."""
-        p, raw = self.pattern, self.raw
-        dx = np.zeros(p.n1)
-        dx[p.solved] = np.linalg.solve(self.jc, -self.fc)
-        if p.nx:
-            rhs = raw[p.fx_slot]
-            if len(p.r_slot):
-                rhs = rhs + np.bincount(p.r_x, p.r_sign * raw[p.r_slot]
-                                        * dx[p.r_col], p.nx)
-            dx[p.x_rows] = -rhs / raw[p.a_slot]
-        return dx[1:]
+        """The Newton update -J^-1 f."""
+        dx, singular = self.stack.step(self.raw, self.out)
+        if singular:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return dx[0, 1:]
 
 
 class Assembler:
-    """Builds residual, Jacobian, and per-row scale at a given point."""
+    """Evaluates one circuit's stamps at a given point."""
 
     def __init__(self, layout: SystemLayout, ctx: EvalContext):
         self.layout = layout
         self.ctx = ctx
+        self.pattern = layout.pattern(ctx.mode, ctx.gmin != 0.0)
         self._v_prev = None
 
     def v_prev(self) -> list:
@@ -807,69 +925,171 @@ class Assembler:
             self.ctx.seed = self.layout.initial_vector()
         return self.ctx.seed
 
-    def assemble(self, x: np.ndarray):
+    def assemble(self, x: np.ndarray, out: Optional[list] = None,
+                 raw: Optional[np.ndarray] = None):
         """(f, jacobian, scale) at x; the jacobian's ``newton_step()``
-        solves the condensed system and ``dense()`` gives the full J."""
-        ctx = self.ctx
-        pat = self.layout.pattern(ctx.mode, ctx.gmin != 0.0)
+        solves the condensed system and ``dense()`` gives the full J.
+
+        In the lockstep Newton loop ``out`` is the batch's list of slot
+        values, to which the per-element stamps append this circuit's,
+        and ``raw`` this circuit's block of the batch's value array,
+        which its vector stamps fill; the loop scatters the batch, and
+        nothing is returned.
+        """
+        ctx, layout, pat = self.ctx, self.layout, self.pattern
+        alone = out is None
+        if alone:
+            out = []
         v = [0.0] + x.tolist()
-        out: list = []
-        for st in self.layout.scalar[ctx.mode]:
+        for st in layout.scalar[ctx.mode]:
             st.values(self, v, out)
         if pat.gmin_rows is not None:
             gmin = ctx.gmin
             for r in pat.gmin_rows:
                 out += (gmin * v[r], 0.0, gmin)
+        if pat.vector:
+            if alone:
+                raw = np.empty(pat.n_raw)
+                raw[pat.scalar_slots] = out
+            xp = np.concatenate(([0.0], x))
+            for st, blk in zip(layout.vector[ctx.mode], pat.views(raw)):
+                st.fill(self, xp, blk)
+        if not alone:
+            return None
         if not pat.vector:
-            return pat.scatter(np.array(out, dtype=float))
-        raw = np.empty(pat.n_raw)
-        raw[pat.scalar_slots] = out
-        xp = np.concatenate(([0.0], x))
-        for st, blk in zip(self.layout.vector[ctx.mode], pat.views(raw)):
-            st.fill(self, xp, blk)
-        return pat.scatter(raw)
-
-
-def _residual_ok(layout: SystemLayout, f, scale, tol: Tolerances) -> bool:
-    f_tol = layout.abstols(tol)[0]
-    return bool((np.abs(f) <= np.maximum(f_tol, _RESID_FLOOR * scale)).all())
-
-
-def _dx_ok(layout: SystemLayout, dx, x, tol: Tolerances) -> bool:
-    x_tol = layout.abstols(tol)[1]
-    return bool((np.abs(dx) <= x_tol + tol.reltol * np.abs(x)).all())
+            raw = np.array(out, dtype=float)
+        jac = _Jacobian(pat, raw)
+        return jac.f, jac, jac.scale
 
 
 def newton_solve(layout: SystemLayout, ctx: EvalContext, x0: np.ndarray,
                  tol: Tolerances):
     """Damped Newton iteration; returns (x, converged, worst_row)."""
-    x = x0.copy()
-    dx_ok = False
-    f = None
-    nv = layout.n_nodes - 1
+    return newton_solve_batch((layout,), (ctx,), (x0,), tol)[0]
 
-    def worst():
-        return "" if f is None else layout.row_name(int(np.argmax(np.abs(f))))
 
-    for _ in range(tol.max_iter):
-        asm = Assembler(layout, ctx)
-        f_new, jac, scale = asm.assemble(x)
-        if not jac.finite:
-            return x, False, "non-finite residual"
-        if dx_ok and _residual_ok(layout, f_new, scale, tol):
-            return x, True, ""
-        f = f_new
-        try:
-            dx = jac.newton_step()
-        except np.linalg.LinAlgError:
-            return x, False, "singular matrix at " + worst()
-        if not np.isfinite(dx).all():
-            return x, False, "non-finite update at " + worst()
-        vmax = np.abs(dx[:nv]).max() if nv > 0 else 0.0
-        s = 1.0 if vmax <= tol.vlimit else tol.vlimit / vmax
-        x = x + s * dx
-        dx_ok = (s == 1.0) and _dx_ok(layout, dx, x, tol)
-    return x, False, worst()
+def newton_solve_batch(layouts, ctxs, x0s, tol: Tolerances) -> list:
+    """Damped Newton iteration of circuits that share one compiled
+    pattern, in lockstep; returns (x, converged, worst_row) per circuit.
+
+    Each iteration assembles every active circuit, then scatters, solves
+    and back-substitutes all of them at once (``_Stack``).  Damping, the
+    residual and update tests and the iteration cap are per circuit, and
+    a circuit leaves the active set as soon as it converges or fails, so
+    each runs exactly the iterates it runs alone.  Each context's
+    ``iterations`` is set to the assemblies its circuit ran.  Circuits
+    of another pattern or row layout raise ValueError.
+    """
+    asms = list(map(Assembler, layouts, ctxs))
+    layout, pat = layouts[0], asms[0].pattern
+    if len(asms) > 1:
+        for asm in asms:
+            if (asm.pattern is not pat
+                    or asm.layout.row_kind != layout.row_kind):
+                raise ValueError("circuits of a batch must share one "
+                                 "topology and analysis mode")
+    f_tol, x_tol = layout.abstols(tol)
+    nv, n, n1, n_raw = layout.n_nodes - 1, pat.n, pat.n1, pat.n_raw
+    k = len(asms)
+    results: list = [None] * k
+    live = list(range(k))               # batch position of each row
+    # the active circuits' unknowns, one padded row each (ground at 0)
+    x = np.zeros((k, n1))
+    for row, x0 in enumerate(x0s):
+        x[row, 1:] = x0
+    dx_ok = [False] * k
+    last = None                         # the rows' bins of the last step
+    st = pat.stack(k)
+    for it in range(1, tol.max_iter + 1):
+        out: list = []
+        if pat.vector:
+            raw = np.empty(k * n_raw)
+            for row, i in enumerate(live):
+                asms[i].assemble(x[row, 1:], out,
+                                 raw[row * n_raw:(row + 1) * n_raw])
+            raw[st.scalar_slots] = out
+        else:
+            for row, i in enumerate(live):
+                asms[i].assemble(x[row, 1:], out)
+            raw = np.array(out, dtype=float)
+        bins = st.scatter(raw)
+        # whole-batch tests first; per-row reductions only when one fails
+        left: dict = {}
+        if not _all(np.isfinite(bins), None):
+            for row in np.flatnonzero(~_all(np.isfinite(bins), 1)).tolist():
+                left[row] = (x[row, 1:], False, "non-finite residual")
+        if True in dx_ok:
+            ok = (np.abs(bins[:, :n])
+                  <= np.maximum(f_tol, _RESID_FLOOR * bins[:, n:2 * n]))
+            rows_ok = [True] * k if _all(ok, None) else _rows_all(ok, k)
+            for row in range(k):
+                if dx_ok[row] and rows_ok[row]:
+                    left.setdefault(row, (x[row, 1:], True, ""))
+        if left:
+            live, keep = _leave(left, live, results, ctxs, it)
+            if not live:
+                return results
+            x, bins = x[keep], bins[keep]
+            raw = raw.reshape(k, n_raw)[keep].ravel()
+            k = len(keep)
+            st = pat.stack(k)
+        last = bins
+        dx, singular = st.step(raw, bins)
+        # |dx| is finite exactly when its maximum is
+        adx = np.abs(dx)
+        if singular or not _max(adx, None) < np.inf:
+            left = {row: (x[row, 1:], False, "singular matrix at "
+                          + _worst(layout, last[row, :n])) for row in singular}
+            for row in np.flatnonzero(~(_max(adx, 1) < np.inf)).tolist():
+                left.setdefault(row, (x[row, 1:], False,
+                                      "non-finite update at "
+                                      + _worst(layout, last[row, :n])))
+            live, keep = _leave(left, live, results, ctxs, it)
+            if not live:
+                return results
+            x, dx, adx, last = x[keep], dx[keep], adx[keep], last[keep]
+            k = len(keep)
+            st = pat.stack(k)
+        # each row's damping factor, from its largest voltage update
+        vmax = _max(adx[:, 1:nv + 1], 1).tolist() if nv > 0 else [0.0] * k
+        if max(vmax) <= tol.vlimit:
+            dx_ok = [True] * k
+            x = x + dx
+        else:
+            s = [1.0 if v <= tol.vlimit else tol.vlimit / v for v in vmax]
+            dx_ok = [si == 1.0 for si in s]
+            x = x + np.array(s)[:, None] * dx
+        if True in dx_ok:
+            ok = adx <= x_tol + tol.reltol * np.abs(x)
+            if not _all(ok, None):
+                dx_ok = [a and b for a, b in zip(dx_ok, _rows_all(ok, k))]
+    for row, i in enumerate(live):
+        worst = "" if last is None else _worst(layout, last[row, :n])
+        results[i] = (x[row, 1:], False, worst)
+        ctxs[i].iterations = tol.max_iter
+    return results
+
+
+def _rows_all(ok: np.ndarray, k: int) -> list:
+    """Each row's all() of a batch's (k, n) test, once the whole-batch
+    all() has failed (so a lone row has failed)."""
+    return [False] if k == 1 else _all(ok, 1).tolist()
+
+
+def _worst(layout: SystemLayout, f: np.ndarray) -> str:
+    """Name of the row with the largest residual in f."""
+    return layout.row_name(int(np.argmax(np.abs(f))))
+
+
+def _leave(left: dict, live: list, results: list, ctxs, it: int):
+    """Record the result of each row in ``left``, after ``it``
+    iterations; returns the batch positions and the rows that stay
+    active."""
+    for row, res in left.items():
+        results[live[row]] = res
+        ctxs[live[row]].iterations = it
+    keep = [row for row in range(len(live)) if row not in left]
+    return [live[row] for row in keep], keep
 
 
 _GMIN_LADDER = [10.0 ** (-k) for k in range(3, 13)]
@@ -926,13 +1146,15 @@ def solve_dc(layout: SystemLayout, tol: Tolerances,
 
 
 def post_step_aux(layout: SystemLayout, ctx: EvalContext,
-                  x: np.ndarray) -> dict:
+                  x: np.ndarray, history: bool = True) -> dict:
     """Accept the step just solved at x: clamp each RRAM state into
     [0, 1] in place and return the companion-model history (capacitor
-    currents, RRAM state rates) the next trapezoidal step needs."""
-    aux = {}
+    currents, RRAM state rates) the next trapezoidal step needs.
+    Without ``history`` (a backward-Euler run, which never reads it)
+    only the clamp runs and the history is empty."""
+    aux = {} if history else None
     v = [0.0] + x.tolist()
     for st in layout.stamps["tran"]:
         if st.accept is not None:
             st.accept(ctx, v, x, aux)
-    return aux
+    return aux if history else {}

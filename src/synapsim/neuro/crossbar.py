@@ -6,10 +6,12 @@ positive and negative bit line of output j; the bit lines are clamped to
 the per-device contributions, so output j reads
 I+_j - I-_j = sum_i (G+_ij - G-_ij) V_i.
 
-Programming is closed-loop write-verify.  Devices are pulsed one at a
-time in an isolated programming cell (select/deselect peripheries are
-out of scope) and the resulting filament state is copied back into the
-array circuit; the array itself is only ever read.
+Programming is closed-loop write-verify in rounds.  Each device is
+pulsed in its own isolated programming cell (select/deselect
+peripheries are out of scope), and a round pulses every device that
+has not yet reached its target, all cells in one lockstep transient;
+the resulting filament states are copied back into the array circuit,
+which itself is only ever read.
 """
 
 from __future__ import annotations
@@ -21,10 +23,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..engine import (AnalysisSpec, Circuit, RramElement, VSource,
-                      operating_point, transient)
+                      operating_point, transient, transient_batch)
 from ..mosfet import MosParams
-from ..rram import (_SINH_ARG_MAX, RramParams, _op_1t1r,
-                    conductance, pulse_1t1r, set_1t1r, state_for_conductance)
+from ..rram import (_SINH_ARG_MAX, RramParams, _op_1t1r, _pulse_1t1r_cell,
+                    _set_1t1r_batch, conductance, state_for_conductance)
 
 __all__ = [
     "CrossbarSpec", "TrainConfig", "DeviceReport", "ProgramReport",
@@ -225,33 +227,87 @@ def _pulse(p: RramParams, x0: float, x1: float, amplitude: float,
     return amplitude, min(t, hi)
 
 
-def _apply_pulse(p: RramParams, x0: float, amplitude: float, width: float,
-                 steps: int) -> float:
-    """One constant-voltage pulse on an isolated device via the engine."""
+def _pulse_cell(p: RramParams, x0: float, amplitude: float, width: float,
+                steps: int):
+    """(circuit, spec) of one constant-voltage pulse on an isolated
+    device."""
     c = Circuit()
     c.add_model("mem", "rram", p)
     c.add(VSource("vp", "a", "0", dc=amplitude))
     c.add(RramElement("xr", "a", "0", model="mem", x0=x0))
-    transient(c, AnalysisSpec(kind="tran", tstep=width / steps,
-                              tstop=width, uic=True))
-    return float(c.state["xr"])
+    return c, AnalysisSpec(kind="tran", tstep=width / steps, tstop=width,
+                           uic=True)
 
 
 def _verify(params: RramParams, x0: float, g_target: float,
-            cfg: TrainConfig, pulse) -> tuple:
-    """Pulse-verify loop shared by both access schemes: read G, stop
-    within ``write_tol`` or after ``max_verify`` pulses, otherwise move
-    the state with the scheme's ``pulse(x, g) -> x`` and re-read."""
+            cfg: TrainConfig, pulse):
+    """Pulse-verify loop shared by both access schemes, as a generator:
+    read G, stop within ``write_tol`` or after ``max_verify`` pulses,
+    otherwise move the state with the scheme's ``pulse(x, g)`` and
+    re-read.  ``pulse`` is a generator too: it yields the (circuit, spec)
+    cell of its programming pulse, which ``_in_rounds`` runs, and returns
+    the new state.  Returns (DeviceReport, x)."""
     x = float(x0)
     pulses = 0
     g = float(conductance(params, x))
     while abs(g - g_target) > cfg.write_tol and pulses < cfg.max_verify:
-        x = pulse(x, g)
+        x = yield from pulse(x, g)
         g = float(conductance(params, x))
         pulses += 1
     return DeviceReport(name="", g_target=g_target, g_achieved=g,
                         pulses=pulses,
                         converged=abs(g - g_target) <= cfg.write_tol), x
+
+
+def _run_round(cells) -> None:
+    """Run one verify round: the pulse of every (circuit, spec) cell, all
+    in one lockstep transient.  A lone pulse runs through ``transient``,
+    the same loop with one circuit, which the benchmark traces per
+    analysis."""
+    if len(cells) == 1:
+        transient(*cells[0])
+    else:
+        transient_batch(*zip(*cells))
+
+
+def _in_rounds(loops) -> list:
+    """Run ``_verify`` generators in rounds: each round runs the next
+    pulse of every loop that is not done, and every loop then reads its
+    device; returns each loop's (DeviceReport, x)."""
+    results = [None] * len(loops)
+    pending = {}
+
+    def advance(i):
+        try:
+            pending[i] = next(loops[i])
+        except StopIteration as stop:
+            results[i] = stop.value
+
+    for i in range(len(loops)):
+        advance(i)
+    while pending:
+        round_ = list(pending)
+        _run_round([pending.pop(i) for i in round_])
+        for i in round_:
+            advance(i)
+    return results
+
+
+def _verify_direct(params: RramParams, x0: float, g_target: float,
+                   cfg: TrainConfig):
+    """The direct-pulse scheme's verify loop (see ``write_verify_device``),
+    as a ``_verify`` generator."""
+    x_target = state_for_conductance(params, g_target)
+
+    def pulse(x, g):
+        amp = cfg.set_amplitude if g < g_target else cfg.reset_amplitude
+        amp, width = _pulse(params, x, x_target, amp,
+                            cfg.min_width, cfg.max_width)
+        c, spec = _pulse_cell(params, x, amp, width, cfg.pulse_steps)
+        yield c, spec
+        return float(c.state["xr"])
+
+    return _verify(params, x0, g_target, cfg, pulse)
 
 
 def write_verify_device(params: RramParams, x0: float, g_target: float,
@@ -262,17 +318,10 @@ def write_verify_device(params: RramParams, x0: float, g_target: float,
     pulses for the closed-form width of the remaining distance (at
     ``min_width`` and a lower amplitude when the distance needs a shorter
     pulse), and re-reads; integrator landing error shrinks geometrically
-    so a few iterations reach the tolerance.
+    so a few iterations reach the tolerance.  It is ``program_weights``'
+    verify rounds with one device.
     """
-    x_target = state_for_conductance(params, g_target)
-
-    def pulse(x, g):
-        amp = cfg.set_amplitude if g < g_target else cfg.reset_amplitude
-        amp, width = _pulse(params, x, x_target, amp,
-                            cfg.min_width, cfg.max_width)
-        return _apply_pulse(params, x, amp, width, cfg.pulse_steps)
-
-    return _verify(params, x0, g_target, cfg, pulse)
+    return _in_rounds([_verify_direct(params, x0, g_target, cfg)])[0]
 
 
 # 1T1R scheme: SET bias on the cell, and the gate voltages at which the
@@ -284,19 +333,21 @@ _GATE_GRID = np.linspace(0.25, 1.4, 12)
 @functools.lru_cache(maxsize=8)
 def _gate_calibration(params: RramParams) -> np.ndarray:
     """Compliance map for the 1T1R scheme: settled X at each gate
-    voltage of ``_GATE_GRID``.  It depends on the parameter set alone,
-    so it is computed once per set and returned read-only."""
-    ceilings = np.array([set_1t1r(params, MosParams(), float(v),
-                                  v_set=_V_SET_1T1R) for v in _GATE_GRID])
+    voltage of ``_GATE_GRID``, all SETs in one lockstep transient.  It
+    depends on the parameter set alone, so it is computed once per set
+    and returned read-only."""
+    ceilings = _set_1t1r_batch(params, MosParams(), _GATE_GRID,
+                               v_set=_V_SET_1T1R)
     ceilings.setflags(write=False)
     return ceilings
 
 
 def _write_verify_1t1r(params: RramParams, x0: float, g_target: float,
-                       cfg: TrainConfig, ceilings: np.ndarray) -> tuple:
-    """1T1R write-verify: gate voltage for SET found by bracketed secant
-    on the calibrated compliance curve; overshoot trimmed by
-    width-modulated RESET pulses through the hard-driven transistor."""
+                       cfg: TrainConfig, ceilings: np.ndarray):
+    """1T1R write-verify, as a ``_verify`` generator: gate voltage for SET
+    found by bracketed secant on the calibrated compliance curve;
+    overshoot trimmed by width-modulated RESET pulses through the
+    hard-driven transistor."""
     mos = MosParams()
     x_target = state_for_conductance(params, g_target)
 
@@ -314,7 +365,10 @@ def _write_verify_1t1r(params: RramParams, x0: float, g_target: float,
             else:
                 v_try = 0.5 * (v_lo + v_hi)
             v_try = min(max(v_try, v_lo), v_hi)
-            x_new = pulse_1t1r(params, mos, _V_SET_1T1R, v_try, x0=x)
+            c, spec = _pulse_1t1r_cell(params, mos, _V_SET_1T1R, v_try,
+                                       x0=x)
+            yield c, spec
+            x_new = float(c.state["xr1"])
             if x_new < x_target:
                 v_lo, x_lo = v_try, x_new
             else:
@@ -326,8 +380,11 @@ def _write_verify_1t1r(params: RramParams, x0: float, g_target: float,
         v_dev = float(res.column("v(top)")[0] - res.column("v(mid)")[0])
         width = _pulse(params, x, x_target, v_dev,
                        cfg.min_width, cfg.max_width)[1]
-        return pulse_1t1r(params, mos, cfg.reset_amplitude, 1.5,
-                          width=width, x0=x, steps=4 * cfg.pulse_steps)
+        c, spec = _pulse_1t1r_cell(params, mos, cfg.reset_amplitude, 1.5,
+                                   width=width, x0=x,
+                                   steps=4 * cfg.pulse_steps)
+        yield c, spec
+        return float(c.state["xr1"])
 
     return _verify(params, x0, g_target, cfg, pulse)
 
@@ -336,8 +393,11 @@ def program_weights(circuit: Circuit, spec: CrossbarSpec, g_plus, g_minus,
                     cfg: TrainConfig) -> ProgramReport:
     """Write-verify the whole array to per-device conductance targets.
 
-    Targets outside [g_off, g_on] are rejected before any pulse is
-    applied; devices already within tolerance receive zero pulses.
+    Verify runs in rounds: each round pulses every device still outside
+    its tolerance, all in one lockstep transient, then re-reads them, so
+    each device sees exactly the pulses it would see alone.  Targets
+    outside [g_off, g_on] are rejected before any pulse is applied;
+    devices already within tolerance receive zero pulses.
     """
     params = circuit.models[spec.model][1]
     g_plus = np.broadcast_to(np.asarray(g_plus, float),
@@ -351,21 +411,24 @@ def program_weights(circuit: Circuit, spec: CrossbarSpec, g_plus, g_minus,
     if spec.scheme == "1t1r":
         ceilings = _gate_calibration(params)
 
-    report = ProgramReport()
+    names, loops = [], []
     for i in range(spec.n_inputs):
         for j in range(spec.n_outputs):
             for name, target in zip(synapse_devices(i, j),
                                     (g_plus[i, j], g_minus[i, j])):
                 x0 = circuit.state[name]
                 if spec.scheme == "1t1r":
-                    rep, x = _write_verify_1t1r(params, x0, float(target),
-                                                cfg, ceilings)
+                    loop = _write_verify_1t1r(params, x0, float(target), cfg,
+                                              ceilings)
                 else:
-                    rep, x = write_verify_device(params, x0, float(target),
-                                                 cfg)
-                rep.name = name
-                circuit.state[name] = x
-                report.devices.append(rep)
+                    loop = _verify_direct(params, x0, float(target), cfg)
+                names.append(name)
+                loops.append(loop)
+    report = ProgramReport()
+    for name, (rep, x) in zip(names, _in_rounds(loops)):
+        rep.name = name
+        circuit.state[name] = x
+        report.devices.append(rep)
     return report
 
 

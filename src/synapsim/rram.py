@@ -185,6 +185,29 @@ def _build_1t1r(p: RramParams, mos_params, v_top: float, v_gate: float):
     return c
 
 
+def _pulse_1t1r_cell(p: RramParams, mos_params, v_top: float,
+                     v_gate: float, width: float = 10e-6, x0: float = 0.0,
+                     steps: int = 500):
+    """(circuit, spec) of one programming pulse on a 1T1R cell."""
+    from .engine import AnalysisSpec
+
+    c = _build_1t1r(p, mos_params, v_top, v_gate)
+    c.state["xr1"] = float(x0)
+    return c, AnalysisSpec(kind="tran", tstep=width / steps, tstop=width)
+
+
+def _run_transients(cells) -> None:
+    """Run the transient of every (circuit, spec) cell, all in one
+    lockstep batch.  A lone cell runs through ``transient``, the same
+    loop with one circuit, which the benchmark traces per analysis."""
+    from .engine import transient, transient_batch
+
+    if len(cells) == 1:
+        transient(*cells[0])
+    elif cells:
+        transient_batch(*zip(*cells))
+
+
 def pulse_1t1r(p: RramParams, mos_params, v_top: float, v_gate: float,
                width: float = 10e-6, x0: float = 0.0,
                steps: int = 500) -> float:
@@ -194,13 +217,22 @@ def pulse_1t1r(p: RramParams, mos_params, v_top: float, v_gate: float,
     negative v_top (gate driven hard) RESETs.  Returns the final
     filament state.
     """
-    from .engine import AnalysisSpec, transient
-
-    c = _build_1t1r(p, mos_params, v_top, v_gate)
-    c.state["xr1"] = float(x0)
-    transient(c, AnalysisSpec(kind="tran", tstep=width / steps,
-                              tstop=width))
+    c, spec = _pulse_1t1r_cell(p, mos_params, v_top, v_gate, width, x0,
+                               steps)
+    _run_transients([(c, spec)])
     return float(c.state["xr1"])
+
+
+def _set_1t1r_batch(p: RramParams, mos_params, v_pgm_values,
+                    v_set: float = 1.0, width: float = 10e-6,
+                    tstep: float = 20e-9) -> np.ndarray:
+    """``set_1t1r`` at each gate voltage, all SETs in one lockstep
+    transient; returns the final states."""
+    steps = max(int(round(width / tstep)), 1)
+    cells = [_pulse_1t1r_cell(p, mos_params, v_set, float(v), width, 0.0,
+                              steps) for v in v_pgm_values]
+    _run_transients(cells)
+    return np.array([float(c.state["xr1"]) for c, _ in cells])
 
 
 def set_1t1r(p: RramParams, mos_params, v_pgm: float,
@@ -208,8 +240,8 @@ def set_1t1r(p: RramParams, mos_params, v_pgm: float,
              tstep: float = 20e-9) -> float:
     """SET a fresh 1T1R cell with the access gate at v_pgm; returns the
     final filament state X (compliance-limited by the transistor)."""
-    return pulse_1t1r(p, mos_params, v_set, v_pgm, width=width, x0=0.0,
-                      steps=max(int(round(width / tstep)), 1))
+    return float(_set_1t1r_batch(p, mos_params, [v_pgm], v_set, width,
+                                 tstep)[0])
 
 
 def _op_1t1r(p: RramParams, mos_params, v_top: float, x: float,
@@ -235,13 +267,12 @@ def tuning_curve_1t1r(p: RramParams, mos_params, v_pgm_values,
                       v_set: float = 1.0, v_read: float = 0.1,
                       width: float = 10e-6):
     """Compliance-tuning experiment: SET a fresh cell at each gate
-    voltage, then read every programmed state at v_read.
+    voltage, all in one lockstep transient, then read every programmed
+    state at v_read.
 
     Returns (x_final, i_read) arrays aligned with v_pgm_values.
     """
-    xs, reads = [], []
-    for v_pgm in v_pgm_values:
-        x = set_1t1r(p, mos_params, float(v_pgm), v_set=v_set, width=width)
-        xs.append(x)
-        reads.append(read_1t1r(p, mos_params, x, v_read=v_read))
-    return np.array(xs), np.array(reads)
+    xs = _set_1t1r_batch(p, mos_params, v_pgm_values, v_set=v_set,
+                         width=width)
+    reads = [read_1t1r(p, mos_params, float(x), v_read=v_read) for x in xs]
+    return xs, np.array(reads)

@@ -178,12 +178,47 @@ def test_1t1r_scheme_programs_small_array(params, monkeypatch):
     # a second array with the same parameters reuses the compliance map,
     # so no calibration SET transient runs
     calls = []
-    set_1t1r = crossbar.set_1t1r
+    set_batch = crossbar._set_1t1r_batch
 
-    def counting_set_1t1r(*args, **kw):
+    def counting_set_batch(*args, **kw):
         calls.append(args)
-        return set_1t1r(*args, **kw)
+        return set_batch(*args, **kw)
 
-    monkeypatch.setattr(crossbar, "set_1t1r", counting_set_1t1r)
+    monkeypatch.setattr(crossbar, "_set_1t1r_batch", counting_set_batch)
     program()
     assert calls == []
+
+
+@pytest.mark.parametrize("scheme, shape", [("crossbar", (4, 2)),
+                                           ("1t1r", (2, 1))])
+def test_program_rounds_equal_the_per_device_loop(scheme, shape, params):
+    # programming in rounds pulses several devices in one lockstep
+    # transient; each device must end exactly as if verified alone
+    rng = np.random.default_rng(11)
+    spec = CrossbarSpec(*shape, scheme=scheme)
+    cfg = TrainConfig(write_tol=2e-5) if scheme == "1t1r" else TrainConfig()
+    span = params.g_on - params.g_off
+    g_plus = params.g_off + rng.uniform(0.1, 0.9, shape) * span
+    g_minus = params.g_off + rng.uniform(0.0, 0.5, shape) * span
+    c = build_crossbar(spec, params, x_init=0.0)
+    set_states(c, spec, rng.uniform(0.0, 0.6, shape),
+               rng.uniform(0.0, 0.6, shape))
+    start = dict(c.state)
+    report = program_weights(c, spec, g_plus, g_minus, cfg)
+    # the first round pulses more than one device
+    assert sum(d.pulses > 0 for d in report.devices) > 1
+
+    ceilings = crossbar._gate_calibration(params)
+    for dev in report.devices:
+        i, j = (int(k) for k in dev.name[2:].split("_"))
+        target = float((g_plus if dev.name[1] == "p" else g_minus)[i, j])
+        x0 = start[dev.name]
+        if scheme == "1t1r":
+            loop = crossbar._write_verify_1t1r(params, x0, target, cfg,
+                                               ceilings)
+            alone, x = crossbar._in_rounds([loop])[0]
+        else:
+            alone, x = write_verify_device(params, x0, target, cfg)
+        alone.name = dev.name
+        assert dev == alone
+        assert c.state[dev.name] == x
