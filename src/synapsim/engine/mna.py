@@ -556,7 +556,10 @@ class SystemLayout:
 
     def abstols(self, tol: Tolerances):
         """(per-row residual abstol, per-unknown update abstol, padded
-        with a 0 for ground)."""
+        with a 0 for ground), each one row of a 2-D array: the Newton
+        loop compares them with one row per circuit, and at one circuit
+        equal shapes skip numpy's broadcasting, a measurable share of a
+        one-device iteration."""
         key = (tol.vabstol, tol.iabstol)
         out = self._abstols.get(key)
         if out is None:
@@ -565,7 +568,7 @@ class SystemLayout:
             x_tol = np.where(np.arange(self.size) < self.n_nodes - 1,
                              tol.vabstol, tol.iabstol)
             x_tol = np.concatenate(([0.0], x_tol))
-            out = self._abstols[key] = (f_tol, x_tol)
+            out = self._abstols[key] = (f_tol[None], x_tol[None])
         return out
 
     def row_name(self, row: int) -> str:
@@ -845,16 +848,17 @@ class _Stack:
         solved, then each condensed state is back-substituted,
         dx_x = -(f_x + sum_c J[x, c] dx_c) / a_x."""
         p, k = self.p, self.k
-        n, m = p.n, p.m
-        jc = out[:, 2 * n + m:].reshape(k, m, m)
-        fc = out[:, 2 * n:2 * n + m]
+        c0, j0, m = 2 * p.n, 2 * p.n + p.m, p.m
         singular = []
         try:
             if k == 1:
-                sol = np.linalg.solve(jc[0], -fc[0])
+                row = out[0]
+                sol = np.linalg.solve(row[j0:].reshape(m, m), -row[c0:j0])
             else:
-                sol = np.linalg.solve(jc, -fc[:, :, None]).reshape(-1)
+                sol = np.linalg.solve(out[:, j0:].reshape(k, m, m),
+                                      -out[:, c0:j0, None]).reshape(-1)
         except np.linalg.LinAlgError:
+            jc, fc = out[:, j0:].reshape(k, m, m), out[:, c0:j0]
             sol = np.empty((k, m))
             for row in range(k):
                 try:
@@ -1051,11 +1055,11 @@ def newton_solve_batch(layouts, ctxs, x0s, tol: Tolerances) -> list:
             k = len(keep)
             st = pat.stack(k)
         # each row's damping factor, from its largest voltage update
-        vmax = _max(adx[:, 1:nv + 1], 1).tolist() if nv > 0 else [0.0] * k
-        if max(vmax) <= tol.vlimit:
+        if nv == 0 or _max(adx[:, 1:nv + 1], None) <= tol.vlimit:
             dx_ok = [True] * k
             x = x + dx
         else:
+            vmax = _max(adx[:, 1:nv + 1], 1).tolist()
             s = [1.0 if v <= tol.vlimit else tol.vlimit / v for v in vmax]
             dx_ok = [si == 1.0 for si in s]
             x = x + np.array(s)[:, None] * dx
