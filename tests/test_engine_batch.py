@@ -10,9 +10,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from synapsim.engine import (AnalysisSpec, Circuit, RramElement,
-                             SystemLayout, TransientError, VSource,
-                             transient, transient_batch)
+from synapsim.engine import (AnalysisSpec, Circuit, ISource, Resistor,
+                             RramElement, SystemLayout, Tolerances,
+                             TransientError, VSource, transient,
+                             transient_batch)
+from synapsim.engine.mna import EvalContext, newton_solve, newton_solve_batch
 from synapsim.mosfet import MosParams
 from synapsim.neuro import TrainConfig
 from synapsim.neuro.crossbar import _pulse_cell
@@ -42,10 +44,6 @@ def sets_1t1r(draw):
     width = 10.0 ** draw(st.floats(-7.0, -5.0))
     return lambda: _pulse_1t1r_cell(P, MosParams(), 1.0, v_gate, width=width,
                                     x0=x0, steps=25)
-
-
-def _device(c):
-    return next(e.name for e in c.elements if isinstance(e, RramElement))
 
 
 def _assert_batch_equals_solo(makers, integrators):
@@ -153,3 +151,25 @@ def test_transient_stats_repeat_and_count_halvings():
     # every step and every failed attempt ran at least one iteration
     assert first.stats["newton_iterations"] >= (first.stats["steps"]
                                                 + first.stats["halvings"])
+
+
+def test_singular_circuits_fail_in_a_batch_as_they_do_alone():
+    # node a has only a current source, so every condensed matrix is
+    # singular: the stacked solve falls back to one solve per circuit
+    def layout(v):
+        c = Circuit()
+        c.add(ISource("i1", "a", "0", dc=1e-6))
+        c.add(VSource("v1", "b", "0", dc=v))
+        c.add(Resistor("r1", "b", "0", 1e3))
+        return SystemLayout(c)
+
+    layouts = [layout(1.0), layout(2.0)]
+    x0s = [lay.initial_vector() for lay in layouts]
+    ctxs = [EvalContext(mode="dc") for _ in layouts]
+    batch = newton_solve_batch(layouts, ctxs, x0s, Tolerances())
+    for lay, x0, (x, ok, worst) in zip(layouts, x0s, batch):
+        x1, ok1, worst1 = newton_solve(lay, EvalContext(mode="dc"), x0,
+                                       Tolerances())
+        assert (ok, worst) == (ok1, worst1) == (False,
+                                                "singular matrix at i(v1)")
+        assert np.array_equal(x, x1)
