@@ -25,8 +25,8 @@ from .mosfet import (ChargeSolution, ChargeSolveError, MosParams,
                      implicit_residual, solve_charge_householder,
                      solve_charge_reference, solve_charge_reference_grid,
                      terminal_charges, terminal_charges_grid)
-from .rram import (RramParams, conductance, hysteresis_loop, pulse_1t1r,
-                   read_1t1r, rram_current, set_1t1r, state_for_conductance,
-                   state_rate, tuning_curve_1t1r)
+from .rram import (RramParams, conductance, hysteresis_loop, read_1t1r,
+                   rram_current, set_1t1r, state_for_conductance, state_rate,
+                   tuning_curve_1t1r)
 
 __version__ = "0.1.0"

@@ -23,7 +23,7 @@ from .bench import bench_model_eval
 from .engine import (AnalysisSpec, ConvergenceError, NetlistError, SimResult,
                      TransientError, parse_netlist, run_analysis,
                      serialize_netlist)
-from .floatgate import FloatingGateParams, fg_read_current, program_pulse
+from .floatgate import FloatingGateParams, fg_program_pulse, fg_read_current
 from .mosfet import (ChargeSolveError, MosParams, drain_current,
                      gummel_current, terminal_charges)
 from .neuro import (MacromodelConfig, TrainConfig, find_mnist,
@@ -182,11 +182,12 @@ def cmd_fg_pulse(args) -> int:
              fg_read_current(p, q_fg, v_read=args.v_read, v_sg=args.v_sg))]
     schedule = [("pfb", args.amp_strengthen)] * args.strengthen \
         + [("nfb", args.amp_weaken)] * args.weaken
+    # one read per pulse: the read before a pulse is the previous row's
     for k, (terminal, amp) in enumerate(schedule, 1):
-        res = program_pulse(p, q_fg, terminal, amp, args.width,
-                            v_read=args.v_read, v_sg=args.v_sg)
-        q_fg = res.q_fg
-        rows.append((k, 1 if terminal == "pfb" else 0, amp, q_fg, res.i_after))
+        q_fg = fg_program_pulse(p, q_fg, terminal, amp, args.width)
+        rows.append((k, 1 if terminal == "pfb" else 0, amp, q_fg,
+                     fg_read_current(p, q_fg, v_read=args.v_read,
+                                     v_sg=args.v_sg)))
     meta = _metadata(args, objs,
                      pfb_column="1 strengthen pulse, 0 weaken pulse")
     _write(args, ["pulse", "pfb", "amplitude", "q_fg", "i_read"],

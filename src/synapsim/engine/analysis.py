@@ -11,10 +11,9 @@ lockstep: each circuit keeps its own time, step, step halving and
 trapezoidal history, and at every step the circuits still running solve
 their Newton iterations together (``newton_solve_batch``).  Each
 circuit's result is bit for bit the one it gets alone.  ``transient`` is
-the one-circuit case; while a single circuit of a batch is still
-stepping, it steps through ``newton_solve``, the same loop with K = 1.
-Each transient result carries deterministic ``stats``: accepted steps,
-step halvings and Newton iterations.
+the one-circuit case, and its steps solve through the same loop.  Each
+transient result carries deterministic ``stats``: accepted steps, step
+halvings and Newton iterations.
 """
 
 from __future__ import annotations
@@ -26,8 +25,8 @@ from typing import Optional
 import numpy as np
 
 from .circuit import Circuit
-from .mna import (EvalContext, SystemLayout, Tolerances, newton_solve,
-                  newton_solve_batch, post_step_aux, solve_dc)
+from .mna import (EvalContext, SystemLayout, Tolerances, newton_solve_batch,
+                  post_step_aux, solve_dc)
 
 _MIN_STEP_DIV = 1024.0
 
@@ -189,26 +188,15 @@ def transient_batch(circuits, specs) -> list:
             raise ValueError("the circuits of a batch must share their "
                              "tolerances")
     runs = [_Run(c, spec) for c, spec in zip(circuits, specs)]
-    if len(runs) > 1:
-        pattern = runs[0].layout.pattern("tran", tol.gmin != 0.0)
-        for run in runs:
-            if run.layout.pattern("tran", tol.gmin != 0.0) is not pattern:
-                raise ValueError("the circuits of a batch must share one "
-                                 "topology")
 
-    active = [run for run in runs if run.t < run.end]
+    # every circuit steps at t = 0, so newton_solve_batch rejects a mixed
+    # topology before any state is written
+    active = runs
     while active:
-        if len(active) == 1:
-            # a lone circuit steps through newton_solve, the same loop
-            # with one circuit, which the benchmark traces per solve
-            run = active[0]
-            ctx = run.context()
-            steps = ((run, ctx, newton_solve(run.layout, ctx, run.x, tol)),)
-        else:
-            ctxs = [run.context() for run in active]
-            steps = zip(active, ctxs, newton_solve_batch(
-                [run.layout for run in active], ctxs,
-                [run.x for run in active], tol))
+        ctxs = [run.context() for run in active]
+        steps = zip(active, ctxs, newton_solve_batch(
+            [run.layout for run in active], ctxs, [run.x for run in active],
+            tol))
         finished = False
         for run, ctx, (x_new, ok, worst) in steps:
             stats = run.stats

@@ -659,9 +659,9 @@ class _Pattern:
     """One mode's compiled scatter.
 
     The stamps' values are concatenated into one array, ``raw`` (slots
-    as laid out by ``_coo``): the per-element stamps' list is ``raw``
-    when no stamp is a vector one, and goes to ``scalar_slots`` beside
-    each vector stamp's ``views`` block otherwise.  One bincount over
+    as laid out by ``_coo``): each vector stamp fills its ``views``
+    block, and the per-element stamps' list goes to ``scalar_slots``
+    (every slot when no stamp is a vector one).  One bincount over
     values gathered from ``raw`` fills four regions: the full residual,
     the full scale, the condensed residual and the condensed Jacobian
     (dense); ``stack(k)`` runs it for k circuits at once.
@@ -681,6 +681,9 @@ class _Pattern:
         # the slots of the others, which run in assembly order
         self.vector = tuple((off, off + width * n, width) for (off, width),
                             (n, _, vector) in zip(spans, groups) if vector)
+        # a basic slice when every slot is a per-element one: assigning
+        # through it costs less than through an index array
+        self.scalar_slots = slice(None)
         if self.vector:
             scalar = np.ones(self.n_raw, bool)
             for lo, hi, _ in self.vector:
@@ -762,10 +765,11 @@ class _Pattern:
             j_base + cpos[j_rows[j_keep]] * m + cpos[j_cols[j_keep]],
             j_base + fill_rows[fill] * m + fill_cols[fill]))
 
-    def views(self, raw: np.ndarray) -> list:
-        """Each vector stamp's block of ``raw``, one row per slot of an
-        element and one column per element."""
-        return [raw[lo:hi].reshape(-1, width).T
+    def views(self, raw: np.ndarray, off: int) -> list:
+        """Each vector stamp's block of the circuit whose values start at
+        ``off`` in ``raw``, one row per slot of an element and one column
+        per element."""
+        return [raw[off + lo:off + hi].reshape(-1, width).T
                 for lo, hi, width in self.vector]
 
     def stack(self, k: int) -> "_Stack":
@@ -821,8 +825,8 @@ class _Stack:
         self.sign = rep(p.sign, 0)          # the signs repeat unchanged
         self.bins = rep(p.bins, p.n_bins)
         self.n_bins = k * p.n_bins
-        if p.vector:
-            self.scalar_slots = rep(p.scalar_slots, n_raw)
+        self.scalar_slots = (rep(p.scalar_slots, n_raw) if p.vector
+                             else p.scalar_slots)
         self.solved = rep(p.solved, n1)
         self.x_rows = rep(p.x_rows, n1)
         self.fx_slot, self.a_slot, self.r_slot = (
@@ -930,20 +934,20 @@ class Assembler:
         return self.ctx.seed
 
     def assemble(self, x: np.ndarray, out: Optional[list] = None,
-                 raw: Optional[np.ndarray] = None):
+                 raw: Optional[np.ndarray] = None, off: int = 0):
         """(f, jacobian, scale) at x; the jacobian's ``newton_step()``
         solves the condensed system and ``dense()`` gives the full J.
 
         In the lockstep Newton loop ``out`` is the batch's list of slot
         values, to which the per-element stamps append this circuit's,
-        and ``raw`` this circuit's block of the batch's value array,
-        which its vector stamps fill; the loop scatters the batch, and
-        nothing is returned.
+        and ``raw`` the batch's value array, whose block from ``off`` its
+        vector stamps fill; the loop writes ``out`` into the batch's
+        ``scalar_slots`` and scatters the batch, and nothing is returned.
         """
         ctx, layout, pat = self.ctx, self.layout, self.pattern
         alone = out is None
         if alone:
-            out = []
+            out, raw = [], np.empty(pat.n_raw)
         v = [0.0] + x.tolist()
         for st in layout.scalar[ctx.mode]:
             st.values(self, v, out)
@@ -952,16 +956,13 @@ class Assembler:
             for r in pat.gmin_rows:
                 out += (gmin * v[r], 0.0, gmin)
         if pat.vector:
-            if alone:
-                raw = np.empty(pat.n_raw)
-                raw[pat.scalar_slots] = out
             xp = np.concatenate(([0.0], x))
-            for st, blk in zip(layout.vector[ctx.mode], pat.views(raw)):
+            for st, blk in zip(layout.vector[ctx.mode],
+                               pat.views(raw, off)):
                 st.fill(self, xp, blk)
         if not alone:
             return None
-        if not pat.vector:
-            raw = np.array(out, dtype=float)
+        raw[pat.scalar_slots] = out
         jac = _Jacobian(pat, raw)
         return jac.f, jac, jac.scale
 
@@ -1006,16 +1007,10 @@ def newton_solve_batch(layouts, ctxs, x0s, tol: Tolerances) -> list:
     st = pat.stack(k)
     for it in range(1, tol.max_iter + 1):
         out: list = []
-        if pat.vector:
-            raw = np.empty(k * n_raw)
-            for row, i in enumerate(live):
-                asms[i].assemble(x[row, 1:], out,
-                                 raw[row * n_raw:(row + 1) * n_raw])
-            raw[st.scalar_slots] = out
-        else:
-            for row, i in enumerate(live):
-                asms[i].assemble(x[row, 1:], out)
-            raw = np.array(out, dtype=float)
+        raw = np.empty(k * n_raw)
+        for row, i in enumerate(live):
+            asms[i].assemble(x[row, 1:], out, raw, row * n_raw)
+        raw[st.scalar_slots] = out
         bins = st.scatter(raw)
         # whole-batch tests first; per-row reductions only when one fails
         left: dict = {}

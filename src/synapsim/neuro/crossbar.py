@@ -23,10 +23,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..engine import (AnalysisSpec, Circuit, RramElement, VSource,
-                      operating_point, transient, transient_batch)
+                      operating_point)
 from ..mosfet import MosParams
 from ..rram import (_SINH_ARG_MAX, RramParams, _op_1t1r, _pulse_1t1r_cell,
-                    _set_1t1r_batch, conductance, state_for_conductance)
+                    _run_transients, _set_1t1r_batch, conductance,
+                    state_for_conductance)
 
 __all__ = [
     "CrossbarSpec", "TrainConfig", "DeviceReport", "ProgramReport",
@@ -110,10 +111,6 @@ class ProgramReport:
     @property
     def total_pulses(self) -> int:
         return sum(d.pulses for d in self.devices)
-
-    @property
-    def all_converged(self) -> bool:
-        return all(d.converged for d in self.devices)
 
 
 # ---------------------------------------------------------------------------
@@ -259,17 +256,6 @@ def _verify(params: RramParams, x0: float, g_target: float,
                         converged=abs(g - g_target) <= cfg.write_tol), x
 
 
-def _run_round(cells) -> None:
-    """Run one verify round: the pulse of every (circuit, spec) cell, all
-    in one lockstep transient.  A lone pulse runs through ``transient``,
-    the same loop with one circuit, which the benchmark traces per
-    analysis."""
-    if len(cells) == 1:
-        transient(*cells[0])
-    else:
-        transient_batch(*zip(*cells))
-
-
 def _in_rounds(loops) -> list:
     """Run ``_verify`` generators in rounds: each round runs the next
     pulse of every loop that is not done, and every loop then reads its
@@ -287,7 +273,7 @@ def _in_rounds(loops) -> list:
         advance(i)
     while pending:
         round_ = list(pending)
-        _run_round([pending.pop(i) for i in round_])
+        _run_transients([pending.pop(i) for i in round_])
         for i in round_:
             advance(i)
     return results

@@ -146,12 +146,12 @@ def state_rate_and_grads(p: RramParams, v, x):
 # element layer imports this module)
 
 def hysteresis_loop(p: RramParams, v_peak: float = 1.2,
-                    period: float = 1e-3, tstep: float = 1e-6,
-                    x0: float = 0.0):
+                    period: float = 1e-3, tstep: float = 1e-6):
     """Bipolar triangular sweep 0 -> +v_peak -> 0 -> -v_peak -> 0.
 
-    Returns (v, i, x) arrays over one period; the drive is built from
-    two half-period triangle sources in series.
+    Returns (v, i, x) arrays over one period; the device starts at the
+    model card's ``x_init``, and the drive is built from two
+    half-period triangle sources in series.
     """
     from .engine import (AnalysisSpec, Circuit, PulseSpec, RramElement,
                          VSource, transient)
@@ -165,7 +165,7 @@ def hysteresis_loop(p: RramParams, v_peak: float = 1.2,
     c.add(VSource("vneg", "b", "0",
                   pulse=PulseSpec(0.0, -v_peak, period / 2.0, quarter,
                                   quarter, 0.0, period)))
-    c.add(RramElement("xr1", "a", "0", model="mem", x0=x0))
+    c.add(RramElement("xr1", "a", "0", model="mem"))
     res = transient(c, AnalysisSpec(kind="tran", tstep=tstep,
                                     tstop=period))
     return (res.column("v(a)"), -res.column("i(vpos)"),
@@ -188,7 +188,9 @@ def _build_1t1r(p: RramParams, mos_params, v_top: float, v_gate: float):
 def _pulse_1t1r_cell(p: RramParams, mos_params, v_top: float,
                      v_gate: float, width: float = 10e-6, x0: float = 0.0,
                      steps: int = 500):
-    """(circuit, spec) of one programming pulse on a 1T1R cell."""
+    """(circuit, spec) of one programming pulse on a 1T1R cell starting
+    from state x0: a positive v_top SETs toward the transistor's
+    compliance ceiling, a negative one (gate driven hard) RESETs."""
     from .engine import AnalysisSpec
 
     c = _build_1t1r(p, mos_params, v_top, v_gate)
@@ -199,28 +201,14 @@ def _pulse_1t1r_cell(p: RramParams, mos_params, v_top: float,
 def _run_transients(cells) -> None:
     """Run the transient of every (circuit, spec) cell, all in one
     lockstep batch.  A lone cell runs through ``transient``, the same
-    loop with one circuit, which the benchmark traces per analysis."""
+    loop with one circuit, which the benchmark traces per analysis; the
+    import at call time finds a wrapped ``synapsim.engine.transient``."""
     from .engine import transient, transient_batch
 
     if len(cells) == 1:
         transient(*cells[0])
     elif cells:
         transient_batch(*zip(*cells))
-
-
-def pulse_1t1r(p: RramParams, mos_params, v_top: float, v_gate: float,
-               width: float = 10e-6, x0: float = 0.0,
-               steps: int = 500) -> float:
-    """One programming pulse on a 1T1R cell starting from state x0.
-
-    Positive v_top SETs toward the transistor's compliance ceiling;
-    negative v_top (gate driven hard) RESETs.  Returns the final
-    filament state.
-    """
-    c, spec = _pulse_1t1r_cell(p, mos_params, v_top, v_gate, width, x0,
-                               steps)
-    _run_transients([(c, spec)])
-    return float(c.state["xr1"])
 
 
 def _set_1t1r_batch(p: RramParams, mos_params, v_pgm_values,

@@ -186,6 +186,39 @@ def test_crossbar_and_rejects_removed_train_keys(tmp_path, assignment):
                  str(tmp_path / "and.csv")]) == 2
 
 
+def test_rram_iv_starts_at_the_model_cards_x_init(tmp_path):
+    out = tmp_path / "iv.csv"
+    assert main(["rram-iv", "--tstep", "1e-5", "--set", "rram.x_init=0.5",
+                 "--out", str(out)]) == 0
+    meta, header, rows = _read_csv(out)
+    assert "rram.x_init: 0.5" in meta
+    assert rows[0, header.index("x")] == 0.5
+
+
+def test_fg_pulse_reads_once_per_pulse(tmp_path, monkeypatch):
+    # the read before a pulse is the previous row's read at the same
+    # charge, so 10 pulses take 11 reads
+    import synapsim.cli as cli
+    import synapsim.floatgate as floatgate
+
+    reads = []
+    read = floatgate.fg_read_current
+
+    def counting_read(*args, **kw):
+        reads.append(args[1])
+        return read(*args, **kw)
+
+    monkeypatch.setattr(floatgate, "fg_read_current", counting_read)
+    monkeypatch.setattr(cli, "fg_read_current", counting_read)
+    out = tmp_path / "fg.csv"
+    assert main(["fg-pulse", "--out", str(out)]) == 0
+    _, header, rows = _read_csv(out)
+    assert len(rows) == 11 and len(reads) == 11
+    # each read is at the charge of its row (the CSV keeps 15 digits)
+    np.testing.assert_allclose(reads, rows[:, header.index("q_fg")],
+                               rtol=1e-14, atol=0)
+
+
 def test_bench_zero_points_is_usage_error(tmp_path, capsys):
     assert main(["bench", "--n", "0", "--out", str(tmp_path / "b.csv")]) == 2
     assert "at least one point" in capsys.readouterr().err

@@ -222,3 +222,41 @@ def test_program_rounds_equal_the_per_device_loop(scheme, shape, params):
         alone.name = dev.name
         assert dev == alone
         assert c.state[dev.name] == x
+
+
+def test_rounds_run_one_cell_through_transient_and_more_in_one_batch(
+        params, monkeypatch):
+    # the benchmark's engine.tran boundary wraps synapsim.engine.transient:
+    # a one-cell round must call it, and a round of several cells must
+    # run as one transient_batch
+    import synapsim.engine as engine
+
+    calls = []
+    transient, transient_batch = engine.transient, engine.transient_batch
+
+    def counting_transient(circuit, spec):
+        calls.append(("transient", 1))
+        return transient(circuit, spec)
+
+    def counting_batch(circuits, specs):
+        calls.append(("transient_batch", len(circuits)))
+        return transient_batch(circuits, specs)
+
+    monkeypatch.setattr(engine, "transient", counting_transient)
+    monkeypatch.setattr(engine, "transient_batch", counting_batch)
+    spec = CrossbarSpec(n_inputs=2, n_outputs=1)
+    span = params.g_on - params.g_off
+    g_plus = params.g_off + np.array([[0.3], [0.6]]) * span
+    g_minus = params.g_off + np.array([[0.5], [0.2]]) * span
+    c = build_crossbar(spec, params, x_init=0.0)
+    report = program_weights(c, spec, g_plus, g_minus, TrainConfig())
+    # every device starts at x = 0 away from its target: one round of 4
+    assert calls[0] == ("transient_batch", 4)
+    assert all((name == "transient") == (n == 1) for name, n in calls)
+    assert sum(n for _, n in calls) == report.total_pulses
+
+    calls.clear()
+    report, _ = write_verify_device(params, 0.0, params.g_off + 0.4 * span,
+                                    TrainConfig())
+    assert report.pulses >= 1
+    assert calls == [("transient", 1)] * report.pulses

@@ -31,6 +31,28 @@ def test_hysteresis_loop_is_pinched_with_branch_contrast():
     assert i_dn > 10.0 * i_up > 0.0
 
 
+def test_hysteresis_loop_is_pinned():
+    # rram-iv at its CLI defaults: one lone-circuit transient, sampled
+    # while the filament sets, at the positive peak, while it resets and
+    # at the negative peak
+    v, i, x = hysteresis_loop(RramParams(), v_peak=1.2, period=1e-3,
+                              tstep=1e-6)
+    pins = [(10, 0.048, 8.178790949758021e-06, 0.614391418117718),
+            (25, 0.12000000000000002, 8.198355030095363e-05,
+             0.9089974021031108),
+            (250, 1.199999999999998, 0.015186246367921574,
+             0.9999781651344022),
+            (510, -0.04800000000002822, -2.8518052396166243e-06,
+             0.3856067955476753),
+            (525, -0.12000000000002997, -1.8955571680419035e-06,
+             0.09100248475514258),
+            (750, -1.1999999999999438, -0.0001518930072855871,
+             2.183486558886446e-05)]
+    k = [row[0] for row in pins]
+    np.testing.assert_allclose(np.column_stack([v[k], i[k], x[k]]),
+                               [row[1:] for row in pins], rtol=1e-12, atol=0)
+
+
 def test_1t1r_set_then_read_round_trip():
     rp, mp = RramParams(), MosParams()
     x = set_1t1r(rp, mp, v_pgm=0.9)
