@@ -13,7 +13,11 @@ their Newton iterations together (``newton_solve_batch``).  Each
 circuit's result is bit for bit the one it gets alone.  ``transient`` is
 the one-circuit case, and its steps solve through the same loop.  Each
 transient result carries deterministic ``stats``: accepted steps, step
-halvings and Newton iterations.
+halvings and Newton iterations.  An operating point's or a DC sweep's
+``stats`` hold its Newton iterations, summed over every homotopy
+attempt, and its ``path``: ``"newton"`` when the plain solve converged,
+``"gmin"`` or ``"source"`` when that homotopy rescued it (for a sweep,
+the strongest any point needed).
 """
 
 from __future__ import annotations
@@ -25,8 +29,8 @@ from typing import Optional
 import numpy as np
 
 from .circuit import Circuit
-from .mna import (EvalContext, SystemLayout, Tolerances, newton_solve_batch,
-                  post_step_aux, solve_dc)
+from .mna import (DC_PATHS, EvalContext, SystemLayout, Tolerances,
+                  newton_solve_batch, post_step_aux, solve_dc)
 
 _MIN_STEP_DIV = 1024.0
 
@@ -66,7 +70,8 @@ class SimResult:
     # from the columns unless given (the analyses pass their layout's)
     index: Optional[dict] = field(default=None, repr=False, compare=False)
     # deterministic counts of the run: a transient's accepted steps,
-    # step halvings and Newton iterations
+    # step halvings and Newton iterations; an operating point's or a DC
+    # sweep's Newton iterations and homotopy path (``solve_dc``)
     stats: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
@@ -99,10 +104,11 @@ class SimResult:
 def operating_point(circuit: Circuit, spec: AnalysisSpec) -> SimResult:
     layout = SystemLayout(circuit)
     spec.check()
-    x = solve_dc(layout, spec)
+    stats: dict = {}
+    x = solve_dc(layout, spec, stats=stats)
     columns, index = layout.columns()
     return SimResult(columns=columns, data=x.reshape(1, -1).copy(),
-                     index=index)
+                     index=index, stats=stats)
 
 
 def dc_sweep(circuit: Circuit, spec: AnalysisSpec) -> SimResult:
@@ -119,12 +125,19 @@ def dc_sweep(circuit: Circuit, spec: AnalysisSpec) -> SimResult:
     values = spec.start + spec.step * np.arange(n)
     rows = np.empty((n, layout.size + 1))
     x = None
+    # the iterations of every point, and the strongest homotopy a point
+    # needed
+    stats = {"newton_iterations": 0, "path": DC_PATHS[0]}
+    point: dict = {}
     for k, val in enumerate(values):
-        x = solve_dc(layout, spec, x0=x, src_override={src: float(val)})
+        x = solve_dc(layout, spec, x0=x, src_override={src: float(val)},
+                     stats=point)
+        stats["newton_iterations"] += point["newton_iterations"]
+        stats["path"] = max(stats["path"], point["path"], key=DC_PATHS.index)
         rows[k, 0] = val
         rows[k, 1:] = x
     columns, index = layout.columns((src,))
-    return SimResult(columns=columns, data=rows, index=index)
+    return SimResult(columns=columns, data=rows, index=index, stats=stats)
 
 
 def transient(circuit: Circuit, spec: AnalysisSpec) -> SimResult:

@@ -205,16 +205,32 @@ class CircuitError(Exception):
         self.by_element = by_element or {}
 
 
+class _NodeTable(dict):
+    """Node name -> index, keyed by the lower-cased name; a name is
+    looked up in any case."""
+
+    def __missing__(self, name: str) -> int:
+        low = name.lower()
+        if low == name:
+            raise KeyError(name)
+        return self[low]
+
+
 class Circuit:
-    """Mutable circuit under construction plus carried device state."""
+    """Mutable circuit under construction plus carried device state.
+
+    Node, element and model names are case-insensitive, as in a netlist:
+    each is keyed by its lower-cased name, and an element keeps its name
+    as given for the columns of a result."""
 
     def __init__(self):
-        self.nodes: dict[str, int] = {"0": 0}
+        self.nodes: dict[str, int] = _NodeTable({"0": 0})
         self.elements: list = []
         self.models: dict[str, tuple[str, object]] = {}
         self.state: dict[str, float] = {}
         # fg model name -> cmg model name used for its readout transistor
         self.fg_mos_ref: dict[str, str] = {}
+        # lower-cased element name -> element
         self._by_name: dict[str, object] = {}
         # the compiled engine form (``mna.SystemLayout``); adding an
         # element or a model drops it
@@ -241,9 +257,10 @@ class Circuit:
         self._layout = None
 
     def add(self, element) -> None:
-        if element.name in self._by_name:
+        key = element.name.lower()
+        if key in self._by_name:
             raise CircuitError(f"duplicate element '{element.name}'")
-        self._by_name[element.name] = element
+        self._by_name[key] = element
         self.elements.append(element)
         self._layout = None
         for node in element.terminals:
@@ -260,7 +277,7 @@ class Circuit:
             want = e.model_kind
             if want is None:
                 continue
-            kind, params = self.models.get(e.model, (None, None))
+            kind, params = self.models.get(e.model.lower(), (None, None))
             if kind is None:
                 bad[e.name] = (f"element '{e.name}' references unknown "
                                f"model '{e.model}'")

@@ -11,16 +11,24 @@ rate law in transient); a floating-gate row is its KCL in transient and
 its stored-charge constraint, in volts, in DC.  One set of tolerances
 covers every row.
 
-Solved system: the RRAM state unknowns are eliminated before the linear
-solve, the standard SPICE treatment of device-internal unknowns.  A
-state row couples only to its own state and its device's two terminals,
-so the state block of the Jacobian is diagonal: the Newton step solves
-the Schur complement over the remaining unknowns and back-substitutes
-each state update.  In DC the diagonal is 1 and the update pins the
-state to its carried value; in transient each state adds a 1x1
-complement term onto its device's terminals.  A 32x16 crossbar has 1152
-unknowns and solves 128.  The floating-gate voltage is coupled to four
-or more nodes and stays an ordinary solved unknown.
+Solved system: two kinds of unknowns are eliminated before the linear
+solve.  The RRAM states, the standard SPICE treatment of device-internal
+unknowns: a state row couples only to its own state and its device's
+two terminals, so the state block of the Jacobian is diagonal; the
+Newton step solves the Schur complement over the remaining unknowns and
+back-substitutes each state update.  In DC the diagonal is 1 and the
+update pins the state to its carried value; in transient each state
+adds a 1x1 complement term onto its device's terminals.  And the node
+and branch current of each pinned source, a voltage source from ground
+to a node that no other grounded source holds: its row has one entry,
+so it gives the node's update before the solve, and its branch current
+appears only in that node's KCL row, which gives the current's update
+after it (the Jacobian is block lower triangular after a permutation,
+and these are the singletons a sparse solver takes out before it
+factors).  A 32x16 crossbar has 1152 unknowns and solves none: every
+node is held by a word-line driver or a bit-line clamp, and the solve
+runs on an empty system.  Sources between two nodes stay solved, and so
+does the floating-gate voltage, coupled to four or more nodes.
 
 Compiled form: ``SystemLayout(circuit)`` compiles a circuit once and
 caches the result on it until an element or model is added.  Elements
@@ -219,27 +227,60 @@ class _Companion(_Stamp):
 
 
 class _VSource(_Stamp):
+    """Independent voltage sources.  Their targets depend on the context
+    only, so an assembler computes them once per Newton solve
+    (``targets``); a stamp of at least ``_VECTOR_MIN`` sources writes
+    its slots from arrays through compiled indices (``vector``).  The
+    entries of a source's row and of its branch column are the
+    constants +-1, which the Newton step's elimination of pinned
+    sources relies on (``_Pattern``)."""
+
+    def __init__(self, recs):
+        super().__init__(recs)
+        self.elements = self.column(0)
+        # overrides name their source in any case
+        self.keys = [e.name.lower() for e in self.elements]
+        self.vector = self.n >= _VECTOR_MIN
+        if self.vector:
+            self.npos, self.nneg, self.branch = (
+                _ints(self.column(k)) for k in (1, 2, 3))
+
     # record: (element, npos, nneg, branch)
     def blocks(self, mode):
         npos, nneg, branch = self.column(1), self.column(2), self.column(3)
         return [("cur", npos, nneg, (branch,)),
                 ("row", branch, (npos, nneg))]
 
+    def targets(self, ctx):
+        """Each source's value in ``ctx``, scaled by its source factor:
+        a list of floats, an array for a vector stamp."""
+        over, t, scale = ctx.src_override, ctx.time, ctx.sfactor
+        if over:
+            over = {name.lower(): v for name, v in over.items()}
+        if ctx.mode == "tran":
+            out = [(over[key] if key in over else e.value_at(t)) * scale
+                   for e, key in zip(self.elements, self.keys)]
+        else:
+            out = [(over[key] if key in over else e.dc_value()) * scale
+                   for e, key in zip(self.elements, self.keys)]
+        return np.array(out) if self.vector else out
+
     def values(self, asm, v, out):
-        ctx = asm.ctx
-        over, tran = ctx.src_override, ctx.mode == "tran"
-        for e, npos, nneg, branch in self.recs:
-            if e.name in over:
-                target = over[e.name]
-            elif tran:
-                target = e.value_at(ctx.time)
-            else:
-                target = e.dc_value()
-            target *= ctx.sfactor
+        for (_, npos, nneg, branch), target in zip(self.recs, asm.targets):
             vp, vn = v[npos], v[nneg]
             out += (v[branch], 1.0,
                     vp - vn - target, abs(vp) + abs(vn) + abs(target),
                     1.0, -1.0)
+
+    def fill(self, asm, xp, blk):
+        target = asm.targets
+        vp, vn = xp[self.npos], xp[self.nneg]
+        blk[0] = xp[self.branch]
+        blk[1] = 1.0
+        blk[2] = vp - vn - target
+        blk[3] = abs(vp) + abs(vn) + abs(target)
+        blk[4] = 1.0
+        blk[5] = -1.0
 
 
 class _ISource(_Stamp):
@@ -444,7 +485,8 @@ _KINDS = {
     Capacitor: _Kind(lambda e, n, lay: [
         (_Companion, (n[e.n1], n[e.n2], e.value, e.name))]),
     VSource: _Kind(lambda e, n, lay: [
-        (_VSource, (e, n[e.npos], n[e.nneg], lay.branch[e.name] + 1))]),
+        (_VSource, (e, n[e.npos], n[e.nneg],
+                    lay.branch[e.name.lower()] + 1))]),
     ISource: _Kind(lambda e, n, lay: [
         (_ISource, (e, n[e.npos], n[e.nneg]))]),
     Mosfet: _Kind(lambda e, n, lay: [
@@ -484,8 +526,10 @@ class SystemLayout:
         nodes = circuit.nodes
         self.n_nodes = len(nodes)
         self.vsrc = circuit.vsources()
+        # lower-cased source name -> row of its branch current
         self.branch: dict[str, int] = {
-            e.name: self.n_nodes - 1 + j for j, e in enumerate(self.vsrc)}
+            e.name.lower(): self.n_nodes - 1 + j
+            for j, e in enumerate(self.vsrc)}
         self.size = self.n_nodes - 1 + len(self.vsrc)
         index_to_name = {i: n for n, i in nodes.items()}
         self.node_names = [index_to_name[i] for i in range(self.n_nodes)]
@@ -515,6 +559,8 @@ class SystemLayout:
                        for mode, sts in self.stamps.items()}
         self.vector = {mode: [st for st in sts if st.vector]
                        for mode, sts in self.stamps.items()}
+        self.sources = next((st for st in stamps if type(st) is _VSource),
+                            None)
         # rows that start at the carried state itself, gathered in one call
         direct = [(e.name, row) for e, row in self.internal
                   if _KINDS[type(e)].seed is None]
@@ -529,8 +575,22 @@ class SystemLayout:
                                for e, _ in self.internal
                                if type(e) is RramElement
                                and nodes[e.internal_node] not in terminals)
-        # length of the condensed system the Newton step solves
-        self.solved_size = self.size - len(self.condensed)
+        # (node, branch, sign) of each pinned source: a source from ground
+        # to a KCL node that no other grounded source holds, in padded
+        # indices; sign is +1 when the node is the source's npos
+        grounded: dict = {}
+        for j, e in enumerate(self.vsrc):
+            a, b = nodes[e.npos], nodes[e.nneg]
+            if (a == 0) != (b == 0):
+                grounded.setdefault(a or b, []).append(
+                    (a or b, self.n_nodes + j, 1 if a else -1))
+        self.pinned = tuple(
+            held[0] for node, held in grounded.items()
+            if len(held) == 1 and self.row_kind[node - 1] == "kcl")
+        # length of the system the Newton step solves: the states and
+        # the pinned nodes and branches are eliminated
+        self.solved_size = (self.size - len(self.condensed)
+                            - 2 * len(self.pinned))
         self._patterns: dict = {}
         self._abstols: dict = {}
         self._results: dict = {}
@@ -551,7 +611,8 @@ class SystemLayout:
                 groups.append((len(gmin_rows),
                                (("row", gmin_rows, (gmin_rows,)),), False))
             pat = self._patterns[key] = _compiled_pattern(
-                self.size, self.condensed, tuple(groups), gmin_rows)
+                self.size, self.condensed, self.pinned, tuple(groups),
+                gmin_rows)
         return pat
 
     def abstols(self, tol: Tolerances):
@@ -656,25 +717,47 @@ def _coo(groups):
 
 
 class _Pattern:
-    """One mode's compiled scatter.
+    """One mode's compiled scatter and Newton step.
 
     The stamps' values are concatenated into one array, ``raw`` (slots
     as laid out by ``_coo``): each vector stamp fills its ``views``
     block, and the per-element stamps' list goes to ``scalar_slots``
-    (every slot when no stamp is a vector one).  One bincount over
-    values gathered from ``raw`` fills four regions: the full residual,
-    the full scale, the condensed residual and the condensed Jacobian
-    (dense); ``stack(k)`` runs it for k circuits at once.
-    Condensing state x with diagonal a_x, residual f_x, column entries
-    J[r, x] and row entries J[x, c] adds -J[r, x] f_x / a_x to the
-    condensed residual of r and the fill -J[r, x] J[x, c] / a_x to the
-    condensed J[r, c].  Contributions to ground, and condensed
-    contributions to a state row or column, are dropped here, once.
+    (every slot when no stamp is a vector one).
+
+    The Newton step solves a dense system over the unknowns R: every
+    unknown but ground, the condensed states and the node e and branch b
+    of each pinned source (``SystemLayout``).  The others are eliminated
+    around that solve, in the order of a block lower triangular
+    Jacobian:
+      - each pinned node first: its source's row s has the one entry
+        J[s, e], so dx_e = -f_s / J[s, e];
+      - then R, with the states condensed out: condensing state x with
+        diagonal a_x, residual f_x, column entries J[r, x] and row
+        entries J[x, c] adds -J[r, x] f_x / a_x to the residual of r and
+        the fill -J[r, x] J[x, c] / a_x to J[r, c]; an R row's condensed
+        entry in a pinned node's column moves to its right-hand side,
+        times dx_e;
+      - then, in one back-substitution, each state from its own row,
+        dx_x = -(f_x + sum_c J[x, c] dx_c) / a_x, and each pinned branch
+        current from its node's KCL row, the only row it appears in,
+        with the states condensed out of that row as out of R's:
+        dx_b = -(f_e + sum_c J[e, c] dx_c) / J[e, b] over c in R and the
+        pinned nodes.
+    The values the step reads are ``ext``: raw, |raw|, the condensation
+    terms (products of raw values) and a constant 1.  One bincount over
+    values gathered from ``ext`` fills the bins: the full residual, the
+    full scale, R's right-hand side (the negated condensed residual) and
+    R's condensed Jacobian (dense), and dx (each pinned node's dx_e);
+    the back-substitution gathers its own.  Contributions to ground are
+    dropped here, once.  ``stack(k)`` runs all this for k circuits at
+    once.
     """
 
-    def __init__(self, size: int, condensed: tuple, groups, gmin_rows):
+    def __init__(self, size: int, condensed: tuple, pinned: tuple, groups,
+                 gmin_rows):
         (f_rows, f_slot, f_sign, s_slot, j_rows, j_cols, j_slot, j_sign,
          self.n_raw, spans) = _coo(groups)
+        n_raw = self.n_raw
         self.gmin_rows = gmin_rows
         self._stacks: dict = {}
         # (first slot, end, slots per element) of each vector stamp, and
@@ -685,14 +768,13 @@ class _Pattern:
         # through it costs less than through an index array
         self.scalar_slots = slice(None)
         if self.vector:
-            scalar = np.ones(self.n_raw, bool)
+            scalar = np.ones(n_raw, bool)
             for lo, hi, _ in self.vector:
                 scalar[lo:hi] = False
             self.scalar_slots = np.flatnonzero(scalar)
         self.j_rows, self.j_cols, self.j_slot, self.j_sign = (
             j_rows, j_cols, j_slot, j_sign)
 
-        # condensed index of each padded unknown: 0 for ground and states
         n1 = size + 1
         xs = _ints(condensed)
         nx = len(xs)
@@ -700,14 +782,25 @@ class _Pattern:
         is_x[xs] = True
         x_id = np.full(n1, -1)
         x_id[xs] = np.arange(nx)
-        self.solved = np.flatnonzero(~is_x[1:]) + 1
+        pin_e, pin_b, pin_sign = _ints(pinned).reshape(-1, 3).T
+        npin = len(pin_e)
+        # the pin of each padded node e and of each branch b, -1 elsewhere
+        e_id, b_id = np.full(n1, -1), np.full(n1, -1)
+        e_id[pin_e] = b_id[pin_b] = np.arange(npin)
+        is_e = e_id >= 0
+        # condensed index of each unknown of R, 1-based; 0 elsewhere
+        in_r = ~(is_x | is_e | (b_id >= 0))
+        in_r[0] = False
+        self.solved = np.flatnonzero(in_r)
         m = len(self.solved)
         cpos = np.zeros(n1, np.intp)
         cpos[self.solved] = np.arange(1, m + 1)
-        self.n, self.n1, self.m, self.nx, self.x_rows = size, n1, m, nx, xs
+        self.n, self.n1, self.m, self.nx = size, n1, m, nx
+        self.nt = nx + npin
 
         # a state row holds its own residual and diagonal once, and it
-        # couples to other unknowns only through its device's terminals
+        # couples to other unknowns only through its device's terminals,
+        # with entries of sign +1
         diag = np.flatnonzero(is_x[j_rows] & (j_rows == j_cols))
         fx = np.flatnonzero(is_x[f_rows])
         col = np.flatnonzero(is_x[j_cols] & (j_rows != j_cols))
@@ -716,54 +809,138 @@ class _Pattern:
         assert np.array_equal(np.sort(x_id[f_rows[fx]]), np.arange(nx))
         assert np.all(j_sign[diag] == 1.0) and np.all(f_sign[fx] == 1.0)
         assert not is_x[j_rows[col]].any() and not is_x[j_cols[row]].any()
-        self.a_slot = np.empty(nx, np.intp)
-        self.a_slot[x_id[j_rows[diag]]] = j_slot[diag]
-        self.fx_slot = np.empty(nx, np.intp)
-        self.fx_slot[x_id[f_rows[fx]]] = f_slot[fx]
-        # the J[x, c] entries, for back-substitution
-        self.r_slot, self.r_sign = j_slot[row], j_sign[row]
-        self.r_x, self.r_col = x_id[j_rows[row]], j_cols[row]
-        # fill pairs: each J[r, x] with each J[x, c] of the same state
+        assert np.all(j_sign[row] == 1.0)
+        a_slot = np.empty(nx, np.intp)
+        a_slot[x_id[j_rows[diag]]] = j_slot[diag]
+        fx_slot = np.empty(nx, np.intp)
+        fx_slot[x_id[f_rows[fx]]] = f_slot[fx]
+        # a pinned source's row (numbered as its branch b) holds one
+        # residual, f_s, and one entry, J[s, e], both of sign +1, and its
+        # branch column one entry, J[e, b], of the pin's sign; the source
+        # stamp writes J[s, e] as the pin's sign and J[e, b] as 1, so the
+        # divisions by them are exact
+        fs = np.flatnonzero(b_id[f_rows] >= 0)
+        se = np.flatnonzero((b_id[j_rows] >= 0) & (j_cols != 0))
+        eb = np.flatnonzero((b_id[j_cols] >= 0) & (j_rows != 0))
+        for ends, other in ((b_id[j_rows], j_cols), (b_id[j_cols], j_rows)):
+            on = ends >= 0
+            assert np.all((other[on] == 0) | (other[on] == pin_e[ends[on]]))
+        assert len(fs) == len(se) == len(eb) == npin
+        assert np.all(f_sign[fs] == 1.0) and np.all(j_sign[se] == 1.0)
+        assert np.array_equal(j_sign[eb], pin_sign[b_id[j_cols[eb]]])
+        fs_slot = np.empty(npin, np.intp)
+        fs_slot[b_id[f_rows[fs]]] = f_slot[fs]
+        se_slot = np.empty(npin, np.intp)
+        se_slot[b_id[j_rows[se]]] = j_slot[se]
+        eb_slot = np.empty(npin, np.intp)
+        eb_slot[b_id[j_cols[eb]]] = j_slot[eb]
+
+        # what the states condense out of: the rows of R and the pinned
+        # nodes' KCL rows, in R's and the pinned nodes' columns; the fill
+        # pairs join each J[r, x] with each J[x, c] of the same state
+        kept = in_r | is_e
+        col = col[kept[j_rows[col]]]
         by_x = [[] for _ in range(nx)]
-        for k, xi in enumerate(self.r_x):
-            by_x[xi].append(k)
+        for k in row[kept[j_cols[row]]]:
+            by_x[x_id[j_rows[k]]].append(k)
         pairs = [(c, k) for c in col for k in by_x[x_id[j_cols[c]]]]
         pc = _ints([c for c, _ in pairs])
         pk = _ints([k for _, k in pairs])
+        # R's direct entries in pinned columns
+        direct = np.flatnonzero(in_r[j_rows] & is_e[j_cols])
+        de = e_id[j_cols[direct]]
 
-        # bins, ground dropped: full f (size) | full scale (size) |
-        # condensed f (m) | condensed J (m x m, row-major); a padded
-        # unknown r is bin r - 1 of the full parts, a condensed one c
-        # bin c - 1 of the condensed parts
-        s_base, c_base, j_base = size - 1, 2 * size - 1, 2 * size - 1
-        self.n_bins = 2 * size + m + m * m
-        f_keep = f_rows != 0
-        fc_keep = cpos[f_rows] != 0
-        j_keep = (cpos[j_rows] != 0) & (cpos[j_cols] != 0)
-        col = col[cpos[j_rows[col]] != 0]
-        fill_rows, fill_cols = cpos[j_rows[pc]], cpos[self.r_col[pk]]
-        fill = (fill_rows != 0) & (fill_cols != 0)
-        pc, pk = pc[fill], pk[fill]
-        # condensation terms raw[L] * raw[R] / a: -J[r, x] f_x / a_x for
-        # each column entry, -J[r, x] J[x, c] / a_x for each fill pair
+        # terms raw[L] * raw[R] / raw[D]: J[r, x] f_x / a_x of each column
+        # entry, J[r, x] J[x, c] / a_x of each fill pair, and
+        # J[r, e] f_s / J[s, e] of each direct entry; then products
+        # term * raw[F]: each fill pair of an R row and a pinned column
+        # times its f_s
         col_x, pair_x = x_id[j_cols[col]], x_id[j_cols[pc]]
-        self.t_left = np.concatenate((j_slot[col], j_slot[pc]))
-        self.t_right = np.concatenate((self.fx_slot[col_x], self.r_slot[pk]))
-        self.t_diag = self.a_slot[np.concatenate((col_x, pair_x))]
-        # the weights are (raw | |raw| | terms)[slot] * sign
-        n_raw, n_terms = self.n_raw, len(self.t_left)
-        self.slot = np.concatenate((
-            f_slot[f_keep], n_raw + s_slot[f_keep], f_slot[fc_keep],
-            2 * n_raw + np.arange(len(col)), j_slot[j_keep],
-            2 * n_raw + np.arange(len(col), n_terms)))
-        self.sign = np.concatenate((
-            f_sign[f_keep], np.ones(f_keep.sum()), f_sign[fc_keep],
-            -j_sign[col], j_sign[j_keep], -j_sign[pc] * self.r_sign[pk]))
-        self.bins = np.concatenate((
-            f_rows[f_keep] - 1, s_base + f_rows[f_keep],
-            c_base + cpos[f_rows[fc_keep]], c_base + cpos[j_rows[col]],
-            j_base + cpos[j_rows[j_keep]] * m + cpos[j_cols[j_keep]],
-            j_base + fill_rows[fill] * m + fill_cols[fill]))
+        self.t_left = np.concatenate((j_slot[col], j_slot[pc],
+                                      j_slot[direct]))
+        self.t_right = np.concatenate((fx_slot[col_x], j_slot[pk],
+                                       fs_slot[de]))
+        self.t_diag = np.concatenate((a_slot[col_x], a_slot[pair_x],
+                                      se_slot[de]))
+        n_col, n_terms = len(col), len(self.t_left)
+        fill_rows, fill_cols = j_rows[pc], j_cols[pk]
+        fp = np.flatnonzero(in_r[fill_rows] & is_e[fill_cols])
+        fp_pin = e_id[fill_cols[fp]]
+        self.p_term, self.p_raw = n_col + fp, fs_slot[fp_pin]
+        # ext = raw | |raw| | terms | products | 1
+        t_base, p_base = 2 * n_raw, 2 * n_raw + n_terms
+        one = p_base + len(fp)
+        self.parts = (n_raw, n_raw, n_terms, len(fp), 0)
+
+        # the binned weights, ext[slot] * sign, ground dropped: full f
+        # (size) | full scale (size) | R's right-hand side (m) | R's
+        # condensed J (m x m, row-major) | dx (size + 1, padded: each
+        # pinned node's dx_e, 0 elsewhere, and 1 in a last, spare
+        # column); a padded unknown r is bin r - 1 of the full parts, a
+        # condensed one c bin c - 1 of R's parts
+        f_keep = np.flatnonzero(f_rows != 0)
+        f_r = np.flatnonzero(in_r[f_rows])
+        r_j = np.flatnonzero(in_r[j_rows] & in_r[j_cols])
+        r_col = np.flatnonzero(in_r[j_rows[col]])
+        r_fill = np.flatnonzero(in_r[fill_rows] & in_r[fill_cols])
+        r_dir = np.arange(len(direct))
+        c_base = 2 * size - 1
+        self.d_base = 2 * size + m + m * m
+        self.n_bins = self.d_base + n1 + 1
+        parts = (
+            # the full residual and scale
+            (f_slot[f_keep], f_sign[f_keep], f_rows[f_keep] - 1),
+            (n_raw + s_slot[f_keep], np.ones(len(f_keep)),
+             size - 1 + f_rows[f_keep]),
+            # R's right-hand side: -f_r, then the state terms, the direct
+            # pinned terms and the fill products; each is minus its term
+            # of the condensed residual
+            (f_slot[f_r], -f_sign[f_r], c_base + cpos[f_rows[f_r]]),
+            (j_slot[r_j], j_sign[r_j],
+             c_base + cpos[j_rows[r_j]] * m + cpos[j_cols[r_j]]),
+            (t_base + r_col, j_sign[col[r_col]],
+             c_base + cpos[j_rows[col[r_col]]]),
+            (t_base + n_col + r_fill, -j_sign[pc[r_fill]],
+             c_base + cpos[fill_rows[r_fill]] * m + cpos[fill_cols[r_fill]]),
+            (t_base + n_col + len(pc) + r_dir, j_sign[direct],
+             c_base + cpos[j_rows[direct]]),
+            (p_base + np.arange(len(fp)), -j_sign[pc[fp]] * pin_sign[fp_pin],
+             c_base + cpos[fill_rows[fp]]),
+            # dx: each pinned node's -f_s / J[s, e], and the spare 1
+            (fs_slot, -pin_sign, self.d_base + pin_e),
+            (_ints([one]), np.ones(1), _ints([self.d_base + n1])))
+        self.slot, self.sign, self.bins = (np.concatenate(a)
+                                           for a in zip(*parts))
+
+        # the back-substitution: target t (each state, then each pinned
+        # branch) is the sum of its entries ext[src] * sign * dx[col],
+        # over its pivot; a residual entry's column is the spare one
+        self.t_pos = np.concatenate((xs, pin_b))
+        self.t_piv = np.concatenate((a_slot, eb_slot))
+        st_row = np.flatnonzero(is_x[j_rows] & (j_rows != j_cols))
+        pin_j = np.flatnonzero(is_e[j_rows] & kept[j_cols])
+        pin_f = np.flatnonzero(is_e[f_rows])
+        p_col = np.flatnonzero(is_e[j_rows[col]])
+        p_fill = np.flatnonzero(is_e[fill_rows])
+        pin_of = [e_id[r] for r in (j_rows[pin_j], fill_rows[p_fill],
+                                    f_rows[pin_f], j_rows[col[p_col]])]
+        entries = (
+            # a state's J[x, c] (its column 0 entries add 0), then its f_x
+            (j_slot[st_row], -j_sign[st_row], x_id[j_rows[st_row]],
+             j_cols[st_row]),
+            (fx_slot, -np.ones(nx), np.arange(nx), np.full(nx, n1)),
+            # a pinned KCL row: its entries, the fills, its residual and
+            # the column terms, each over J[e, b], the pin's sign
+            (j_slot[pin_j], -j_sign[pin_j] * pin_sign[pin_of[0]],
+             nx + pin_of[0], j_cols[pin_j]),
+            (t_base + n_col + p_fill, j_sign[pc[p_fill]] * pin_sign[pin_of[1]],
+             nx + pin_of[1], fill_cols[p_fill]),
+            (f_slot[pin_f], -f_sign[pin_f] * pin_sign[pin_of[2]],
+             nx + pin_of[2], np.full(len(pin_f), n1)),
+            (t_base + p_col, j_sign[col[p_col]] * pin_sign[pin_of[3]],
+             nx + pin_of[3], np.full(len(p_col), n1)))
+        self.b_src, self.b_sign, self.b_t, self.b_col = (
+            np.concatenate(a) for a in zip(*entries))
 
     def views(self, raw: np.ndarray, off: int) -> list:
         """Each vector stamp's block of the circuit whose values start at
@@ -782,106 +959,120 @@ class _Pattern:
 
 
 @functools.lru_cache(maxsize=64)
-def _compiled_pattern(size: int, condensed: tuple, groups: tuple,
-                      gmin_rows: Optional[tuple]) -> _Pattern:
+def _compiled_pattern(size: int, condensed: tuple, pinned: tuple,
+                      groups: tuple, gmin_rows: Optional[tuple]) -> _Pattern:
     """The pattern of one index structure (all arguments are index
     tuples, so circuits of the same topology share it: the one-device
     circuits of a write-verify loop compile once)."""
-    return _Pattern(size, condensed, groups, gmin_rows)
+    return _Pattern(size, condensed, pinned, groups, gmin_rows)
+
+
+_ONE = np.ones(1)
 
 
 class _Stack:
     """A pattern's scatter and Newton step over k circuits at once.
 
     The circuits' values lie one after another in ``raw`` (k blocks of
-    ``n_raw``).  Every compiled index of the pattern is repeated per
-    circuit with that circuit's offsets, into flat 1-D arrays: one
+    ``n_raw``), and each part of ``ext`` holds the k circuits' blocks
+    one after another.  Every compiled index of the pattern is repeated
+    per circuit with that circuit's offsets, into flat 1-D arrays: one
     bincount fills k blocks of bins, one stacked solve factors k
-    condensed matrices, one bincount back-substitutes k circuits'
-    states.  Each bin sums its contributions in a lone circuit's order
-    and LAPACK solves each matrix of a stack on its own, so every
-    circuit's numbers are bit for bit those it has alone.  For k = 1 the
-    solve is the plain 2-D one.
+    condensed matrices, and one bincount back-substitutes k circuits'
+    states and pinned branch currents.  Each bin sums its contributions
+    in a lone circuit's order and LAPACK solves each matrix of a stack
+    on its own, so every circuit's numbers are bit for bit those it has
+    alone.  For k = 1 the solve is the plain 2-D one.
     """
 
     def __init__(self, p: _Pattern, k: int):
         self.p, self.k = p, k
-        n_raw, n_terms, n1 = p.n_raw, len(p.t_left), p.n1
+        n_raw, n_terms = p.n_raw, len(p.t_left)
+        # a row of dx: the padded unknowns and the spare column
+        w1 = p.n1 + 1
         off = np.arange(k)[:, None]
 
         def rep(idx, step):
             # one circuit uses the pattern's own arrays
             return idx if k == 1 else (idx + step * off).ravel()
 
-        self.t_left, self.t_right, self.t_diag = (
-            rep(a, n_raw) for a in (p.t_left, p.t_right, p.t_diag))
-        # the weights are (raw | |raw| | terms)[slot] * sign, each of the
-        # three parts stacked over the circuits
-        s = p.slot
-        terms = s >= 2 * n_raw
-        base = np.where(s < n_raw, 0, np.where(terms, 2 * (k - 1) * n_raw,
-                                               (k - 1) * n_raw))
-        self.slot = rep(s + base, np.where(terms, n_terms, n_raw))
-        self.sign = rep(p.sign, 0)          # the signs repeat unchanged
+        sizes = _ints(p.parts)
+        starts = np.cumsum(sizes) - sizes
+
+        def rep_ext(idx):
+            # ext indices: part q starts where the k blocks of the parts
+            # before it end (the 1 is one entry for all circuits)
+            part = np.searchsorted(starts, idx, side="right") - 1
+            return rep(idx + (k - 1) * starts[part], sizes[part])
+
+        self.t_left, self.t_right, self.t_diag, self.p_raw = (
+            rep(a, n_raw) for a in (p.t_left, p.t_right, p.t_diag, p.p_raw))
+        self.p_term = rep(p.p_term, n_terms)
+        self.slot, self.b_src, self.t_piv = (
+            rep_ext(a) for a in (p.slot, p.b_src, p.t_piv))
+        self.sign, self.b_sign = rep(p.sign, 0), rep(p.b_sign, 0)
         self.bins = rep(p.bins, p.n_bins)
         self.n_bins = k * p.n_bins
+        self.b_t = rep(p.b_t, p.nt)
+        self.b_col, self.t_pos, self.solved = (
+            rep(a, w1) for a in (p.b_col, p.t_pos, p.solved))
         self.scalar_slots = (rep(p.scalar_slots, n_raw) if p.vector
                              else p.scalar_slots)
-        self.solved = rep(p.solved, n1)
-        self.x_rows = rep(p.x_rows, n1)
-        self.fx_slot, self.a_slot, self.r_slot = (
-            rep(a, n_raw) for a in (p.fx_slot, p.a_slot, p.r_slot))
-        self.r_x, self.r_col = rep(p.r_x, p.nx), rep(p.r_col, n1)
-        self.r_sign = rep(p.r_sign, 0)
 
-    def scatter(self, raw: np.ndarray) -> np.ndarray:
-        """The bins of each circuit, one row per circuit: full residual,
-        full scale, condensed residual, condensed Jacobian."""
+    def values(self, raw: np.ndarray) -> np.ndarray:
+        """``ext`` of the k circuits (``_Pattern``)."""
         ext = [raw, np.abs(raw)]
         if len(self.t_left):
-            ext.append(raw[self.t_left] * raw[self.t_right]
-                       / raw[self.t_diag])
-        ext = np.concatenate(ext)
+            terms = raw[self.t_left] * raw[self.t_right] / raw[self.t_diag]
+            ext.append(terms)
+            if len(self.p_term):
+                ext.append(terms[self.p_term] * raw[self.p_raw])
+        ext.append(_ONE)
+        return np.concatenate(ext)
+
+    def scatter(self, ext: np.ndarray) -> np.ndarray:
+        """The bins of each circuit, one row per circuit (``_Pattern``)."""
         out = np.bincount(self.bins, ext[self.slot] * self.sign, self.n_bins)
         return out.reshape(self.k, -1)
 
-    def step(self, raw: np.ndarray, out: np.ndarray):
+    def step(self, ext: np.ndarray, out: np.ndarray):
         """(dx, singular): the Newton updates -J^-1 f of the k circuits,
         padded, one row per circuit, and the rows whose condensed matrix
-        is singular (their update is NaN).  The condensed system is
-        solved, then each condensed state is back-substituted,
-        dx_x = -(f_x + sum_c J[x, c] dx_c) / a_x."""
+        is singular (their update is NaN).  The pinned nodes' updates
+        come from the scatter, R's dense solve runs even when R is
+        empty, and one bincount back-substitutes the rest
+        (``_Pattern``)."""
         p, k = self.p, self.k
         c0, j0, m = 2 * p.n, 2 * p.n + p.m, p.m
+        dx = out[:, p.d_base:].copy()
+        flat = dx.reshape(-1)
         singular = []
         try:
             if k == 1:
-                row = out[0]
-                sol = np.linalg.solve(row[j0:].reshape(m, m), -row[c0:j0])
+                sol = np.linalg.solve(out[0, j0:j0 + m * m].reshape(m, m),
+                                      out[0, c0:j0])
             else:
-                sol = np.linalg.solve(out[:, j0:].reshape(k, m, m),
-                                      -out[:, c0:j0, None]).reshape(-1)
+                sol = np.linalg.solve(out[:, j0:j0 + m * m].reshape(k, m, m),
+                                      out[:, c0:j0, None]).reshape(-1)
         except np.linalg.LinAlgError:
-            jc, fc = out[:, j0:].reshape(k, m, m), out[:, c0:j0]
+            jc, rhs = out[:, j0:j0 + m * m].reshape(k, m, m), out[:, c0:j0]
             sol = np.empty((k, m))
             for row in range(k):
                 try:
-                    sol[row] = np.linalg.solve(jc[row], -fc[row])
+                    sol[row] = np.linalg.solve(jc[row], rhs[row])
                 except np.linalg.LinAlgError:
                     sol[row] = np.nan
                     singular.append(row)
             sol = sol.reshape(-1)
-        dx = np.zeros((k, p.n1))
-        flat = dx.reshape(-1)
         flat[self.solved] = sol
-        if p.nx:
-            rhs = raw[self.fx_slot]
-            if len(self.r_slot):
-                rhs = rhs + np.bincount(
-                    self.r_x, self.r_sign * raw[self.r_slot] * flat[self.r_col],
-                    k * p.nx)
-            flat[self.x_rows] = -rhs / raw[self.a_slot]
-        return dx, singular
+        if p.nt:
+            t = np.bincount(self.b_t,
+                            ext[self.b_src] * self.b_sign * flat[self.b_col],
+                            k * p.nt)
+            if p.nx:        # without states every pivot is a 1
+                t = t / ext[self.t_piv]
+            flat[self.t_pos] = t
+        return dx[:, :-1], singular
 
 
 class _Jacobian:
@@ -892,7 +1083,8 @@ class _Jacobian:
     def __init__(self, pattern: _Pattern, raw: np.ndarray):
         self.pattern, self.raw = pattern, raw
         self.stack = pattern.stack(1)
-        self.out = self.stack.scatter(raw)
+        self.ext = self.stack.values(raw)
+        self.out = self.stack.scatter(self.ext)
         n = pattern.n
         self.f = self.out[0, :n]
         self.scale = self.out[0, n:2 * n]
@@ -906,7 +1098,7 @@ class _Jacobian:
 
     def newton_step(self) -> np.ndarray:
         """The Newton update -J^-1 f."""
-        dx, singular = self.stack.step(self.raw, self.out)
+        dx, singular = self.stack.step(self.ext, self.out)
         if singular:
             raise np.linalg.LinAlgError("Singular matrix")
         return dx[0, 1:]
@@ -920,6 +1112,9 @@ class Assembler:
         self.ctx = ctx
         self.pattern = layout.pattern(ctx.mode, ctx.gmin != 0.0)
         self._v_prev = None
+        # the voltage sources' targets, once per context
+        self.targets = (None if layout.sources is None
+                        else layout.sources.targets(ctx))
 
     def v_prev(self) -> list:
         """Padded previous-step solution, as floats."""
@@ -948,13 +1143,16 @@ class Assembler:
         alone = out is None
         if alone:
             out, raw = [], np.empty(pat.n_raw)
-        v = [0.0] + x.tolist()
-        for st in layout.scalar[ctx.mode]:
-            st.values(self, v, out)
-        if pat.gmin_rows is not None:
-            gmin = ctx.gmin
-            for r in pat.gmin_rows:
-                out += (gmin * v[r], 0.0, gmin)
+        scalar = layout.scalar[ctx.mode]
+        if scalar or pat.gmin_rows is not None:
+            # the per-element stamps read the unknowns as floats
+            v = [0.0] + x.tolist()
+            for st in scalar:
+                st.values(self, v, out)
+            if pat.gmin_rows is not None:
+                gmin = ctx.gmin
+                for r in pat.gmin_rows:
+                    out += (gmin * v[r], 0.0, gmin)
         if pat.vector:
             xp = np.concatenate(([0.0], x))
             for st, blk in zip(layout.vector[ctx.mode],
@@ -1011,7 +1209,8 @@ def newton_solve_batch(layouts, ctxs, x0s, tol: Tolerances) -> list:
         for row, i in enumerate(live):
             asms[i].assemble(x[row, 1:], out, raw, row * n_raw)
         raw[st.scalar_slots] = out
-        bins = st.scatter(raw)
+        ext = st.values(raw)
+        bins = st.scatter(ext)
         # whole-batch tests first; per-row reductions only when one fails
         left: dict = {}
         if not _all(np.isfinite(bins), None):
@@ -1032,8 +1231,9 @@ def newton_solve_batch(layouts, ctxs, x0s, tol: Tolerances) -> list:
             raw = raw.reshape(k, n_raw)[keep].ravel()
             k = len(keep)
             st = pat.stack(k)
+            ext = st.values(raw)
         last = bins
-        dx, singular = st.step(raw, bins)
+        dx, singular = st.step(ext, bins)
         # |dx| is finite exactly when its maximum is
         adx = np.abs(dx)
         if singular or not _max(adx, None) < np.inf:
@@ -1093,23 +1293,37 @@ def _leave(left: dict, live: list, results: list, ctxs, it: int):
 
 _GMIN_LADDER = [10.0 ** (-k) for k in range(3, 13)]
 
+# the homotopies of an operating point, weakest first
+DC_PATHS = ("newton", "gmin", "source")
+
 
 def solve_dc(layout: SystemLayout, tol: Tolerances,
              x0: Optional[np.ndarray] = None,
-             src_override: Optional[dict] = None) -> np.ndarray:
-    """Operating point with gmin-stepping and source-stepping fallbacks."""
+             src_override: Optional[dict] = None,
+             stats: Optional[dict] = None) -> np.ndarray:
+    """Operating point with gmin-stepping and source-stepping fallbacks.
+
+    ``stats``, when given, receives the Newton iterations of every
+    attempt (``newton_iterations``) and the homotopy that reached the
+    solution (``path``: one of ``DC_PATHS``)."""
     override = src_override or {}
     seed = layout.initial_vector()
+    if stats is None:
+        stats = {}
+    stats["newton_iterations"] = 0
 
     def attempt(xstart, sfactor=1.0, gmin=None):
         ctx = EvalContext(mode="dc", sfactor=sfactor,
                           gmin=tol.gmin if gmin is None else gmin,
                           src_override=override, seed=seed)
-        return newton_solve(layout, ctx, xstart, tol)
+        out = newton_solve(layout, ctx, xstart, tol)
+        stats["newton_iterations"] += ctx.iterations
+        return out
 
     start = seed if x0 is None else x0
     x, ok, worst = attempt(start)
     if ok:
+        stats["path"] = "newton"
         return x
 
     # gmin stepping: relax every KCL row, tighten by decades, then re-solve
@@ -1124,6 +1338,7 @@ def solve_dc(layout: SystemLayout, tol: Tolerances,
     if ladder_ok:
         x, ok, _ = attempt(x)
         if ok:
+            stats["path"] = "gmin"
             return x
 
     # source stepping from the dead circuit
@@ -1141,6 +1356,7 @@ def solve_dc(layout: SystemLayout, tol: Tolerances,
                 raise ConvergenceError(
                     "operating point failed (source stepping stalled at "
                     f"{lam:.4f}); worst residual row: {worst}", worst)
+    stats["path"] = "source"
     return x
 
 

@@ -10,6 +10,7 @@ from synapsim.engine import (AnalysisSpec, ConvergenceError, SystemLayout,
                              run_analysis)
 from synapsim.engine.mna import Assembler, EvalContext
 from synapsim.mosfet import MosParams, drain_current
+from synapsim.neuro import CrossbarSpec, build_crossbar
 from synapsim.rram import RramParams, rram_current
 
 
@@ -146,18 +147,63 @@ M1 d g 0 model=nfet
     assert np.array_equal(up.data[:, 1:], down.data[::-1, 1:])
 
 
-def test_source_stepping_rescues_tight_iteration_budget():
-    # 2 V across a sinh conductor needs ~10 damped Newton steps from a
-    # cold start; with max_iter=6 only the source-stepping ladder works
-    res, _ = _solve_op("""
+_TIGHT_BUDGET = """
 .model mem rram
 V1 a 0 DC 2.0
 XR1 a 0 model=mem x0=1
 .end
-""", max_iter=6)
+"""
+
+
+def test_source_stepping_rescues_tight_iteration_budget():
+    # 2 V across a sinh conductor needs ~10 damped Newton steps from a
+    # cold start; with max_iter=6 only the source-stepping ladder works
+    res, _ = _solve_op(_TIGHT_BUDGET, max_iter=6)
     i = -res.column("i(v1)")[0]
     assert i == pytest.approx(rram_current(RramParams(), 2.0, 1.0),
                               rel=1e-9)
+    assert res.stats["path"] == "source"
+
+
+def test_op_stats_count_every_attempt_and_repeat():
+    first, second = (_solve_op(_TIGHT_BUDGET, max_iter=6)[0].stats
+                     for _ in range(2))
+    assert first == second
+    # the failed plain solve and the failed first gmin step ran the whole
+    # budget before source stepping took over
+    assert first["newton_iterations"] > 2 * 6
+    res, _ = _solve_op(_TIGHT_BUDGET)
+    assert res.stats["path"] == "newton"
+    assert res.stats["newton_iterations"] <= 100
+
+
+def test_crossbar_read_stats():
+    # a 32x16 read converges in 4 plain Newton iterations, as it did
+    # while its drivers and clamps were still solved unknowns
+    spec = CrossbarSpec(n_inputs=32, n_outputs=16)
+    c = build_crossbar(spec, RramParams())
+    for i in range(spec.n_inputs):
+        c.element(f"vw{i}").dc = 0.05
+    stats = [operating_point(c, AnalysisSpec(kind="op")).stats
+             for _ in range(2)]
+    assert stats == [{"newton_iterations": 4, "path": "newton"}] * 2
+
+
+def test_sweep_stats_sum_over_points():
+    text = """
+.model mem rram
+V1 a 0 DC 0
+XR1 a 0 model=mem x0=1
+.dc V1 0 1 0.25
+.end
+"""
+    runs = []
+    for _ in range(2):
+        r = parse_netlist(text)
+        runs.append(run_analysis(r.circuit, r.analyses[0]).stats)
+    assert runs[0] == runs[1]
+    assert runs[0]["path"] == "newton"
+    assert runs[0]["newton_iterations"] >= 5
 
 
 def test_floating_node_needs_nonzero_gmin():

@@ -1,15 +1,18 @@
 """Netlist parser, number grammar, and round-trip serialization."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from synapsim.engine import (AnalysisSpec, Capacitor, Circuit, CircuitError,
                              FloatGateElement, ISource, Mosfet, NetlistError,
-                             PulseSpec, Resistor, RramElement, VSource,
+                             PulseSpec, Resistor, RramElement, SystemLayout,
+                             VSource, dc_sweep, operating_point,
                              parse_netlist, parse_number, serialize_netlist)
+from synapsim.engine.mna import solve_dc
 from synapsim.floatgate import FloatingGateParams
 from synapsim.mosfet import MosParams
-from synapsim.rram import RramParams
+from synapsim.rram import RramParams, rram_current
 
 
 def test_engineering_suffixes():
@@ -68,6 +71,48 @@ r1 in 0 1K
     spec = r.analyses[0]
     assert spec.kind == "tran" and spec.uic
     assert spec.tstep == 1e-6 and spec.tstop == 2e-5
+
+
+
+# circuits built through the API take names in any case, as netlists do;
+# an element keeps its name as given for the columns of a result
+
+def test_api_element_lookup_in_any_case():
+    c = Circuit()
+    c.add(VSource("V1", "a", "0", dc=1.0))
+    assert c.element("V1") is c.element("v1")
+    assert c.element("v1").name == "V1"
+
+
+def test_api_rejects_element_names_that_differ_only_in_case():
+    c = Circuit()
+    c.add(Resistor("R1", "a", "0", 1e3))
+    with pytest.raises(CircuitError, match="duplicate element 'r1'"):
+        c.add(Resistor("r1", "a", "0", 1e3))
+
+
+def test_api_model_and_node_references_in_any_case():
+    c = Circuit()
+    c.add_model("MEM", "rram", RramParams())
+    c.add(VSource("V1", "A", "0", dc=0.1))
+    c.add(RramElement("XR1", "A", "0", model="MEM", x0=1.0))
+    res = operating_point(c, AnalysisSpec(kind="op"))
+    assert res.columns == ["v(a)", "v(xr1#x)", "i(V1)"]
+    assert -res.column("i(v1)")[0] == pytest.approx(
+        rram_current(RramParams(), 0.1, 1.0), rel=1e-12)
+
+
+def test_api_sweep_and_override_name_their_source_in_any_case():
+    c = Circuit()
+    c.add(VSource("V1", "a", "0", dc=0.0))
+    c.add(Resistor("R1", "a", "0", 1e3))
+    res = dc_sweep(c, AnalysisSpec(kind="dc", src="V1", start=0.0, stop=1.0,
+                                   step=0.5))
+    np.testing.assert_allclose(res.column("i(v1)"), [0.0, -5e-4, -1e-3],
+                               rtol=1e-12, atol=0)
+    x = solve_dc(SystemLayout(c), AnalysisSpec(kind="op"),
+                 src_override={"V1": 0.25})
+    assert x[0] == 0.25
 
 
 def test_pulse_value_waveform():
