@@ -181,11 +181,11 @@ def read_outputs(circuit: Circuit, spec: CrossbarSpec, v_inputs) -> np.ndarray:
     for i, v in enumerate(v_inputs):
         circuit.element(f"vw{i}").dc = float(v)
     res = operating_point(circuit, AnalysisSpec(kind="op"))
-    out = np.empty(spec.n_outputs)
-    for j in range(spec.n_outputs):
-        out[j] = (res.column(f"i(vbp{j})")[0]
-                  - res.column(f"i(vbm{j})")[0])
-    return out
+    # every I+ and then every I-, in one gather
+    n = spec.n_outputs
+    i = res.data[0][[res.index[f"i(vb{side}{j})"]
+                     for side in "pm" for j in range(n)]]
+    return i[:n] - i[n:]
 
 
 # ---------------------------------------------------------------------------

@@ -164,12 +164,14 @@ def test_singular_circuits_fail_in_a_batch_as_they_do_alone():
         return SystemLayout(c)
 
     layouts = [layout(1.0), layout(2.0)]
-    x0s = [lay.initial_vector() for lay in layouts]
     ctxs = [EvalContext(mode="dc") for _ in layouts]
+    # an operating point's start: node b at its source's value, so the
+    # worst residual is b's current balance
+    x0s = [lay.dc_start(ctx, lay.initial_vector())
+           for lay, ctx in zip(layouts, ctxs)]
     batch = newton_solve_batch(layouts, ctxs, x0s, Tolerances())
     for lay, x0, (x, ok, worst) in zip(layouts, x0s, batch):
         x1, ok1, worst1 = newton_solve(lay, EvalContext(mode="dc"), x0,
                                        Tolerances())
-        assert (ok, worst) == (ok1, worst1) == (False,
-                                                "singular matrix at i(v1)")
+        assert (ok, worst) == (ok1, worst1) == (False, "singular matrix at b")
         assert np.array_equal(x, x1)

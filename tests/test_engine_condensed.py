@@ -20,10 +20,12 @@ from synapsim.engine import (AnalysisSpec, Capacitor, Circuit, ISource,
                              Mosfet, PulseSpec, Resistor, RramElement,
                              SystemLayout, VSource, operating_point,
                              parse_netlist, run_analysis)
-from synapsim.engine.mna import Assembler, EvalContext, post_step_aux
+from synapsim.engine.mna import EvalContext, post_step_aux
 from synapsim.mosfet import MosParams
 from synapsim.neuro import CrossbarSpec, build_crossbar, read_outputs
 from synapsim.rram import RramParams
+
+from mna_helpers import system_at
 
 H = 1e-9
 
@@ -114,9 +116,9 @@ def test_condensed_step_equals_full_solve(circuit, mode, gmin, seed,
 
 
 def _assert_step_is_full_solve(layout, ctx, x):
-    f, jac, _ = Assembler(layout, ctx).assemble(x)
-    step = jac.newton_step()
-    full = np.linalg.solve(jac.dense(), -f)
+    system = system_at(layout, ctx, x)
+    step = system.step
+    full = np.linalg.solve(system.J, -system.f)
     assert np.max(np.abs(step - full)) <= 1e-10 * np.max(np.abs(full))
 
 
@@ -269,7 +271,7 @@ def test_source_stamp_on_arrays_matches_per_element_stamp(mode):
         ctx = EvalContext(mode=mode, time=2.5e-9, sfactor=0.75,
                           src_override={"V3": 0.25})
         x = np.random.default_rng(1).uniform(-1.0, 1.0, layout.size)
-        raws.append(Assembler(layout, ctx).assemble(x)[1].raw)
+        raws.append(system_at(layout, ctx, x).raw)
     assert np.array_equal(*raws)
 
 

@@ -4,14 +4,17 @@ import pickle
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from synapsim.engine import (AnalysisSpec, ConvergenceError, SystemLayout,
                              dc_sweep, operating_point, parse_netlist,
                              run_analysis)
-from synapsim.engine.mna import Assembler, EvalContext
+from synapsim.engine.mna import EvalContext
 from synapsim.mosfet import MosParams, drain_current
 from synapsim.neuro import CrossbarSpec, build_crossbar
 from synapsim.rram import RramParams, rram_current
+
+from mna_helpers import system_at
 
 
 def _solve_op(text, **spec_kw):
@@ -87,8 +90,7 @@ R1 top 0 100k
     spec = AnalysisSpec(kind="op")
     res = run_analysis(r.circuit, spec)
     layout = SystemLayout(r.circuit)
-    asm = Assembler(layout, EvalContext(mode="dc"))
-    f, _, _ = asm.assemble(res.data[0])
+    f = system_at(layout, EvalContext(mode="dc"), res.data[0]).f
     kcl = [abs(f[i]) for i in range(layout.size)
            if layout.row_kind[i] == "kcl"]
     assert max(kcl) < spec.iabstol
@@ -147,22 +149,44 @@ M1 d g 0 model=nfet
     assert np.array_equal(up.data[:, 1:], down.data[::-1, 1:])
 
 
+# a series resistor keeps the device node a solved unknown, which a DC
+# start cannot set to its final value
 _TIGHT_BUDGET = """
 .model mem rram
 V1 a 0 DC 2.0
-XR1 a 0 model=mem x0=1
+R1 a b 1
+XR1 b 0 model=mem x0=1
 .end
 """
 
 
 def test_source_stepping_rescues_tight_iteration_budget():
-    # 2 V across a sinh conductor needs ~10 damped Newton steps from a
-    # cold start; with max_iter=6 only the source-stepping ladder works
+    # 2 V through 1 ohm into a sinh conductor needs 10 damped Newton
+    # iterations from the device node at 0 V; with max_iter=6 only the
+    # source-stepping ladder works
     res, _ = _solve_op(_TIGHT_BUDGET, max_iter=6)
+    assert res.stats["path"] == "source"
+    p = RramParams()
+    v_b = brentq(lambda v: (2.0 - v) / 1.0 - rram_current(p, v, 1.0),
+                 0.0, 2.0, xtol=1e-15, rtol=1e-15)
+    i = -res.column("i(v1)")[0]
+    assert i == pytest.approx(rram_current(p, v_b, 1.0), rel=1e-9)
+    assert res.column("v(b)")[0] == pytest.approx(v_b, rel=1e-9)
+
+
+def test_bare_device_converges_by_plain_newton():
+    # 2 V straight across the device: its node starts at the source's
+    # value, so the plain solve needs no damping and no homotopy
+    res, _ = _solve_op("""
+.model mem rram
+V1 a 0 DC 2.0
+XR1 a 0 model=mem x0=1
+.end
+""", max_iter=6)
+    assert res.stats["path"] == "newton"
     i = -res.column("i(v1)")[0]
     assert i == pytest.approx(rram_current(RramParams(), 2.0, 1.0),
                               rel=1e-9)
-    assert res.stats["path"] == "source"
 
 
 def test_op_stats_count_every_attempt_and_repeat():
@@ -178,15 +202,16 @@ def test_op_stats_count_every_attempt_and_repeat():
 
 
 def test_crossbar_read_stats():
-    # a 32x16 read converges in 4 plain Newton iterations, as it did
-    # while its drivers and clamps were still solved unknowns
+    # every node of a 32x16 read is pinned and starts at its source's
+    # value: one step to the branch currents, one to confirm, and the
+    # third assembly meets the residual test
     spec = CrossbarSpec(n_inputs=32, n_outputs=16)
     c = build_crossbar(spec, RramParams())
     for i in range(spec.n_inputs):
         c.element(f"vw{i}").dc = 0.05
     stats = [operating_point(c, AnalysisSpec(kind="op")).stats
              for _ in range(2)]
-    assert stats == [{"newton_iterations": 4, "path": "newton"}] * 2
+    assert stats == [{"newton_iterations": 3, "path": "newton"}] * 2
 
 
 def test_sweep_stats_sum_over_points():

@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 
 from synapsim.engine import SystemLayout, Tolerances, parse_netlist
-from synapsim.engine.mna import (Assembler, EvalContext, newton_solve,
-                                 post_step_aux, solve_dc)
+from synapsim.engine.mna import (EvalContext, newton_solve, post_step_aux,
+                                 solve_dc)
+
+from mna_helpers import system_at
 
 # every element kind; biases keep the MOSFETs off V_ds = 0, the RRAM off
 # V = 0 (where its rate switches branch) and the pfb tunnel junction in
@@ -36,7 +38,7 @@ H = 2e-9
 
 
 def _residual(layout, ctx, x):
-    return Assembler(layout, ctx).assemble(x)[0].copy()
+    return system_at(layout, ctx, x).f
 
 
 def _solved_point(layout, mode):
@@ -63,7 +65,7 @@ def _solved_point(layout, mode):
 def test_jacobian_matches_central_differences(mode):
     layout = SystemLayout(parse_netlist(NETLIST).circuit)
     ctx, x = _solved_point(layout, mode)
-    J = Assembler(layout, ctx).assemble(x)[1].dense()
+    J = system_at(layout, ctx, x).J
     J_fd = np.empty_like(J)
     for j in range(layout.size):
         step = 1e-6 * max(1.0, abs(x[j]))
