@@ -11,31 +11,21 @@ rate law in transient); a floating-gate row is its KCL in transient and
 its stored-charge constraint, in volts, in DC.  One set of tolerances
 covers every row.
 
-Solved system: two kinds of unknowns are eliminated before the linear
-solve.  The RRAM states, the standard SPICE treatment of device-internal
-unknowns: a state row couples only to its own state and its device's
-two terminals, so the state block of the Jacobian is diagonal; the
-Newton step solves the Schur complement over the remaining unknowns and
-back-substitutes each state update.  In DC the diagonal is 1 and the
-update pins the state to its carried value; in transient each state
-adds a 1x1 complement term onto its device's terminals.  And the node
-and branch current of each pinned source, a voltage source from ground
-to a node that no other grounded source holds: its row has one entry,
-so it gives the node's update before the solve, and its branch current
-appears only in that node's KCL row, which gives the current's update
-after it (the Jacobian is block lower triangular after a permutation,
-and these are the singletons a sparse solver takes out before it
-factors).  A 32x16 crossbar has 1152 unknowns and solves none: every
-node is held by a word-line driver or a bit-line clamp, and the solve
-runs on an empty system.  Sources between two nodes stay solved, and so
-does the floating-gate voltage, coupled to four or more nodes.
+Solved system: the Newton step leaves out of its dense solve every
+unknown that one structural rule, read off the compiled pattern and
+naming no element kind, pivots on (``_Pattern``): row and column
+singletons on constant +-1 entries peeled forward and backward, as a
+sparse solver peels them before it factors, then the own diagonal of
+each constraint row that couples to no other.  Solved sizes in
+DC/transient: a 32x16 crossbar 0/0 of 1152 unknowns, a pulse cell 0/0,
+the rram-iv drive 0/0, a 1T1R cell 1/1 and a floating-gate cell 0/1.
 
-DC start: each Newton attempt of ``solve_dc`` starts with every pinned
-node at its source's value in that attempt (source stepping's factor and
-a sweep's override applied), so the first assembly already linearizes
-the devices at their pinned voltages: a 32x16 read converges in 3
-assemblies and 2 Newton steps, not 4 and 3.  A transient step starts
-from the previous step's solution, and ``newton_solve`` from its x0.
+DC start: each Newton attempt of ``solve_dc`` starts every unknown that
+the forward peel takes from a voltage-source row at the source's other
+terminal plus or minus its value in that attempt (source stepping's
+factor and a sweep's override applied), in peel order, so along chains
+of sources: a 32x16 read converges in 3 assemblies.  A transient step
+starts from the previous step's solution, and ``newton_solve`` from x0.
 
 Compiled form: ``SystemLayout(circuit)`` compiles a circuit once and
 caches the result on it until an element or model is added.  Elements
@@ -43,11 +33,11 @@ compile into primitive stamps (conductance, companion capacitor, voltage
 and current source, drain current, RRAM, tunnel junction, floating-gate
 charge row), each one set of index arrays over every element that uses
 it; per analysis mode the layout compiles the COO pattern of every
-residual, scale and Jacobian contribution and the scatter of the
-condensed system.  An assembly gathers terminal voltages, calls each
-device model once per element, except the RRAM model, which it calls
-once per stamp on arrays when the stamp has many elements (on Python
-floats per element when it has few), and scatters everything in one
+residual, scale and Jacobian contribution, the scatter and the Newton
+step.  An assembly gathers terminal voltages, calls each device model
+once per element, except the RRAM model, which it calls once per stamp
+on arrays when the stamp has many elements (on Python floats per
+element when it has few), and scatters everything in one
 ``np.bincount``.
 
 Lockstep Newton loop: ``newton_solve_batch`` iterates K circuits that
@@ -172,12 +162,14 @@ def _trap_history(ctx: EvalContext) -> dict:
 # A primitive stamp is compiled over every element that uses it, from one
 # record per element.  ``blocks(mode)`` gives the index structure of its
 # contributions, as tuples of padded indices with one entry per element:
-#   ("cur", a, b, cols): current i from node a into node b, then dI/dx
-#       along each column in cols;
-#   ("row", r, cols): residual f of row r, its scale, then df/dx along
-#       each column in cols.
-# ``values(asm, v, out)`` appends, element by element, the values of
-# those slots in the same order (v holds the padded unknowns as floats);
+#   ("cur", a, b, cols, units): current i from node a into node b, then
+#       dI/dx along each column in cols;
+#   ("row", r, cols, units): residual f of row r, its scale, then df/dx
+#       along each column in cols.
+# ``units`` holds (cols, value) pairs: a derivative that is the constant
+# +1 or -1, which takes no slot.  ``values(asm, v, out)`` appends,
+# element by element, the values of the slots in the same order (v holds
+# the padded unknowns as floats);
 # a ``vector`` stamp instead writes them all at once with ``fill``.
 # ``accept(ctx, v, x, aux)``, where present, records in aux the history
 # the next trapezoidal step needs (aux is None when no step will read
@@ -193,16 +185,17 @@ class _Stamp:
     def __init__(self, recs):
         self.recs = recs
         self.n = len(recs)
+        self._columns = tuple(zip(*recs))
 
     def column(self, k) -> tuple:
-        return tuple(r[k] for r in self.recs)
+        return self._columns[k]
 
 
 class _Conductance(_Stamp):
     # record: (n1, n2, g)
     def blocks(self, mode):
         n1, n2 = self.column(0), self.column(1)
-        return [("cur", n1, n2, (n1, n2))]
+        return [("cur", n1, n2, (n1, n2), ())]
 
     def values(self, asm, v, out):
         for n1, n2, g in self.recs:
@@ -217,7 +210,7 @@ class _Companion(_Stamp):
     # record: (n1, n2, capacitance, history key)
     def blocks(self, mode):
         n1, n2 = self.column(0), self.column(1)
-        return [("cur", n1, n2, (n1, n2))]
+        return [("cur", n1, n2, (n1, n2), ())]
 
     def values(self, asm, v, out):
         ctx = asm.ctx
@@ -242,8 +235,7 @@ class _VSource(_Stamp):
     (``targets``); a stamp of at least ``_VECTOR_MIN`` sources writes
     its slots from arrays through compiled indices (``vector``).  The
     entries of a source's row and of its branch column are the
-    constants +-1, which the Newton step's elimination of pinned
-    sources relies on (``_Pattern``)."""
+    constants +-1 (units)."""
 
     def __init__(self, recs):
         super().__init__(recs)
@@ -258,8 +250,8 @@ class _VSource(_Stamp):
     # record: (element, npos, nneg, branch)
     def blocks(self, mode):
         npos, nneg, branch = self.column(1), self.column(2), self.column(3)
-        return [("cur", npos, nneg, (branch,)),
-                ("row", branch, (npos, nneg))]
+        return [("cur", npos, nneg, (), ((branch, 1.0),)),
+                ("row", branch, (), ((npos, 1.0), (nneg, -1.0)))]
 
     def targets(self, ctx):
         """Each source's value in ``ctx``, scaled by its source factor:
@@ -275,28 +267,26 @@ class _VSource(_Stamp):
                    for e, key in zip(self.elements, self.keys)]
         return np.array(out) if self.vector else out
 
+    @staticmethod
+    def _slots(i, vp, vn, target):
+        """Slot values of sources with branch current i and terminal
+        voltages vp and vn, on floats or arrays alike."""
+        return i, vp - vn - target, abs(vp) + abs(vn) + abs(target)
+
     def values(self, asm, v, out):
         for (_, npos, nneg, branch), target in zip(self.recs, asm.targets):
-            vp, vn = v[npos], v[nneg]
-            out += (v[branch], 1.0,
-                    vp - vn - target, abs(vp) + abs(vn) + abs(target),
-                    1.0, -1.0)
+            out += self._slots(v[branch], v[npos], v[nneg], target)
 
     def fill(self, asm, xp, blk):
-        target = asm.targets
-        vp, vn = xp[self.npos], xp[self.nneg]
-        blk[0] = xp[self.branch]
-        blk[1] = 1.0
-        blk[2] = vp - vn - target
-        blk[3] = abs(vp) + abs(vn) + abs(target)
-        blk[4] = 1.0
-        blk[5] = -1.0
+        for k, value in enumerate(self._slots(
+                xp[self.branch], xp[self.npos], xp[self.nneg], asm.targets)):
+            blk[k] = value
 
 
 class _ISource(_Stamp):
     # record: (element, npos, nneg)
     def blocks(self, mode):
-        return [("cur", self.column(1), self.column(2), ())]
+        return [("cur", self.column(1), self.column(2), (), ())]
 
     def values(self, asm, v, out):
         out += (e.dc * asm.ctx.sfactor for e, _, _ in self.recs)
@@ -308,7 +298,7 @@ class _Drain(_Stamp):
     # record: (drain, gate, source, MosParams)
     def blocks(self, mode):
         d, g, s = self.column(0), self.column(1), self.column(2)
-        return [("cur", d, s, (d, g, s))]
+        return [("cur", d, s, (d, g, s), ())]
 
     def values(self, asm, v, out):
         for d, g, s, params in self.recs:
@@ -339,10 +329,10 @@ class _Rram(_Stamp):
     # record: (name, RramParams, npos, nneg, state)
     def blocks(self, mode):
         npos, nneg, state = self.column(2), self.column(3), self.column(4)
-        cur = ("cur", npos, nneg, (state, npos, nneg))
+        cur = ("cur", npos, nneg, (state, npos, nneg), ())
         if mode == "dc":
-            return [cur, ("row", state, (state,))]
-        return [cur, ("row", state, (state, npos, nneg))]
+            return [cur, ("row", state, (), ((state, 1.0),))]
+        return [cur, ("row", state, (state, npos, nneg), ())]
 
     @staticmethod
     def _slots(ctx, key, p, vpn, s, held):
@@ -352,7 +342,7 @@ class _Rram(_Stamp):
         history's."""
         i, di_dv, di_dx = rram_current_and_grads(p, vpn, s)
         if ctx.mode == "dc":
-            return (i, di_dx, di_dv, -di_dv, s - held, abs(s) + abs(held), 1.0)
+            return i, di_dx, di_dv, -di_dv, s - held, abs(s) + abs(held)
         rate, dr_dv, dr_dx = state_rate_and_grads(p, vpn, s)
         hist, h = _trap_history(ctx), ctx.h
         if key in hist:
@@ -410,7 +400,7 @@ class _Tunnel(_Stamp):
     # record: (node, floating gate, FloatingGateParams)
     def blocks(self, mode):
         node, fg = self.column(0), self.column(1)
-        return [("cur", node, fg, (fg, node))]
+        return [("cur", node, fg, (fg, node), ())]
 
     def values(self, asm, v, out):
         for node, fg, params in self.recs:
@@ -427,7 +417,7 @@ class _ChargeRow(_Stamp):
     # record: (name, floating gate, (sg, nfb, pfb), FloatingGateParams)
     def blocks(self, mode):
         fg = self.column(1)
-        return [("row", fg, (fg, *zip(*self.column(2))))]
+        return [("row", fg, tuple(zip(*self.column(2))), ((fg, 1.0),))]
 
     def values(self, asm, v, out):
         carried = asm.layout.circuit.state
@@ -437,7 +427,7 @@ class _ChargeRow(_Stamp):
                  + p.c_pfb * (v_fg - v[pfb]))
             held = carried[name]
             out += ((q - held) / c, (abs(q) + abs(held)) / c,
-                    1.0, -p.c_sg / c, -p.c_nfb / c, -p.c_pfb / c)
+                    -p.c_sg / c, -p.c_nfb / c, -p.c_pfb / c)
 
 
 # stamp order within an assembly
@@ -518,8 +508,8 @@ class SystemLayout:
     compiles it only when there is none; ``Circuit.add`` and
     ``Circuit.add_model`` drop the cache.  Everything but source values
     and carried state is read from the elements at compile time.
-    ``size`` is the length of the unknown vector x, ``solved_size`` that
-    of the condensed system the Newton step solves.
+    ``size`` is the length of the unknown vector x; each mode's pattern
+    holds the size ``m`` of the system its Newton step solves.
     """
 
     def __new__(cls, circuit: Circuit):
@@ -579,38 +569,10 @@ class SystemLayout:
         self._direct_rows = _ints([row for _, row in direct])
         self._direct_state = (operator.itemgetter(*(n for n, _ in direct))
                               if direct else None)
-        # RRAM states that no element uses as a terminal are condensed
-        terminals = {nodes[t] for e in circuit.elements for t in e.terminals}
-        self.condensed = tuple(nodes[e.internal_node]
-                               for e, _ in self.internal
-                               if type(e) is RramElement
-                               and nodes[e.internal_node] not in terminals)
-        # (node, branch, sign) of each pinned source: a source from ground
-        # to a KCL node that no other grounded source holds, in padded
-        # indices; sign is +1 when the node is the source's npos
-        grounded: dict = {}
-        for j, e in enumerate(self.vsrc):
-            a, b = nodes[e.npos], nodes[e.nneg]
-            if (a == 0) != (b == 0):
-                grounded.setdefault(a or b, []).append(
-                    (a or b, self.n_nodes + j, 1 if a else -1))
-        self.pinned = tuple(
-            held[0] for node, held in grounded.items()
-            if len(held) == 1 and self.row_kind[node - 1] == "kcl")
-        # each pinned node's row of x, its source's place in the targets
-        # (the source stamp holds the sources in branch order) and the
-        # sign that turns the target into the node's voltage
-        pins = _ints(self.pinned).reshape(-1, 3)
-        self._pin_rows = pins[:, 0] - 1
-        self._pin_src = pins[:, 1] - self.n_nodes
-        self._pin_sign = pins[:, 2].astype(float)
-        # length of the system the Newton step solves: the states and
-        # the pinned nodes and branches are eliminated
-        self.solved_size = (self.size - len(self.condensed)
-                            - 2 * len(self.pinned))
         self._patterns: dict = {}
         self._abstols: dict = {}
         self._results: dict = {}
+        self._starts: dict = {}
 
     def pattern(self, mode: str, gmin: bool) -> "_Pattern":
         """Compiled contribution pattern of one mode, with or without the
@@ -626,10 +588,9 @@ class SystemLayout:
                 gmin_rows = tuple(r + 1 for r in range(self.n_nodes - 1)
                                   if self.row_kind[r] in kcl)
                 groups.append((len(gmin_rows),
-                               (("row", gmin_rows, (gmin_rows,)),), False))
+                               (("row", gmin_rows, (gmin_rows,), ()),), False))
             pat = self._patterns[key] = _compiled_pattern(
-                self.size, self.condensed, self.pinned, tuple(groups),
-                gmin_rows)
+                self.size, tuple(groups), gmin_rows)
         return pat
 
     def abstols(self, tol: Tolerances):
@@ -678,14 +639,33 @@ class SystemLayout:
         return x
 
     def dc_start(self, ctx: EvalContext, x: np.ndarray) -> np.ndarray:
-        """A copy of x with each pinned node at its source's value in
-        ``ctx``, whose ``targets`` keep the values for the assembly."""
-        x = x.copy()
-        if self.sources is not None:
-            ctx.targets = self.sources.targets(ctx)
-            x[self._pin_rows] = (self._pin_sign
-                                 * np.asarray(ctx.targets)[self._pin_src])
-        return x
+        """A copy of x in which each unknown that the DC pattern's forward
+        pivots take from a voltage-source row starts at the source's
+        other terminal plus or minus its value in ``ctx``, in pivot order,
+        so along chains of sources; ``ctx.targets`` keeps the values for
+        the assembly."""
+        if self.sources is None:
+            return x.copy()
+        gmin = ctx.gmin != 0.0
+        chains = self._starts.get(gmin)
+        if chains is None:
+            # per round, (node, other terminal, source, sign) of each
+            # pivot on a branch row (after the node rows, in source order)
+            npos, nneg = (_ints(self.sources.column(k)) for k in (1, 2))
+            chains = self._starts[gmin] = []
+            for rows, nodes in self.pattern("dc", gmin).forward:
+                on = rows >= self.n_nodes
+                src, nodes = rows[on] - self.n_nodes, nodes[on]
+                if len(src):
+                    up = nodes == npos[src]
+                    chains.append((nodes, np.where(up, nneg[src], npos[src]),
+                                   src, np.where(up, 1.0, -1.0)))
+        ctx.targets = self.sources.targets(ctx)
+        target = np.asarray(ctx.targets)
+        xp = np.concatenate(([0.0], x))
+        for node, other, src, sign in chains:
+            xp[node] = xp[other] + sign * target[src]
+        return xp[1:]
 
     def store_state(self, x: np.ndarray) -> None:
         """Write each device's state at solution x back to the circuit."""
@@ -698,49 +678,116 @@ def _coo(groups):
     """Slot layout of the stamps' values and the COO entries they feed.
 
     ``groups`` holds (element count, blocks, vector) per stamp, whose
-    values run element by element.  Returns, in padded indices, the
-    residual entries (row, slot, sign), the scale slot of each residual
-    entry (same row, absolute value taken), the Jacobian entries (row,
-    col, slot, sign), the number of slots and each group's (first slot,
-    slots per element).
+    values run element by element after slot 0, the constant 1 that the
+    units read.  Returns, in padded indices, the residual entries (row,
+    slot, sign), the scale slot of each residual entry (same row,
+    absolute value taken), the Jacobian entries (row, col, slot, sign),
+    the number of slots, each group's (first slot, slots per element)
+    and the rows that a "cur" block writes (every other row is a
+    constraint row).
     """
     f_rows, f_slot, f_sign, s_slot = [], [], [], []
     j_rows, j_cols, j_slot, j_sign = [], [], [], []
-    spans = []
-    off = 0
+    spans, cur = [], []
+    off = 1
+    # the stamps pass one tuple of indices to several ends and columns
+    ints = functools.lru_cache(maxsize=None)(_ints)
     for n, blocks, _ in groups:
-        width = sum((1 if b[0] == "cur" else 2) + len(b[-1]) for b in blocks)
+        width = sum((1 if b[0] == "cur" else 2) + len(b[-2]) for b in blocks)
         slot = off + width * np.arange(n)
         spans.append((off, width))
         off += width * n
         for blk in blocks:
-            cols = [_ints(c) for c in blk[-1]]
             if blk[0] == "cur":              # i leaves a and enters b
-                a, b = _ints(blk[1]), _ints(blk[2])
+                a, b = ints(blk[1]), ints(blk[2])
                 sides = ((a, 1.0), (b, -1.0))
                 scale, grads = slot, slot + 1
+                cur += [a, b]
             else:                            # f, then its scale
-                sides = ((_ints(blk[1]), 1.0),)
+                sides = ((ints(blk[1]), 1.0),)
                 scale, grads = slot + 1, slot + 2
             for rows, sign in sides:
                 f_rows.append(rows)
                 f_slot.append(slot)
                 f_sign.append(np.full(n, sign))
                 s_slot.append(scale)
-            for k, col in enumerate(cols):
-                for rows, sign in sides:
+            cols = [(ints(c), grads + k, 1.0) for k, c in enumerate(blk[-2])]
+            cols += [(ints(c), np.zeros(n, np.intp), v) for c, v in blk[-1]]
+            for col, at, sign in cols:
+                for rows, side in sides:
                     j_rows.append(rows)
                     j_cols.append(col)
-                    j_slot.append(grads + k)
-                    j_sign.append(np.full(n, sign))
-            slot = grads + len(cols)
+                    j_slot.append(at)
+                    j_sign.append(np.full(n, side * sign))
+            slot = grads + len(blk[-2])
 
     def cat(parts, dtype):
         return np.concatenate(parts) if parts else np.zeros(0, dtype)
 
     return (cat(f_rows, np.intp), cat(f_slot, np.intp), cat(f_sign, float),
             cat(s_slot, np.intp), cat(j_rows, np.intp), cat(j_cols, np.intp),
-            cat(j_slot, np.intp), cat(j_sign, float), off, spans)
+            cat(j_slot, np.intp), cat(j_sign, float), off, spans,
+            cat(cur, np.intp))
+
+
+def _peel(lines, others, ok, live_l, live_o) -> list:
+    """Each round's pivots among the distinct entries (line, other): the
+    live lines with one live entry left, unless it is not ``ok`` or
+    another such line claims its other end.  Clears the live masks."""
+    rounds = []
+    while True:
+        live = np.flatnonzero(live_l[lines] & live_o[others])
+        left = np.bincount(lines[live], minlength=len(live_l))
+        e = live[left[lines[live]] == 1]
+        claims = np.bincount(others[e], minlength=len(live_o))
+        e = e[ok[e] & (claims[others[e]] == 1)]
+        if not len(e):
+            return rounds
+        live_l[lines[e]] = live_o[others[e]] = False
+        rounds.append(e)
+
+
+def _expand(rows, reads, entries, pivot, unit):
+    """The monomials (row, sign, slots, pivots, column read) of L_r for
+    each row r with ``rows[r]`` > 0: its ``entries`` (row, slot, sign,
+    column, sorted by row; a residual's column is the last, the constant
+    1's) times their columns' updates, read where ``reads[rows[r]]`` is
+    true, else substituted, dx_c = -L_p / J[p, c] with c's ``pivot`` (row
+    p, slot, sign).  A monomial of depth d has d + 1 slots over d pivots,
+    padded with ``unit`` to the deepest one's, its other factors first."""
+    e_row, e_slot, e_sign, e_col = entries
+    p_row, p_slot, p_sign = pivot
+    count = np.bincount(e_row, minlength=len(p_row))
+    first = np.cumsum(count) - count
+    on = rows[e_row] > 0
+    row, sign, col = e_row[on], e_sign[on], e_col[on]
+    num, den = e_slot[on][:, None], np.zeros((on.sum(), 0), np.intp)
+    levels = []
+    while True:
+        read = reads[rows[row], col]
+        go = np.flatnonzero(~read)
+        if not len(go):
+            levels.append([row, sign, num, den, col])
+            break
+        levels.append([a[read] for a in (row, sign, num, den, col)])
+        # join each substituted entry with its pivot row's entries
+        p = p_row[col[go]]
+        n = count[p]
+        k = np.repeat(go, n)
+        at = np.arange(n.sum()) + np.repeat(first[p] - (np.cumsum(n) - n), n)
+        c = col[k]
+        row, col = row[k], e_col[at]
+        sign = -sign[k] * p_sign[c] * e_sign[at]
+        num, den = (np.column_stack((a[k], np.full(len(k), unit)))
+                    for a in (num, den))
+        # each new factor takes the place of its row's first unit
+        for a, f in ((num, e_slot[at]), (den, p_slot[c])):
+            i = np.flatnonzero(f != unit)
+            a[i, (a[i] != unit).sum(1)] = f[i]
+    for d, lv in enumerate(levels[:-1]):
+        pad = np.full((len(lv[0]), len(levels) - 1 - d), unit)
+        lv[2], lv[3] = np.hstack((lv[2], pad)), np.hstack((lv[3], pad))
+    return [np.concatenate(a) for a in zip(*levels)]
 
 
 class _Pattern:
@@ -751,41 +798,33 @@ class _Pattern:
     block, and the per-element stamps' list goes to ``scalar_slots``
     (every slot when no stamp is a vector one).
 
-    The Newton step solves a dense system over the unknowns R: every
-    unknown but ground, the condensed states and the node e and branch b
-    of each pinned source (``SystemLayout``).  The others are eliminated
-    around that solve, in the order of a block lower triangular
-    Jacobian:
-      - each pinned node first: its source's row s has the one entry
-        J[s, e], so dx_e = -f_s / J[s, e];
-      - then R, with the states condensed out: condensing state x with
-        diagonal a_x, residual f_x, column entries J[r, x] and row
-        entries J[x, c] adds -J[r, x] f_x / a_x to the residual of r and
-        the fill -J[r, x] J[x, c] / a_x to J[r, c]; an R row's condensed
-        entry in a pinned node's column moves to its right-hand side,
-        times dx_e;
-      - then, in one back-substitution, each state from its own row,
-        dx_x = -(f_x + sum_c J[x, c] dx_c) / a_x, and each pinned branch
-        current from its node's KCL row, the only row it appears in,
-        with the states condensed out of that row as out of R's:
-        dx_b = -(f_e + sum_c J[e, c] dx_c) / J[e, b] over c in R and the
-        pinned nodes.
-    The values the step reads are ``ext``: raw, |raw|, the condensation
-    terms (products of raw values) and a constant 1.  One bincount over
-    values gathered from ``ext`` fills the bins: the full residual, the
-    full scale, R's right-hand side (the negated condensed residual) and
-    R's condensed Jacobian (dense), and dx (each pinned node's dx_e);
-    the back-substitution gathers its own.  Contributions to ground are
-    dropped here, once.  ``stack(k)`` runs all this for k circuits at
-    once.
+    Pivots, in this order: 1. forward, repeatedly, each row with one
+    unknown left, on a unit, unless another row of the round claims it
+    (a node held by two grounded sources stays solved); 2. backward,
+    likewise, each column with one row left; 3. the own diagonal of each
+    constraint row (one that no "cur" block writes), if one slot writes
+    it and the row couples to no other.  A peeled pivot is a unit, never
+    a device's derivative, which can vanish or underflow (a drain's gds
+    at a node only a MOSFET drain touches), and neither is a condensed
+    one a KCL diagonal.  The rest, R, is solved densely.
+
+    Each eliminated update is dx_t = -L_t / J[r, t], L_t being its pivot
+    row's residual plus its other entries times their updates, which
+    give monomials when substituted (``_expand``).  The scatter bins
+    the plain updates (forward pivots in rows of units on plain columns)
+    and R's rows, every update substituted; one bincount after R's
+    solve gives the other updates, the plain ones and R's read, each
+    divided by its pivot.  ``ext`` is raw, |raw| and the monomials; the
+    bins are the full residual and scale, R's right-hand side and matrix
+    (row-major) and dx (a padded unknown r is bin r - 1 of the full
+    parts; a spare last dx column holds the constant's 1).  ``stack(k)``
+    runs all this for k circuits at once.
     """
 
-    def __init__(self, size: int, condensed: tuple, pinned: tuple, groups,
-                 gmin_rows):
+    def __init__(self, size: int, groups, gmin_rows):
         (f_rows, f_slot, f_sign, s_slot, j_rows, j_cols, j_slot, j_sign,
-         self.n_raw, spans) = _coo(groups)
-        n_raw = self.n_raw
-        self.gmin_rows = gmin_rows
+         n_raw, spans, cur) = _coo(groups)
+        self.gmin_rows, self.n_raw = gmin_rows, n_raw
         self._stacks: dict = {}
         # (first slot, end, slots per element) of each vector stamp, and
         # the slots of the others, which run in assembly order
@@ -799,175 +838,130 @@ class _Pattern:
             for lo, hi, _ in self.vector:
                 scalar[lo:hi] = False
             self.scalar_slots = np.flatnonzero(scalar)
-        self.j_rows, self.j_cols, self.j_slot, self.j_sign = (
-            j_rows, j_cols, j_slot, j_sign)
+        self.groups = groups      # _coo(groups) gives J's entries again
+        n1, one = size + 1, 0
+        self.n, self.n1 = size, n1
 
-        n1 = size + 1
-        xs = _ints(condensed)
-        nx = len(xs)
-        is_x = np.zeros(n1, bool)
-        is_x[xs] = True
-        x_id = np.full(n1, -1)
-        x_id[xs] = np.arange(nx)
-        pin_e, pin_b, pin_sign = _ints(pinned).reshape(-1, 3).T
-        npin = len(pin_e)
-        # the pin of each padded node e and of each branch b, -1 elsewhere
-        e_id, b_id = np.full(n1, -1), np.full(n1, -1)
-        e_id[pin_e] = b_id[pin_b] = np.arange(npin)
-        is_e = e_id >= 0
-        # condensed index of each unknown of R, 1-based; 0 elsewhere
-        in_r = ~(is_x | is_e | (b_id >= 0))
-        in_r[0] = False
-        self.solved = np.flatnonzero(in_r)
-        m = len(self.solved)
-        cpos = np.zeros(n1, np.intp)
-        cpos[self.solved] = np.arange(1, m + 1)
-        self.n, self.n1, self.m, self.nx = size, n1, m, nx
-        self.nt = nx + npin
+        # every entry off ground (row, slot, sign, column: n1 for a
+        # residual), stably sorted by row, residuals first, then column
+        on_f, on_j = f_rows != 0, (j_rows != 0) & (j_cols != 0)
+        entries = [np.concatenate((a[on_f], b[on_j])) for a, b in (
+            (f_rows, j_rows), (f_slot, j_slot), (f_sign, j_sign),
+            (np.full(len(f_rows), n1), j_cols))]
+        key = entries[0] * n1 + entries[3] % n1
+        order = np.argsort(key, kind="stable")
+        key, entries = key[order], [a[order] for a in entries]
+        e_row, e_slot, _, e_col = entries
+        # the distinct Jacobian entries, a run of one key each
+        start = np.flatnonzero(np.diff(key, prepend=-1))
+        count = np.diff(start, append=len(key))
+        jac = e_col[start] != n1
+        start, count = start[jac], count[jac]
+        u_row, u_col, ok = e_row[start], e_col[start], count == 1
+        unit = ok & (e_slot[start] == one)
+        live_r, live_c = np.ones(n1, bool), np.ones(n1, bool)
+        live_r[0] = live_c[0] = False
+        forward = _peel(u_row, u_col, unit, live_r, live_c)
+        backward = _peel(u_col, u_row, unit, live_c, live_r)
+        # the constraint rows' own diagonals, coupled to no other one
+        diag = np.flatnonzero((u_row == u_col) & ok & live_r[u_row]
+                              & live_c[u_col])
+        cand = np.zeros(n1, bool)
+        cand[u_row[diag]] = True
+        cand[cur] = False
+        coupled = cand[u_row] & cand[u_col] & (u_row != u_col)
+        cand[u_row[coupled]] = cand[u_col[coupled]] = False
+        diag = diag[cand[u_row[diag]]]
+        live_r[u_row[diag]] = live_c[u_col[diag]] = False
+        # each forward round's (rows, columns), for the DC start
+        self.forward = [(u_row[e], u_col[e]) for e in forward]
+        pe = start[np.concatenate((*forward, diag, *backward))]
+        t_row, t_col = e_row[pe], e_col[pe]
+        # each eliminated column's pivot (row, slot, sign), and each
+        # pivot row's column (0 elsewhere)
+        pivot = tuple(np.zeros(n1, a.dtype) for a in entries[:3])
+        for a, v in zip(pivot, entries[:3]):
+            a[t_col] = v[pe]
+        row_target = np.zeros(n1, np.intp)
+        row_target[t_row] = t_col
+        # the plain updates, round by round
+        plain = np.zeros(n1, bool)
+        for e in forward:
+            bad = ~(unit & plain[u_col]) & (u_col != row_target[u_row])
+            bad = np.bincount(u_row[bad], minlength=n1)[u_row[e]] > 0
+            plain[u_col[e][~bad]] = True
+        self.solved = np.flatnonzero(live_c)
+        self.m = m = len(self.solved)
+        # each row's and column's place in R
+        rpos, cpos = np.cumsum(live_r) - 1, np.cumsum(live_c) - 1
 
-        # a state row holds its own residual and diagonal once, and it
-        # couples to other unknowns only through its device's terminals,
-        # with entries of sign +1
-        diag = np.flatnonzero(is_x[j_rows] & (j_rows == j_cols))
-        fx = np.flatnonzero(is_x[f_rows])
-        col = np.flatnonzero(is_x[j_cols] & (j_rows != j_cols))
-        row = np.flatnonzero(is_x[j_rows] & (j_rows != j_cols))
-        assert np.array_equal(np.sort(x_id[j_rows[diag]]), np.arange(nx))
-        assert np.array_equal(np.sort(x_id[f_rows[fx]]), np.arange(nx))
-        assert np.all(j_sign[diag] == 1.0) and np.all(f_sign[fx] == 1.0)
-        assert not is_x[j_rows[col]].any() and not is_x[j_cols[row]].any()
-        assert np.all(j_sign[row] == 1.0)
-        a_slot = np.empty(nx, np.intp)
-        a_slot[x_id[j_rows[diag]]] = j_slot[diag]
-        fx_slot = np.empty(nx, np.intp)
-        fx_slot[x_id[f_rows[fx]]] = f_slot[fx]
-        # a pinned source's row (numbered as its branch b) holds one
-        # residual, f_s, and one entry, J[s, e], both of sign +1, and its
-        # branch column one entry, J[e, b], of the pin's sign; the source
-        # stamp writes J[s, e] as the pin's sign and J[e, b] as 1, so the
-        # divisions by them are exact
-        fs = np.flatnonzero(b_id[f_rows] >= 0)
-        se = np.flatnonzero((b_id[j_rows] >= 0) & (j_cols != 0))
-        eb = np.flatnonzero((b_id[j_cols] >= 0) & (j_rows != 0))
-        for ends, other in ((b_id[j_rows], j_cols), (b_id[j_cols], j_rows)):
-            on = ends >= 0
-            assert np.all((other[on] == 0) | (other[on] == pin_e[ends[on]]))
-        assert len(fs) == len(se) == len(eb) == npin
-        assert np.all(f_sign[fs] == 1.0) and np.all(j_sign[se] == 1.0)
-        assert np.array_equal(j_sign[eb], pin_sign[b_id[j_cols[eb]]])
-        fs_slot = np.empty(npin, np.intp)
-        fs_slot[b_id[f_rows[fs]]] = f_slot[fs]
-        se_slot = np.empty(npin, np.intp)
-        se_slot[b_id[j_rows[se]]] = j_slot[se]
-        eb_slot = np.empty(npin, np.intp)
-        eb_slot[b_id[j_cols[eb]]] = j_slot[eb]
+        # the COO arrays and the sorted entries are done with: free them
+        del j_rows, j_cols, j_slot, j_sign, e_row, e_slot, e_col, key, order
+        # the rows expanded: R's and the plain updates' (1), every update
+        # but R's substituted, and the other targets' (2), which read the
+        # plain updates too; a row's L leaves out its pivot
+        entries = [np.delete(a, pe) for a in entries]
+        back = np.zeros(n1, bool)
+        back[t_row[~plain[t_col]]] = True
+        reads = np.ones((3, n1 + 1), bool)       # the constant's is read
+        reads[1:, :n1] = live_c, live_c | plain
+        row, sign, num, den, col = _expand(
+            np.where(back, 2, live_r | plain[row_target]), reads, entries,
+            pivot, one)
+        # ext = raw | |raw| | the monomials of more than one slot
+        deep = (num[:, 1:2] != one).any(1) | (den[:, :1] != one).any(1)
+        num, den, ext = num[deep], den[deep], num[:, 0]
+        wn = max(1, (num != one).sum(1).max(initial=0))
+        wd = (den != one).sum(1).max(initial=0)
+        # the distinct monomials (a current's derivative feeds two rows),
+        # through one integer key each, ranked before it would overflow
+        slots = np.hstack((num[:, :wn], den[:, :wd]))
+        key = np.zeros(len(slots), np.int64)
+        for a in slots.T:
+            if key.max(initial=0) >= np.iinfo(np.int64).max // n_raw:
+                key = np.unique(key, return_inverse=True)[1].reshape(-1)
+            key = key * n_raw + a
+        _, first, inv = np.unique(key, return_index=True, return_inverse=True)
+        mono = slots[first]
+        ext[deep] = 2 * n_raw + inv.reshape(-1)
+        # the monomials' factors: the slots of each, one array per factor
+        self.mono = (list(np.ascontiguousarray(mono[:, :wn].T)),
+                     list(np.ascontiguousarray(mono[:, wn:].T)))
+        self.parts = (n_raw, n_raw, len(mono))
 
-        # what the states condense out of: the rows of R and the pinned
-        # nodes' KCL rows, in R's and the pinned nodes' columns; the fill
-        # pairs join each J[r, x] with each J[x, c] of the same state
-        kept = in_r | is_e
-        col = col[kept[j_rows[col]]]
-        by_x = [[] for _ in range(nx)]
-        for k in row[kept[j_cols[row]]]:
-            by_x[x_id[j_rows[k]]].append(k)
-        pairs = [(c, k) for c in col for k in by_x[x_id[j_cols[c]]]]
-        pc = _ints([c for c, _ in pairs])
-        pk = _ints([k for _, k in pairs])
-        # R's direct entries in pinned columns
-        direct = np.flatnonzero(in_r[j_rows] & is_e[j_cols])
-        de = e_id[j_cols[direct]]
-
-        # terms raw[L] * raw[R] / raw[D]: J[r, x] f_x / a_x of each column
-        # entry, J[r, x] J[x, c] / a_x of each fill pair, and
-        # J[r, e] f_s / J[s, e] of each direct entry; then products
-        # term * raw[F]: each fill pair of an R row and a pinned column
-        # times its f_s
-        col_x, pair_x = x_id[j_cols[col]], x_id[j_cols[pc]]
-        self.t_left = np.concatenate((j_slot[col], j_slot[pc],
-                                      j_slot[direct]))
-        self.t_right = np.concatenate((fx_slot[col_x], j_slot[pk],
-                                       fs_slot[de]))
-        self.t_diag = np.concatenate((a_slot[col_x], a_slot[pair_x],
-                                      se_slot[de]))
-        n_col, n_terms = len(col), len(self.t_left)
-        fill_rows, fill_cols = j_rows[pc], j_cols[pk]
-        fp = np.flatnonzero(in_r[fill_rows] & is_e[fill_cols])
-        fp_pin = e_id[fill_cols[fp]]
-        self.p_term, self.p_raw = n_col + fp, fs_slot[fp_pin]
-        # ext = raw | |raw| | terms | products | 1
-        t_base, p_base = 2 * n_raw, 2 * n_raw + n_terms
-        one = p_base + len(fp)
-        self.parts = (n_raw, n_raw, n_terms, len(fp), 0)
-
-        # the binned weights, ext[slot] * sign, ground dropped: full f
-        # (size) | full scale (size) | R's right-hand side (m) | R's
-        # condensed J (m x m, row-major) | dx (size + 1, padded: each
-        # pinned node's dx_e, 0 elsewhere, and 1 in a last, spare
-        # column); a padded unknown r is bin r - 1 of the full parts, a
-        # condensed one c bin c - 1 of R's parts
-        f_keep = np.flatnonzero(f_rows != 0)
-        f_r = np.flatnonzero(in_r[f_rows])
-        r_j = np.flatnonzero(in_r[j_rows] & in_r[j_cols])
-        r_col = np.flatnonzero(in_r[j_rows[col]])
-        r_fill = np.flatnonzero(in_r[fill_rows] & in_r[fill_cols])
-        r_dir = np.arange(len(direct))
-        c_base = 2 * size - 1
-        self.d_base = 2 * size + m + m * m
+        # the binned weights, ext[slot] * sign: full f (size) | full
+        # scale (size) | R's right-hand side (m) | R's matrix (m x m) |
+        # dx (size + 1 padded, and the spare column)
+        c_base, j_base = 2 * size, 2 * size + m
+        self.d_base = j_base + m * m
         self.n_bins = self.d_base + n1 + 1
+        rhs, mat, lead, b = (np.flatnonzero(a) for a in (
+            live_r[row] & (col == n1), live_r[row] & (col != n1),
+            plain[row_target[row]], back[row]))
         parts = (
-            # the full residual and scale
-            (f_slot[f_keep], f_sign[f_keep], f_rows[f_keep] - 1),
-            (n_raw + s_slot[f_keep], np.ones(len(f_keep)),
-             size - 1 + f_rows[f_keep]),
-            # R's right-hand side: -f_r, then the state terms, the direct
-            # pinned terms and the fill products; each is minus its term
-            # of the condensed residual
-            (f_slot[f_r], -f_sign[f_r], c_base + cpos[f_rows[f_r]]),
-            (j_slot[r_j], j_sign[r_j],
-             c_base + cpos[j_rows[r_j]] * m + cpos[j_cols[r_j]]),
-            (t_base + r_col, j_sign[col[r_col]],
-             c_base + cpos[j_rows[col[r_col]]]),
-            (t_base + n_col + r_fill, -j_sign[pc[r_fill]],
-             c_base + cpos[fill_rows[r_fill]] * m + cpos[fill_cols[r_fill]]),
-            (t_base + n_col + len(pc) + r_dir, j_sign[direct],
-             c_base + cpos[j_rows[direct]]),
-            (p_base + np.arange(len(fp)), -j_sign[pc[fp]] * pin_sign[fp_pin],
-             c_base + cpos[fill_rows[fp]]),
-            # dx: each pinned node's -f_s / J[s, e], and the spare 1
-            (fs_slot, -pin_sign, self.d_base + pin_e),
+            (f_slot[on_f], f_sign[on_f], f_rows[on_f] - 1),
+            (n_raw + s_slot[on_f], np.ones(on_f.sum()),
+             size - 1 + f_rows[on_f]),
+            (ext[rhs], -sign[rhs], c_base + rpos[row[rhs]]),
+            (ext[mat], sign[mat],
+             j_base + rpos[row[mat]] * m + cpos[col[mat]]),
+            (ext[lead], -sign[lead] * pivot[2][row_target[row[lead]]],
+             self.d_base + row_target[row[lead]]),
             (_ints([one]), np.ones(1), _ints([self.d_base + n1])))
         self.slot, self.sign, self.bins = (np.concatenate(a)
                                            for a in zip(*parts))
-
-        # the back-substitution: target t (each state, then each pinned
-        # branch) is the sum of its entries ext[src] * sign * dx[col],
-        # over its pivot; a residual entry's column is the spare one
-        self.t_pos = np.concatenate((xs, pin_b))
-        self.t_piv = np.concatenate((a_slot, eb_slot))
-        st_row = np.flatnonzero(is_x[j_rows] & (j_rows != j_cols))
-        pin_j = np.flatnonzero(is_e[j_rows] & kept[j_cols])
-        pin_f = np.flatnonzero(is_e[f_rows])
-        p_col = np.flatnonzero(is_e[j_rows[col]])
-        p_fill = np.flatnonzero(is_e[fill_rows])
-        pin_of = [e_id[r] for r in (j_rows[pin_j], fill_rows[p_fill],
-                                    f_rows[pin_f], j_rows[col[p_col]])]
-        entries = (
-            # a state's J[x, c] (its column 0 entries add 0), then its f_x
-            (j_slot[st_row], -j_sign[st_row], x_id[j_rows[st_row]],
-             j_cols[st_row]),
-            (fx_slot, -np.ones(nx), np.arange(nx), np.full(nx, n1)),
-            # a pinned KCL row: its entries, the fills, its residual and
-            # the column terms, each over J[e, b], the pin's sign
-            (j_slot[pin_j], -j_sign[pin_j] * pin_sign[pin_of[0]],
-             nx + pin_of[0], j_cols[pin_j]),
-            (t_base + n_col + p_fill, j_sign[pc[p_fill]] * pin_sign[pin_of[1]],
-             nx + pin_of[1], fill_cols[p_fill]),
-            (f_slot[pin_f], -f_sign[pin_f] * pin_sign[pin_of[2]],
-             nx + pin_of[2], np.full(len(pin_f), n1)),
-            (t_base + p_col, j_sign[col[p_col]] * pin_sign[pin_of[3]],
-             nx + pin_of[3], np.full(len(p_col), n1)))
-        self.b_src, self.b_sign, self.b_t, self.b_col = (
-            np.concatenate(a) for a in zip(*entries))
+        # the back-substitution: target t is the sum of its monomials
+        # ext[src] * sign * dx[col], over its pivot (None: every pivot
+        # is a unit)
+        self.t_pos = t_col[~plain[t_col]]
+        self.nt = len(self.t_pos)
+        piv = pivot[1][self.t_pos]
+        self.t_piv = None if np.all(piv == one) else piv
+        t_id = np.zeros(n1, np.intp)
+        t_id[self.t_pos] = np.arange(self.nt)
+        target = row_target[row[b]]
+        self.b_src, self.b_col, self.b_t = ext[b], col[b], t_id[target]
+        self.b_sign = -sign[b] * pivot[2][target]
 
     def views(self, raw: np.ndarray, off: int) -> list:
         """Each vector stamp's block of the circuit whose values start at
@@ -986,15 +980,12 @@ class _Pattern:
 
 
 @functools.lru_cache(maxsize=64)
-def _compiled_pattern(size: int, condensed: tuple, pinned: tuple,
-                      groups: tuple, gmin_rows: Optional[tuple]) -> _Pattern:
+def _compiled_pattern(size: int, groups: tuple,
+                      gmin_rows: Optional[tuple]) -> _Pattern:
     """The pattern of one index structure (all arguments are index
     tuples, so circuits of the same topology share it: the one-device
     circuits of a write-verify loop compile once)."""
-    return _Pattern(size, condensed, pinned, groups, gmin_rows)
-
-
-_ONE = np.ones(1)
+    return _Pattern(size, groups, gmin_rows)
 
 
 class _Stack:
@@ -1005,16 +996,16 @@ class _Stack:
     one after another.  Every compiled index of the pattern is repeated
     per circuit with that circuit's offsets, into flat 1-D arrays: one
     bincount fills k blocks of bins, one stacked solve factors k
-    condensed matrices, and one bincount back-substitutes k circuits'
-    states and pinned branch currents.  Each bin sums its contributions
-    in a lone circuit's order and LAPACK solves each matrix of a stack
-    on its own, so every circuit's numbers are bit for bit those it has
-    alone.  For k = 1 the solve is the plain 2-D one.
+    matrices of R, and one bincount back-substitutes k circuits'
+    eliminated updates.  Each bin sums its contributions in a lone
+    circuit's order and LAPACK solves each matrix of a stack on its
+    own, so every circuit's numbers are bit for bit those it has alone.
+    For k = 1 the solve is the plain 2-D one.
     """
 
     def __init__(self, p: _Pattern, k: int):
         self.p, self.k = p, k
-        n_raw, n_terms = p.n_raw, len(p.t_left)
+        n_raw = p.n_raw
         # a row of dx: the padded unknowns and the spare column
         w1 = p.n1 + 1
         off = np.arange(k)[:, None]
@@ -1028,15 +1019,16 @@ class _Stack:
 
         def rep_ext(idx):
             # ext indices: part q starts where the k blocks of the parts
-            # before it end (the 1 is one entry for all circuits)
+            # before it end
             part = np.searchsorted(starts, idx, side="right") - 1
             return rep(idx + (k - 1) * starts[part], sizes[part])
 
-        self.t_left, self.t_right, self.t_diag, self.p_raw = (
-            rep(a, n_raw) for a in (p.t_left, p.t_right, p.t_diag, p.p_raw))
-        self.p_term = rep(p.p_term, n_terms)
-        self.slot, self.b_src, self.t_piv = (
-            rep_ext(a) for a in (p.slot, p.b_src, p.t_piv))
+        # the monomials' factors, (the first's slots, the others'), or None
+        num, den = ([rep(a, n_raw) for a in rows] for rows in p.mono)
+        self.num = (num[0], num[1:]) if p.parts[2] else None
+        self.den = (den[0], den[1:]) if den else None
+        self.slot, self.b_src = rep_ext(p.slot), rep_ext(p.b_src)
+        self.t_piv = None if p.t_piv is None else rep(p.t_piv, n_raw)
         self.sign, self.b_sign = rep(p.sign, 0), rep(p.b_sign, 0)
         self.bins = rep(p.bins, p.n_bins)
         self.n_bins = k * p.n_bins
@@ -1048,14 +1040,19 @@ class _Stack:
 
     def values(self, raw: np.ndarray) -> np.ndarray:
         """``ext`` of the k circuits (``_Pattern``)."""
-        ext = [raw, np.abs(raw)]
-        if len(self.t_left):
-            terms = raw[self.t_left] * raw[self.t_right] / raw[self.t_diag]
-            ext.append(terms)
-            if len(self.p_term):
-                ext.append(terms[self.p_term] * raw[self.p_raw])
-        ext.append(_ONE)
-        return np.concatenate(ext)
+        if self.num is None:
+            return np.concatenate((raw, np.abs(raw)))
+        first, rest = self.num
+        v = raw[first]
+        for i in rest:
+            v = v * raw[i]
+        if self.den is not None:
+            first, rest = self.den
+            d = raw[first]
+            for i in rest:
+                d = d * raw[i]
+            v = v / d
+        return np.concatenate((raw, np.abs(raw), v))
 
     def scatter(self, ext: np.ndarray) -> np.ndarray:
         """The bins of each circuit, one row per circuit (``_Pattern``)."""
@@ -1064,15 +1061,14 @@ class _Stack:
 
     def step(self, ext: np.ndarray, out: np.ndarray):
         """(dx, singular): the Newton updates -J^-1 f of the k circuits,
-        padded, one row per circuit, and the rows whose condensed matrix
-        is singular (their update is NaN).  The pinned nodes' updates
-        come from the scatter, R's dense solve runs even when R is
-        empty, and one bincount back-substitutes the rest
-        (``_Pattern``)."""
+        padded, one row per circuit, and the rows whose matrix of R is
+        singular (their update is NaN).  The plain updates come from the
+        scatter, R's dense solve runs even when R is empty, and one
+        bincount back-substitutes the rest (``_Pattern``)."""
         p, k = self.p, self.k
         c0, j0, m = 2 * p.n, 2 * p.n + p.m, p.m
-        dx = out[:, p.d_base:].copy()
-        flat = dx.reshape(-1)
+        # for one circuit a view: nothing reads a circuit's dx bins again
+        flat = out[:, p.d_base:].reshape(-1)
         singular = []
         try:
             if k == 1:
@@ -1091,15 +1087,16 @@ class _Stack:
                     sol[row] = np.nan
                     singular.append(row)
             sol = sol.reshape(-1)
-        flat[self.solved] = sol
+        if m:
+            flat[self.solved] = sol
         if p.nt:
             t = np.bincount(self.b_t,
                             ext[self.b_src] * self.b_sign * flat[self.b_col],
                             k * p.nt)
-            if p.nx:        # without states every pivot is a 1
+            if self.t_piv is not None:
                 t = t / ext[self.t_piv]
             flat[self.t_pos] = t
-        return dx[:, :-1], singular
+        return flat.reshape(k, -1)[:, :-1], singular
 
 
 class Assembler:
@@ -1109,6 +1106,7 @@ class Assembler:
         self.layout = layout
         self.ctx = ctx
         self.pattern = layout.pattern(ctx.mode, ctx.gmin != 0.0)
+        self.scalar = layout.scalar[ctx.mode]
         self._v_prev = None
         self.targets = ctx.targets
         if self.targets is None and layout.sources is not None:
@@ -1130,23 +1128,24 @@ class Assembler:
                  off: int = 0) -> None:
         """Evaluate the stamps at x for the lockstep Newton loop: the
         per-element stamps append this circuit's slot values to ``out``,
-        the batch's list, and the vector stamps fill the block of
+        the batch's list, after the constant 1 that starts each circuit's
+        slots (``_coo``), and the vector stamps fill the block of
         ``raw``, the batch's value array, that starts at ``off``; the loop
         writes ``out`` into the batch's ``scalar_slots`` and scatters."""
-        ctx, layout, pat = self.ctx, self.layout, self.pattern
-        scalar = layout.scalar[ctx.mode]
-        if scalar or pat.gmin_rows is not None:
+        pat = self.pattern
+        out.append(1.0)
+        if self.scalar or pat.gmin_rows is not None:
             # the per-element stamps read the unknowns as floats
             v = [0.0] + x.tolist()
-            for st in scalar:
+            for st in self.scalar:
                 st.values(self, v, out)
             if pat.gmin_rows is not None:
-                gmin = ctx.gmin
+                gmin = self.ctx.gmin
                 for r in pat.gmin_rows:
                     out += (gmin * v[r], 0.0, gmin)
         if pat.vector:
             xp = np.concatenate(([0.0], x))
-            for st, blk in zip(layout.vector[ctx.mode],
+            for st, blk in zip(self.layout.vector[self.ctx.mode],
                                pat.views(raw, off)):
                 st.fill(self, xp, blk)
 

@@ -10,7 +10,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from synapsim.engine.mna import Assembler
+from synapsim.engine.mna import Assembler, _coo
 
 
 class System(NamedTuple):
@@ -31,7 +31,8 @@ def system_at(layout, ctx, x) -> System:
     ext = st.values(raw)
     bins = st.scatter(ext)
     dx, _ = st.step(ext, bins)
-    full = np.bincount(pat.j_rows * pat.n1 + pat.j_cols,
-                       raw[pat.j_slot] * pat.j_sign, pat.n1 * pat.n1)
+    j_rows, j_cols, j_slot, j_sign = _coo(pat.groups)[4:8]
+    full = np.bincount(j_rows * pat.n1 + j_cols, raw[j_slot] * j_sign,
+                       pat.n1 * pat.n1)
     return System(bins[0, :pat.n].copy(),
                   full.reshape(pat.n1, pat.n1)[1:, 1:], dx[0, 1:], raw)

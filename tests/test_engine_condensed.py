@@ -1,10 +1,10 @@
 """Compiled assembly and the condensed Newton step.
 
-The condensed step (RRAM states and grounded voltage sources eliminated,
-solve over the rest, states and branch currents back-substituted) is
-checked against a dense solve of the full Jacobian on random small
-netlists; the compiled layout is checked for its solved size and for
-dropping its cache when the circuit grows.  The RRAM stamp
+The condensed step (the unknowns the pattern's pivot rule picks
+eliminated, a dense solve over the rest, the eliminated updates
+back-substituted) is checked against a dense solve of the full Jacobian
+on random small netlists; the compiled layout is checked for its solved
+sizes and for dropping its cache when the circuit grows.  The RRAM stamp
 calls its model per device on floats when it has few devices and once
 on arrays when it has many, and the voltage-source stamp fills its
 slots per source or from arrays in the same way; each pair of paths is
@@ -16,11 +16,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import synapsim.engine.mna as mna
-from synapsim.engine import (AnalysisSpec, Capacitor, Circuit, ISource,
-                             Mosfet, PulseSpec, Resistor, RramElement,
-                             SystemLayout, VSource, operating_point,
-                             parse_netlist, run_analysis)
+from synapsim.engine import (AnalysisSpec, Capacitor, Circuit,
+                             FloatGateElement, ISource, Mosfet, PulseSpec,
+                             Resistor, RramElement, SystemLayout, VSource,
+                             operating_point, parse_netlist, run_analysis)
 from synapsim.engine.mna import EvalContext, post_step_aux
+from synapsim.floatgate import FloatingGateParams
 from synapsim.mosfet import MosParams
 from synapsim.neuro import CrossbarSpec, build_crossbar, read_outputs
 from synapsim.rram import RramParams
@@ -32,17 +33,22 @@ H = 1e-9
 
 @st.composite
 def netlists(draw):
-    """A random circuit of R, C, V, I, XR and M elements on 2-4 nodes.
+    """A random circuit of R, C, V, I, XR, XF and M elements on 2-4
+    nodes.
 
     Every node has a resistor to ground.  Some nodes have a voltage
-    source to ground, either way round (pinned unknowns), and a few
-    sources join two nodes (solved unknowns); the sources form no loop,
-    so the full Jacobian is nonsingular at any point."""
+    source to ground, either way round, and a few sources join two
+    nodes, in chains; the sources form no loop, so the full Jacobian is
+    nonsingular at any point.  A floating gate's charge row is a
+    constraint row in DC and its KCL row in transient.  Some circuits
+    have a node that only a MOSFET drain touches, whose KCL diagonal
+    can vanish."""
     n = draw(st.integers(2, 4))
     node = st.integers(0, n).map(str)
     c = Circuit()
     c.add_model("mem", "rram", RramParams())
     c.add_model("nfet", "cmg", MosParams())
+    c.add_model("fgm", "fg", FloatingGateParams())
     for k in range(1, n + 1):
         c.add(Resistor(f"rg{k}", str(k), "0",
                        draw(st.floats(1e3, 1e5))))
@@ -64,7 +70,7 @@ def netlists(draw):
         if find(a) != find(b):
             c.add(VSource(f"vf{j}", str(a), str(b), dc=draw(volts)))
             root[find(a)] = find(b)
-    kinds = st.sampled_from(["r", "c", "i", "xr", "m"])
+    kinds = st.sampled_from(["r", "c", "i", "xr", "m", "xf"])
     for j, kind in enumerate(draw(st.lists(kinds, min_size=1, max_size=6))):
         a, b = draw(node), draw(node)
         if kind == "r":
@@ -76,8 +82,14 @@ def netlists(draw):
         elif kind == "xr":
             c.add(RramElement(f"xr{j}", a, b, model="mem",
                               x0=draw(st.floats(0.0, 1.0))))
-        else:
+        elif kind == "m":
             c.add(Mosfet(f"m{j}", a, draw(node), b, model="nfet"))
+        else:
+            c.add(FloatGateElement(f"xf{j}", a, b, draw(node), draw(node),
+                                   draw(node), model="fgm",
+                                   qfg0=draw(st.floats(-3e-17, 3e-17))))
+    if draw(st.booleans()):
+        c.add(Mosfet("md", "d", draw(node), draw(node), model="nfet"))
     return c
 
 
@@ -129,7 +141,7 @@ def test_1t1r_transient_step_equals_full_solve(integrator):
     from synapsim.rram import _build_1t1r
 
     layout = SystemLayout(_build_1t1r(RramParams(), MosParams(), 1.0, 0.8))
-    assert layout.solved_size == 1
+    assert layout.pattern("tran", False).m == 1
     rng = np.random.default_rng(5)
     x_prev = _random_point(layout, rng)
     ctx = EvalContext(mode="tran", time=H, h=H, x_prev=x_prev)
@@ -140,12 +152,32 @@ def test_1t1r_transient_step_equals_full_solve(integrator):
     _assert_step_is_full_solve(layout, ctx, _random_point(layout, rng))
 
 
+def test_vanishing_kcl_diagonal_stays_in_the_dense_solve(monkeypatch):
+    # node t touches one MOSFET drain, whose gds alone writes J[t, t],
+    # and another MOSFET's gate; at gds = 0 the Jacobian is nonsingular,
+    # but a pivot on J[t, t] would divide by 0, so t and u stay solved
+    circuit = parse_netlist(".model nfet cmg\nvg g 0 dc 1\n"
+                            "m1 t g u model=nfet\nm2 u t 0 model=nfet\n"
+                            "r1 u 0 1k\n.end").circuit
+    layout = SystemLayout(circuit)
+    assert layout.pattern("dc", False).m == 2
+    model = mna.drain_current_and_grads
+
+    def no_gds(p, vgs, vds):
+        i, gm, _ = model(p, vgs, vds)
+        return i, gm, 0.0
+
+    monkeypatch.setattr(mna, "drain_current_and_grads", no_gds)
+    x = np.random.default_rng(2).uniform(0.2, 0.8, layout.size)
+    _assert_step_is_full_solve(layout, EvalContext(mode="dc"), x)
+
+
 def test_crossbar_read_solves_condensed_system(monkeypatch):
     spec = CrossbarSpec(n_inputs=32, n_outputs=16)
     c = build_crossbar(spec, RramParams())
     layout = SystemLayout(c)
     # every node is held by a grounded source: nothing is left to solve
-    assert (layout.size, layout.solved_size) == (1152, 0)
+    assert (layout.size, layout.pattern("dc", False).m) == (1152, 0)
     shapes = []
     solve = np.linalg.solve
 
@@ -158,22 +190,25 @@ def test_crossbar_read_solves_condensed_system(monkeypatch):
     assert shapes and set(shapes) == {(0, 0)}
 
 
-def _solved_size(text: str) -> int:
-    return SystemLayout(parse_netlist(text).circuit).solved_size
+def _solved_sizes(circuit) -> tuple:
+    """The size of the system the Newton step solves, in DC and in
+    transient."""
+    layout = SystemLayout(circuit)
+    return tuple(layout.pattern(mode, False).m for mode in ("dc", "tran"))
 
 
 @pytest.mark.parametrize("text,solved", [
     # one pinned node: its voltage and branch current leave the solve
     ("v1 a 0 dc 1\nr1 a 0 1k\n.end", 0),
     ("v1 0 a dc 1\nr1 a 0 1k\n.end", 0),
-    # a node held by two grounded sources is not pinned
+    # a node held by two grounded sources stays solved
     ("v1 a 0 dc 1\nv2 0 a dc -1\nr1 a 0 1k\nv3 b 0 dc 1\nr2 b 0 1k\n.end",
      3),
-    # a source between two nodes stays solved, and so does its node b
-    ("v1 a 0 dc 1\nv2 b a dc 1\nr1 b 0 1k\n.end", 2),
+    # a chain of sources: b is held through a
+    ("v1 a 0 dc 1\nv2 b a dc 1\nr1 b 0 1k\n.end", 0),
 ])
 def test_grounded_sources_leave_the_solve(text, solved):
-    assert _solved_size(text) == solved
+    assert _solved_sizes(parse_netlist(text).circuit) == (solved, solved)
 
 
 def test_solved_sizes_of_the_experiment_circuits():
@@ -189,9 +224,12 @@ def test_solved_sizes_of_the_experiment_circuits():
                 "1t1r": _build_1t1r(p, MosParams(), 1.0, 0.8),
                 "fg cell": _fg_circuit(FloatingGateParams(), 0.0, 0.6, 1.0),
                 "rram-iv": iv}
-    sizes = {name: SystemLayout(c).solved_size
-             for name, c in circuits.items()}
-    assert sizes == {"pulse cell": 0, "1t1r": 1, "fg cell": 1, "rram-iv": 2}
+    sizes = {name: _solved_sizes(c) for name, c in circuits.items()}
+    # (DC, transient): the floating gate's charge row is a constraint
+    # row in DC, pivoted once its three coupled nodes are; in transient
+    # it is the gate's KCL row, whose diagonal several slots write
+    assert sizes == {"pulse cell": (0, 0), "1t1r": (1, 1),
+                     "fg cell": (0, 1), "rram-iv": (0, 0)}
 
 
 def test_element_added_after_an_analysis_is_seen():
