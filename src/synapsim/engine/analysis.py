@@ -166,8 +166,7 @@ class _Run:
     def context(self) -> EvalContext:
         """The context of this circuit's next step."""
         h = min(self.h, self.spec.tstop - self.t)
-        return EvalContext(mode="tran", time=self.t + h, h=h,
-                           integrator=self.spec.integrator, x_prev=self.x,
+        return EvalContext(mode="tran", time=self.t + h, h=h, x_prev=self.x,
                            aux_prev=self.aux, gmin=self.spec.gmin)
 
 

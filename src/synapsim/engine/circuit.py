@@ -11,7 +11,8 @@ Each element dataclass owns its structure: card prefix, terminals,
 internal node, model kind, carried-state seed and the checks of its
 values.  Its init fields are also its netlist card, read by ``netlist``.
 Adding an element kind means one dataclass here plus one entry in the
-per-kind table in ``mna``.
+``_KINDS`` table in ``mna``, and a primitive stamp with ``seed`` and
+``store`` there if the kind carries state and no existing stamp fits.
 """
 
 from __future__ import annotations

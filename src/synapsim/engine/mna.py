@@ -4,12 +4,13 @@ Unknown layout (the vector x that analyses see and report): node voltages
 for nodes 1..N-1 (ground dropped), then one branch current per
 independent voltage source.  Device state rides along on internal nodes:
 each RRAM element's filament state X and each floating gate's voltage.
-Each KCL row carries the sum of currents leaving its node; voltage-source
-rows carry the branch voltage constraint in volts; an RRAM state row is
-its state equation (pinned to the carried state in DC, the integrated
-rate law in transient); a floating-gate row is its KCL in transient and
-its stored-charge constraint, in volts, in DC.  One set of tolerances
-covers every row.
+
+Rows are classed by structure, per analysis mode: a constraint row is
+one that only the mode's "row" blocks write (a voltage source's branch
+voltage, an RRAM state equation, a floating gate's stored charge in DC),
+every other row a KCL row, the sum of currents leaving its node.  gmin
+goes on the KCL rows; a residual meets ``iabstol`` on a KCL row and
+``vabstol`` on a constraint row, whose residual is in volts or state.
 
 Solved system: the Newton step leaves out of its dense solve every
 unknown that one structural rule, read off the compiled pattern and
@@ -53,11 +54,12 @@ active set, so each circuit runs exactly the iterates, and gets exactly
 the bits, it gets alone.  ``newton_solve`` is the K = 1 case of the same
 loop; its solve is the plain 2-D one.
 
-Element numerics live in one table, ``_KINDS``, with one entry per
-element class: the primitive stamps the element compiles into, and for a
-kind with an internal node its row kind, start value and carried state.
+Element numerics live in one table, ``_KINDS``, which maps each element
+class to the primitive stamps it compiles into; a stamp that reads
+carried device state also seeds and stores it (``seed``, ``store``).
 Adding an element kind means one dataclass in ``circuit`` plus one entry
-here, and a primitive stamp class if no existing one fits.
+here, and a primitive stamp class (with ``seed`` and ``store`` if it
+carries state) when no existing one fits.
 """
 
 from __future__ import annotations
@@ -65,7 +67,7 @@ from __future__ import annotations
 import functools
 import operator
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -122,8 +124,8 @@ class EvalContext:
     mode: str                    # "dc" | "tran"
     time: float = 0.0
     h: float = 0.0
-    integrator: str = "be"       # "be" | "trap"
     x_prev: Optional[np.ndarray] = None
+    # companion history (``post_step_aux``), empty on a backward-Euler step
     aux_prev: dict = field(default_factory=dict)
     sfactor: float = 1.0
     gmin: float = 0.0
@@ -153,10 +155,6 @@ def _companion(cap: float, key: str, dv: float, dv_prev: float, h: float,
     return geq * (dv - dv_prev), geq
 
 
-def _trap_history(ctx: EvalContext) -> dict:
-    return ctx.aux_prev if ctx.integrator == "trap" else {}
-
-
 # -- primitive stamps ---------------------------------------------------
 #
 # A primitive stamp is compiled over every element that uses it, from one
@@ -173,12 +171,13 @@ def _trap_history(ctx: EvalContext) -> dict:
 # a ``vector`` stamp instead writes them all at once with ``fill``.
 # ``accept(ctx, v, x, aux)``, where present, records in aux the history
 # the next trapezoidal step needs (aux is None when no step will read
-# it) and clamps what must be clamped.  A stamp takes part only in its
-# ``modes``.
+# it) and clamps what must be clamped; ``seed(x, carried)`` and
+# ``store(x, carried)`` move carried device state into a start x and back
+# from a solution x.  A stamp takes part only in its ``modes``.
 
 
 class _Stamp:
-    accept = None
+    accept = seed = store = None
     modes = ("dc", "tran")
     vector = False
 
@@ -214,7 +213,7 @@ class _Companion(_Stamp):
 
     def values(self, asm, v, out):
         ctx = asm.ctx
-        vp, hist = asm.v_prev(), _trap_history(ctx)
+        vp, hist = asm.v_prev(), ctx.aux_prev
         for n1, n2, cap, key in self.recs:
             i, geq = _companion(cap, key, v[n1] - v[n2], vp[n1] - vp[n2],
                                 ctx.h, hist)
@@ -223,7 +222,7 @@ class _Companion(_Stamp):
     def accept(self, ctx, v, x, aux):
         if aux is None:
             return
-        vp, hist = [0.0] + ctx.x_prev.tolist(), _trap_history(ctx)
+        vp, hist = [0.0] + ctx.x_prev.tolist(), ctx.aux_prev
         for n1, n2, cap, key in self.recs:
             aux[key] = _companion(cap, key, v[n1] - v[n2], vp[n1] - vp[n2],
                                   ctx.h, hist)[0]
@@ -320,6 +319,9 @@ class _Rram(_Stamp):
     def __init__(self, recs):
         super().__init__(recs)
         models = {r[1] for r in recs}
+        # the state rows, and one call that reads their carried states
+        self.rows = _ints(self.column(4)) - 1
+        self._held = operator.itemgetter(*self.column(0))
         self.vector = self.n >= _VECTOR_MIN and len(models) == 1
         if self.vector:
             (self.params,) = models
@@ -344,7 +346,7 @@ class _Rram(_Stamp):
         if ctx.mode == "dc":
             return i, di_dx, di_dv, -di_dv, s - held, abs(s) + abs(held)
         rate, dr_dv, dr_dx = state_rate_and_grads(p, vpn, s)
-        hist, h = _trap_history(ctx), ctx.h
+        hist, h = ctx.aux_prev, ctx.h
         if key in hist:
             w = 0.5 * h
             resid = s - held - w * (rate + hist[key])
@@ -366,8 +368,8 @@ class _Rram(_Stamp):
     def fill(self, asm, xp, blk):
         """Write the slots, one row of ``blk`` per slot, from the padded
         unknowns xp."""
-        ctx, rows = asm.ctx, self.state - 1
-        held = (asm.seed() if ctx.mode == "dc" else ctx.x_prev)[rows]
+        ctx = asm.ctx
+        held = (asm.seed() if ctx.mode == "dc" else ctx.x_prev)[self.rows]
         for k, value in enumerate(self._slots(
                 ctx, self, self.params, xp[self.npos] - xp[self.nneg],
                 xp[self.state], held)):
@@ -376,8 +378,7 @@ class _Rram(_Stamp):
     def accept(self, ctx, v, x, aux):
         # the filament state leaves [0, 1] only by Newton overshoot
         if self.vector:
-            rows = self.state - 1
-            x[rows] = np.clip(x[rows], 0.0, 1.0)
+            x[self.rows] = np.clip(x[self.rows], 0.0, 1.0)
             if aux is not None:
                 xp = np.concatenate(([0.0], x))
                 aux[self] = state_rate_and_grads(
@@ -385,10 +386,16 @@ class _Rram(_Stamp):
                     xp[self.state])[0]
             return
         for name, params, npos, nneg, state in self.recs:
-            x[state - 1] = v[state] = s = min(max(v[state], 0.0), 1.0)
+            x[state - 1] = s = min(max(v[state], 0.0), 1.0)
             if aux is not None:
                 aux[name] = state_rate_and_grads(params, v[npos] - v[nneg],
                                                  s)[0]
+
+    def seed(self, x, carried):
+        x[self.rows] = self._held(carried)
+
+    def store(self, x, carried):
+        carried.update(zip(self.column(0), x[self.rows].tolist()))
 
 
 class _Tunnel(_Stamp):
@@ -429,75 +436,55 @@ class _ChargeRow(_Stamp):
             out += ((q - held) / c, (abs(q) + abs(held)) / c,
                     -p.c_sg / c, -p.c_nfb / c, -p.c_pfb / c)
 
+    def seed(self, x, carried):
+        for name, fg, _, p in self.recs:
+            x[fg - 1] = carried[name] / p.c_total
+
+    def store(self, x, carried):
+        # the stored charge sum C_i * (V_fg - V_i) over the couplings
+        v = [0.0] + x.tolist()
+        for name, fg, (sg, nfb, pfb), p in self.recs:
+            v_fg = v[fg]
+            carried[name] = (0.0 + p.c_sg * (v_fg - v[sg])
+                             + p.c_nfb * (v_fg - v[nfb])
+                             + p.c_pfb * (v_fg - v[pfb]))
+
 
 # stamp order within an assembly
 _PRIMITIVES = (_VSource, _ISource, _Conductance, _Companion, _Drain, _Rram,
                _Tunnel, _ChargeRow)
 
 
-def _v(x: np.ndarray, idx: int) -> float:
-    return 0.0 if idx == 0 else x[idx - 1]
-
-
-def _fg_couplings(e: FloatGateElement):
-    """(history key, capacitance, node) of each floating-gate coupling."""
-    p = e.params
-    return ((e.name + "#csg", p.c_sg, e.nsg),
-            (e.name + "#cnfb", p.c_nfb, e.nnfb),
-            (e.name + "#cpfb", p.c_pfb, e.npfb))
-
-
-def _fg_charge(e: FloatGateElement, x: np.ndarray, nodes: dict) -> float:
-    """Stored charge sum C_i * (V_fg - V_i) over the couplings."""
-    v_fg = _v(x, nodes[e.internal_node])
-    q = 0.0
-    for _, cap, node in _fg_couplings(e):
-        q += cap * (v_fg - _v(x, nodes[node]))
-    return q
-
-
 def _floatgate_parts(e: FloatGateElement, n: dict, layout):
-    fg = n[e.internal_node]
-    parts = [(_Drain, (n[e.nd], fg, n[e.ns], e.params.mos))]
-    parts += [(_Companion, (n[node], fg, cap, key))
-              for key, cap, node in _fg_couplings(e)]
-    parts += [(_Tunnel, (n[term], fg, e.params)) for term in (e.nnfb, e.npfb)]
+    fg, p = n[e.internal_node], e.params
+    parts = [(_Drain, (n[e.nd], fg, n[e.ns], p.mos))]
+    parts += [(_Companion, (n[node], fg, cap, e.name + suffix))
+              for suffix, cap, node in (("#csg", p.c_sg, e.nsg),
+                                        ("#cnfb", p.c_nfb, e.nnfb),
+                                        ("#cpfb", p.c_pfb, e.npfb))]
+    parts += [(_Tunnel, (n[term], fg, p)) for term in (e.nnfb, e.npfb)]
     parts.append((_ChargeRow, (e.name, fg, (n[e.nsg], n[e.nnfb], n[e.npfb]),
-                               e.params)))
+                               p)))
     return parts
 
 
-class _Kind(NamedTuple):
-    """One element kind's numerics: the (primitive, record) pairs the
-    element compiles into; row, seed and state only for a kind with an
-    internal node (its row kind, start value and carried state).  A kind
-    without a seed starts its row at the carried state itself."""
-
-    parts: Callable                      # (e, nodes, layout) -> [(P, rec)]
-    row: str = ""
-    seed: Optional[Callable] = None      # (e, carried) -> row value
-    state: Optional[Callable] = None     # (e, x, nodes) -> carried
-
-
+# element class -> its parts: (e, nodes, layout) -> the (primitive,
+# record) pairs the element compiles into
 _KINDS = {
-    Resistor: _Kind(lambda e, n, lay: [
-        (_Conductance, (n[e.n1], n[e.n2], 1.0 / e.value))]),
-    Capacitor: _Kind(lambda e, n, lay: [
-        (_Companion, (n[e.n1], n[e.n2], e.value, e.name))]),
-    VSource: _Kind(lambda e, n, lay: [
+    Resistor: lambda e, n, lay: [
+        (_Conductance, (n[e.n1], n[e.n2], 1.0 / e.value))],
+    Capacitor: lambda e, n, lay: [
+        (_Companion, (n[e.n1], n[e.n2], e.value, e.name))],
+    VSource: lambda e, n, lay: [
         (_VSource, (e, n[e.npos], n[e.nneg],
-                    lay.branch[e.name.lower()] + 1))]),
-    ISource: _Kind(lambda e, n, lay: [
-        (_ISource, (e, n[e.npos], n[e.nneg]))]),
-    Mosfet: _Kind(lambda e, n, lay: [
-        (_Drain, (n[e.nd], n[e.ng], n[e.ns], e.params))]),
-    RramElement: _Kind(
-        lambda e, n, lay: [(_Rram, (e.name, e.params, n[e.npos], n[e.nneg],
-                                    n[e.internal_node]))],
-        row="state", state=lambda e, x, nodes: _v(x, nodes[e.internal_node])),
-    FloatGateElement: _Kind(
-        _floatgate_parts, row="fg",
-        seed=lambda e, q_held: q_held / e.params.c_total, state=_fg_charge),
+                    lay.branch[e.name.lower()] + 1))],
+    ISource: lambda e, n, lay: [(_ISource, (e, n[e.npos], n[e.nneg]))],
+    Mosfet: lambda e, n, lay: [
+        (_Drain, (n[e.nd], n[e.ng], n[e.ns], e.params))],
+    RramElement: lambda e, n, lay: [
+        (_Rram, (e.name, e.params, n[e.npos], n[e.nneg],
+                 n[e.internal_node]))],
+    FloatGateElement: _floatgate_parts,
 }
 
 
@@ -535,19 +522,10 @@ class SystemLayout:
         self.node_names = [index_to_name[i] for i in range(self.n_nodes)]
         self._columns = (["v(%s)" % n for n in self.node_names[1:]] +
                          ["i(%s)" % e.name for e in self.vsrc])
-        # row kinds drive gmin application and tolerances: "kcl", "vsrc",
-        # "state" (RRAM filament state) and "fg" (a floating gate: KCL in
-        # transient, the stored-charge constraint in DC)
-        self.row_kind = ["kcl"] * (self.n_nodes - 1) + ["vsrc"] * len(self.vsrc)
-        # (element, row) of each internal node
-        self.internal = [(e, nodes[e.internal_node] - 1)
-                         for e in circuit.elements if e.internal_node]
-        for e, row in self.internal:
-            self.row_kind[row] = _KINDS[type(e)].row
 
         records: dict = {}
         for e in circuit.elements:
-            for prim, rec in _KINDS[type(e)].parts(e, nodes, self):
+            for prim, rec in _KINDS[type(e)](e, nodes, self):
                 records.setdefault(prim, []).append(rec)
         stamps = [prim(records[prim]) for prim in _PRIMITIVES
                   if prim in records]
@@ -561,22 +539,33 @@ class SystemLayout:
                        for mode, sts in self.stamps.items()}
         self.sources = next((st for st in stamps if type(st) is _VSource),
                             None)
-        # rows that start at the carried state itself, gathered in one call
-        direct = [(e.name, row) for e, row in self.internal
-                  if _KINDS[type(e)].seed is None]
-        self._seeded = [(e, row) for e, row in self.internal
-                        if _KINDS[type(e)].seed is not None]
-        self._direct_rows = _ints([row for _, row in direct])
-        self._direct_state = (operator.itemgetter(*(n for n, _ in direct))
-                              if direct else None)
+        self.stateful = [st for st in stamps if st.store is not None]
+        self._kcl: dict = {}
         self._patterns: dict = {}
         self._abstols: dict = {}
         self._results: dict = {}
         self._starts: dict = {}
 
+    def kcl(self, mode: str) -> np.ndarray:
+        """True on each KCL row of one mode, False on each constraint row:
+        one that only the mode's "row" blocks write."""
+        out = self._kcl.get(mode)
+        if out is None:
+            cur, row = [], []
+            for st in self.stamps[mode]:
+                for blk in st.blocks(mode):
+                    if blk[0] == "cur":
+                        cur += blk[1] + blk[2]
+                    else:
+                        row += blk[1]
+            out = np.ones(self.size + 1, bool)
+            out[row], out[cur] = False, True
+            out = self._kcl[mode] = out[1:]
+        return out
+
     def pattern(self, mode: str, gmin: bool) -> "_Pattern":
-        """Compiled contribution pattern of one mode, with or without the
-        gmin rows."""
+        """Compiled contribution pattern of one mode, with or without gmin
+        on its KCL rows."""
         key = (mode, gmin)
         pat = self._patterns.get(key)
         if pat is None:
@@ -584,26 +573,24 @@ class SystemLayout:
                       for st in self.stamps[mode]]
             gmin_rows = None
             if gmin:
-                kcl = ("kcl", "fg") if mode == "tran" else ("kcl",)
-                gmin_rows = tuple(r + 1 for r in range(self.n_nodes - 1)
-                                  if self.row_kind[r] in kcl)
+                gmin_rows = tuple(
+                    (np.flatnonzero(self.kcl(mode)) + 1).tolist())
                 groups.append((len(gmin_rows),
                                (("row", gmin_rows, (gmin_rows,), ()),), False))
             pat = self._patterns[key] = _compiled_pattern(
                 self.size, tuple(groups), gmin_rows)
         return pat
 
-    def abstols(self, tol: Tolerances):
-        """(per-row residual abstol, per-unknown update abstol, padded
-        with a 0 for ground), each one row of a 2-D array: the Newton
-        loop compares them with one row per circuit, and at one circuit
-        equal shapes skip numpy's broadcasting, a measurable share of a
-        one-device iteration."""
-        key = (tol.vabstol, tol.iabstol)
+    def abstols(self, mode: str, tol: Tolerances):
+        """(per-row residual abstol, by row class; per-unknown update
+        abstol, padded with a 0 for ground) of one mode, each one row of a
+        2-D array: the Newton loop compares them with one row per circuit,
+        and at one circuit equal shapes skip numpy's broadcasting, a
+        measurable share of a one-device iteration."""
+        key = (mode, tol.vabstol, tol.iabstol)
         out = self._abstols.get(key)
         if out is None:
-            volts = [k in ("vsrc", "state") for k in self.row_kind]
-            f_tol = np.where(volts, tol.vabstol, tol.iabstol)
+            f_tol = np.where(self.kcl(mode), tol.iabstol, tol.vabstol)
             x_tol = np.where(np.arange(self.size) < self.n_nodes - 1,
                              tol.vabstol, tol.iabstol)
             x_tol = np.concatenate(([0.0], x_tol))
@@ -631,11 +618,8 @@ class SystemLayout:
     def initial_vector(self) -> np.ndarray:
         """All-zero start, except carried device state."""
         x = np.zeros(self.size)
-        state = self.circuit.state
-        if self._direct_state is not None:
-            x[self._direct_rows] = self._direct_state(state)
-        for e, row in self._seeded:
-            x[row] = _KINDS[type(e)].seed(e, state[e.name])
+        for st in self.stateful:
+            st.seed(x, self.circuit.state)
         return x
 
     def dc_start(self, ctx: EvalContext, x: np.ndarray) -> np.ndarray:
@@ -669,9 +653,8 @@ class SystemLayout:
 
     def store_state(self, x: np.ndarray) -> None:
         """Write each device's state at solution x back to the circuit."""
-        for e, _ in self.internal:
-            self.circuit.state[e.name] = float(
-                _KINDS[type(e)].state(e, x, self.circuit.nodes))
+        for st in self.stateful:
+            st.store(x, self.circuit.state)
 
 
 def _coo(groups):
@@ -683,8 +666,8 @@ def _coo(groups):
     slot, sign), the scale slot of each residual entry (same row,
     absolute value taken), the Jacobian entries (row, col, slot, sign),
     the number of slots, each group's (first slot, slots per element)
-    and the rows that a "cur" block writes (every other row is a
-    constraint row).
+    and the rows that a "cur" block writes (the pivot rule takes no
+    other row for a KCL row).
     """
     f_rows, f_slot, f_sign, s_slot = [], [], [], []
     j_rows, j_cols, j_slot, j_sign = [], [], [], []
@@ -790,6 +773,94 @@ def _expand(rows, reads, entries, pivot, unit):
     return [np.concatenate(a) for a in zip(*levels)]
 
 
+def _entries(groups, n1):
+    """The residual and scale bins' parts, in stamp order; every entry
+    off ground (row, slot, sign, column: n1 for a residual), stably
+    sorted by row, residuals first, then column; the rest of ``_coo``."""
+    (f_rows, f_slot, f_sign, s_slot, j_rows, j_cols, j_slot, j_sign,
+     n_raw, spans, cur) = _coo(groups)
+    on_f, on_j = f_rows != 0, (j_rows != 0) & (j_cols != 0)
+    entries = [np.concatenate((a[on_f], b[on_j])) for a, b in (
+        (f_rows, j_rows), (f_slot, j_slot), (f_sign, j_sign),
+        (np.full(len(f_rows), n1), j_cols))]
+    f_rows = f_rows[on_f]
+    resid = ((f_slot[on_f], f_sign[on_f], f_rows - 1),
+             (n_raw + s_slot[on_f], np.ones(len(f_rows)), n1 - 2 + f_rows))
+    order = np.argsort(entries[0] * n1 + entries[3] % n1, kind="stable")
+    return resid, [a[order] for a in entries], n_raw, spans, cur
+
+
+def _pivots(entries, cur, n1):
+    """The pivot entries' places, each eliminated column's pivot (row,
+    slot, sign) and each pivot row's column, the plain updates, R's rows
+    and columns and each forward round's (rows, columns) (``_Pattern``)."""
+    e_row, e_slot, _, e_col = entries
+    # the distinct Jacobian entries, a run of one key each
+    key = e_row * n1 + e_col % n1
+    start = np.flatnonzero(np.diff(key, prepend=-1))
+    count = np.diff(start, append=len(key))
+    jac = e_col[start] != n1
+    start, count = start[jac], count[jac]
+    u_row, u_col, ok = e_row[start], e_col[start], count == 1
+    unit = ok & (e_slot[start] == 0)          # slot 0: the constant 1
+    live_r, live_c = np.ones(n1, bool), np.ones(n1, bool)
+    live_r[0] = live_c[0] = False
+    forward = _peel(u_row, u_col, unit, live_r, live_c)
+    backward = _peel(u_col, u_row, unit, live_c, live_r)
+    # the constraint rows' own diagonals, coupled to no other one
+    diag = np.flatnonzero((u_row == u_col) & ok & live_r[u_row]
+                          & live_c[u_col])
+    cand = np.zeros(n1, bool)
+    cand[u_row[diag]] = True
+    cand[cur] = False
+    coupled = cand[u_row] & cand[u_col] & (u_row != u_col)
+    cand[u_row[coupled]] = cand[u_col[coupled]] = False
+    diag = diag[cand[u_row[diag]]]
+    live_r[u_row[diag]] = live_c[u_col[diag]] = False
+    pe = start[np.concatenate((*forward, diag, *backward))]
+    t_row, t_col = e_row[pe], e_col[pe]
+    pivot = tuple(np.zeros(n1, a.dtype) for a in entries[:3])
+    for a, v in zip(pivot, entries[:3]):
+        a[t_col] = v[pe]
+    row_target = np.zeros(n1, np.intp)
+    row_target[t_row] = t_col
+    # the plain updates, round by round
+    plain = np.zeros(n1, bool)
+    for e in forward:
+        bad = ~(unit & plain[u_col]) & (u_col != row_target[u_row])
+        bad = np.bincount(u_row[bad], minlength=n1)[u_row[e]] > 0
+        plain[u_col[e][~bad]] = True
+    return (pe, pivot, row_target, plain, live_r, live_c,
+            [(u_row[e], u_col[e]) for e in forward])
+
+
+def _monomials(rows, reads, entries, pivot, n_raw):
+    """The expanded rows' monomials (``_expand``) as (row, sign, column,
+    place in ext), and the factors of the distinct deep ones (numerator,
+    denominator; one slot array per factor) and their count."""
+    one = 0
+    row, sign, num, den, col = _expand(rows, reads, entries, pivot, one)
+    # ext = raw | |raw| | the monomials of more than one slot
+    deep = (num[:, 1:2] != one).any(1) | (den[:, :1] != one).any(1)
+    num, den, ext = num[deep], den[deep], num[:, 0]
+    wn = max(1, (num != one).sum(1).max(initial=0))
+    wd = (den != one).sum(1).max(initial=0)
+    # the distinct monomials (a current's derivative feeds two rows),
+    # through one integer key each, ranked before it would overflow
+    slots = np.hstack((num[:, :wn], den[:, :wd]))
+    key = np.zeros(len(slots), np.int64)
+    for a in slots.T:
+        if key.max(initial=0) >= np.iinfo(np.int64).max // n_raw:
+            key = np.unique(key, return_inverse=True)[1].reshape(-1)
+        key = key * n_raw + a
+    _, first, inv = np.unique(key, return_index=True, return_inverse=True)
+    mono = slots[first]
+    ext[deep] = 2 * n_raw + inv.reshape(-1)
+    return (row, sign, col, ext,
+            (list(np.ascontiguousarray(mono[:, :wn].T)),
+             list(np.ascontiguousarray(mono[:, wn:].T))), len(mono))
+
+
 class _Pattern:
     """One mode's compiled scatter and Newton step.
 
@@ -822,8 +893,8 @@ class _Pattern:
     """
 
     def __init__(self, size: int, groups, gmin_rows):
-        (f_rows, f_slot, f_sign, s_slot, j_rows, j_cols, j_slot, j_sign,
-         n_raw, spans, cur) = _coo(groups)
+        n1 = size + 1
+        resid, entries, n_raw, spans, cur = _entries(groups, n1)
         self.gmin_rows, self.n_raw = gmin_rows, n_raw
         self._stacks: dict = {}
         # (first slot, end, slots per element) of each vector stamp, and
@@ -839,64 +910,13 @@ class _Pattern:
                 scalar[lo:hi] = False
             self.scalar_slots = np.flatnonzero(scalar)
         self.groups = groups      # _coo(groups) gives J's entries again
-        n1, one = size + 1, 0
         self.n, self.n1 = size, n1
 
-        # every entry off ground (row, slot, sign, column: n1 for a
-        # residual), stably sorted by row, residuals first, then column
-        on_f, on_j = f_rows != 0, (j_rows != 0) & (j_cols != 0)
-        entries = [np.concatenate((a[on_f], b[on_j])) for a, b in (
-            (f_rows, j_rows), (f_slot, j_slot), (f_sign, j_sign),
-            (np.full(len(f_rows), n1), j_cols))]
-        key = entries[0] * n1 + entries[3] % n1
-        order = np.argsort(key, kind="stable")
-        key, entries = key[order], [a[order] for a in entries]
-        e_row, e_slot, _, e_col = entries
-        # the distinct Jacobian entries, a run of one key each
-        start = np.flatnonzero(np.diff(key, prepend=-1))
-        count = np.diff(start, append=len(key))
-        jac = e_col[start] != n1
-        start, count = start[jac], count[jac]
-        u_row, u_col, ok = e_row[start], e_col[start], count == 1
-        unit = ok & (e_slot[start] == one)
-        live_r, live_c = np.ones(n1, bool), np.ones(n1, bool)
-        live_r[0] = live_c[0] = False
-        forward = _peel(u_row, u_col, unit, live_r, live_c)
-        backward = _peel(u_col, u_row, unit, live_c, live_r)
-        # the constraint rows' own diagonals, coupled to no other one
-        diag = np.flatnonzero((u_row == u_col) & ok & live_r[u_row]
-                              & live_c[u_col])
-        cand = np.zeros(n1, bool)
-        cand[u_row[diag]] = True
-        cand[cur] = False
-        coupled = cand[u_row] & cand[u_col] & (u_row != u_col)
-        cand[u_row[coupled]] = cand[u_col[coupled]] = False
-        diag = diag[cand[u_row[diag]]]
-        live_r[u_row[diag]] = live_c[u_col[diag]] = False
-        # each forward round's (rows, columns), for the DC start
-        self.forward = [(u_row[e], u_col[e]) for e in forward]
-        pe = start[np.concatenate((*forward, diag, *backward))]
-        t_row, t_col = e_row[pe], e_col[pe]
-        # each eliminated column's pivot (row, slot, sign), and each
-        # pivot row's column (0 elsewhere)
-        pivot = tuple(np.zeros(n1, a.dtype) for a in entries[:3])
-        for a, v in zip(pivot, entries[:3]):
-            a[t_col] = v[pe]
-        row_target = np.zeros(n1, np.intp)
-        row_target[t_row] = t_col
-        # the plain updates, round by round
-        plain = np.zeros(n1, bool)
-        for e in forward:
-            bad = ~(unit & plain[u_col]) & (u_col != row_target[u_row])
-            bad = np.bincount(u_row[bad], minlength=n1)[u_row[e]] > 0
-            plain[u_col[e][~bad]] = True
+        pe, pivot, row_target, plain, live_r, live_c, self.forward = (
+            _pivots(entries, cur, n1))
+        t_row, t_col = entries[0][pe], entries[3][pe]
         self.solved = np.flatnonzero(live_c)
         self.m = m = len(self.solved)
-        # each row's and column's place in R
-        rpos, cpos = np.cumsum(live_r) - 1, np.cumsum(live_c) - 1
-
-        # the COO arrays and the sorted entries are done with: free them
-        del j_rows, j_cols, j_slot, j_sign, e_row, e_slot, e_col, key, order
         # the rows expanded: R's and the plain updates' (1), every update
         # but R's substituted, and the other targets' (2), which read the
         # plain updates too; a row's L leaves out its pivot
@@ -905,29 +925,11 @@ class _Pattern:
         back[t_row[~plain[t_col]]] = True
         reads = np.ones((3, n1 + 1), bool)       # the constant's is read
         reads[1:, :n1] = live_c, live_c | plain
-        row, sign, num, den, col = _expand(
+        row, sign, col, ext, self.mono, n_mono = _monomials(
             np.where(back, 2, live_r | plain[row_target]), reads, entries,
-            pivot, one)
-        # ext = raw | |raw| | the monomials of more than one slot
-        deep = (num[:, 1:2] != one).any(1) | (den[:, :1] != one).any(1)
-        num, den, ext = num[deep], den[deep], num[:, 0]
-        wn = max(1, (num != one).sum(1).max(initial=0))
-        wd = (den != one).sum(1).max(initial=0)
-        # the distinct monomials (a current's derivative feeds two rows),
-        # through one integer key each, ranked before it would overflow
-        slots = np.hstack((num[:, :wn], den[:, :wd]))
-        key = np.zeros(len(slots), np.int64)
-        for a in slots.T:
-            if key.max(initial=0) >= np.iinfo(np.int64).max // n_raw:
-                key = np.unique(key, return_inverse=True)[1].reshape(-1)
-            key = key * n_raw + a
-        _, first, inv = np.unique(key, return_index=True, return_inverse=True)
-        mono = slots[first]
-        ext[deep] = 2 * n_raw + inv.reshape(-1)
-        # the monomials' factors: the slots of each, one array per factor
-        self.mono = (list(np.ascontiguousarray(mono[:, :wn].T)),
-                     list(np.ascontiguousarray(mono[:, wn:].T)))
-        self.parts = (n_raw, n_raw, len(mono))
+            pivot, n_raw)
+        del entries             # before the bins: the compile's peak
+        self.parts = (n_raw, n_raw, n_mono)
 
         # the binned weights, ext[slot] * sign: full f (size) | full
         # scale (size) | R's right-hand side (m) | R's matrix (m x m) |
@@ -935,19 +937,19 @@ class _Pattern:
         c_base, j_base = 2 * size, 2 * size + m
         self.d_base = j_base + m * m
         self.n_bins = self.d_base + n1 + 1
+        # each row's and column's place in R
+        rpos, cpos = np.cumsum(live_r) - 1, np.cumsum(live_c) - 1
         rhs, mat, lead, b = (np.flatnonzero(a) for a in (
             live_r[row] & (col == n1), live_r[row] & (col != n1),
             plain[row_target[row]], back[row]))
         parts = (
-            (f_slot[on_f], f_sign[on_f], f_rows[on_f] - 1),
-            (n_raw + s_slot[on_f], np.ones(on_f.sum()),
-             size - 1 + f_rows[on_f]),
+            *resid,
             (ext[rhs], -sign[rhs], c_base + rpos[row[rhs]]),
             (ext[mat], sign[mat],
              j_base + rpos[row[mat]] * m + cpos[col[mat]]),
             (ext[lead], -sign[lead] * pivot[2][row_target[row[lead]]],
              self.d_base + row_target[row[lead]]),
-            (_ints([one]), np.ones(1), _ints([self.d_base + n1])))
+            (_ints([0]), np.ones(1), _ints([self.d_base + n1])))
         self.slot, self.sign, self.bins = (np.concatenate(a)
                                            for a in zip(*parts))
         # the back-substitution: target t is the sum of its monomials
@@ -956,7 +958,7 @@ class _Pattern:
         self.t_pos = t_col[~plain[t_col]]
         self.nt = len(self.t_pos)
         piv = pivot[1][self.t_pos]
-        self.t_piv = None if np.all(piv == one) else piv
+        self.t_piv = None if np.all(piv == 0) else piv
         t_id = np.zeros(n1, np.intp)
         t_id[self.t_pos] = np.arange(self.nt)
         target = row_target[row[b]]
@@ -1166,17 +1168,14 @@ def newton_solve_batch(layouts, ctxs, x0s, tol: Tolerances) -> list:
     a circuit leaves the active set as soon as it converges or fails, so
     each runs exactly the iterates it runs alone.  Each context's
     ``iterations`` is set to the assemblies its circuit ran.  Circuits
-    of another pattern or row layout raise ValueError.
+    of another pattern raise ValueError.
     """
     asms = list(map(Assembler, layouts, ctxs))
     layout, pat = layouts[0], asms[0].pattern
-    if len(asms) > 1:
-        for asm in asms:
-            if (asm.pattern is not pat
-                    or asm.layout.row_kind != layout.row_kind):
-                raise ValueError("circuits of a batch must share one "
-                                 "topology and analysis mode")
-    f_tol, x_tol = layout.abstols(tol)
+    if any(asm.pattern is not pat for asm in asms):
+        raise ValueError("circuits of a batch must share one topology and "
+                         "analysis mode")
+    f_tol, x_tol = layout.abstols(ctxs[0].mode, tol)
     nv, n, n1, n_raw = layout.n_nodes - 1, pat.n, pat.n1, pat.n_raw
     k = len(asms)
     results: list = [None] * k

@@ -95,8 +95,10 @@ def netlists(draw):
 
 def _random_point(layout, rng):
     x = rng.uniform(-0.5, 0.5, layout.size)
-    for e, row in layout.internal:
-        x[row] = rng.uniform(0.0, 1.0)
+    # the device-state rows, on internal nodes named "<element>#..."
+    for row, name in enumerate(layout.node_names[1:]):
+        if "#" in name:
+            x[row] = rng.uniform(0.0, 1.0)
     x[layout.n_nodes - 1:] *= 1e-3          # branch currents
     return x
 
@@ -121,8 +123,7 @@ def test_condensed_step_equals_full_solve(circuit, mode, gmin, seed,
         ctx = EvalContext(mode="tran", time=H, h=H, x_prev=x_prev, gmin=gmin)
         if mode == "trap":
             aux = post_step_aux(layout, ctx, _random_point(layout, rng))
-            ctx = EvalContext(mode="tran", time=2 * H, h=H,
-                              integrator="trap", x_prev=x_prev,
+            ctx = EvalContext(mode="tran", time=2 * H, h=H, x_prev=x_prev,
                               aux_prev=aux, gmin=gmin)
     _assert_step_is_full_solve(layout, ctx, x)
 
@@ -147,8 +148,8 @@ def test_1t1r_transient_step_equals_full_solve(integrator):
     ctx = EvalContext(mode="tran", time=H, h=H, x_prev=x_prev)
     if integrator == "trap":
         aux = post_step_aux(layout, ctx, _random_point(layout, rng))
-        ctx = EvalContext(mode="tran", time=2 * H, h=H, integrator="trap",
-                          x_prev=x_prev, aux_prev=aux)
+        ctx = EvalContext(mode="tran", time=2 * H, h=H, x_prev=x_prev,
+                          aux_prev=aux)
     _assert_step_is_full_solve(layout, ctx, _random_point(layout, rng))
 
 

@@ -91,8 +91,7 @@ R1 top 0 100k
     res = run_analysis(r.circuit, spec)
     layout = SystemLayout(r.circuit)
     f = system_at(layout, EvalContext(mode="dc"), res.data[0]).f
-    kcl = [abs(f[i]) for i in range(layout.size)
-           if layout.row_kind[i] == "kcl"]
+    kcl = np.abs(f[layout.kcl("dc")])
     assert max(kcl) < spec.iabstol
 
 

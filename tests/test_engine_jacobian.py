@@ -54,8 +54,8 @@ def _solved_point(layout, mode):
         return ctx, x1
     aux = post_step_aux(layout, ctx, x1)
     assert {"c1", "xr1", "xf1#csg", "xf1#cnfb", "xf1#cpfb"} <= set(aux)
-    ctx = EvalContext(mode="tran", time=2 * H, h=H, integrator="trap",
-                      x_prev=x1, aux_prev=aux)
+    ctx = EvalContext(mode="tran", time=2 * H, h=H, x_prev=x1,
+                      aux_prev=aux)
     x2, ok, _ = newton_solve(layout, ctx, x1, tol)
     assert ok
     return ctx, x2
