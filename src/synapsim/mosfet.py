@@ -31,9 +31,9 @@ the position integrals into charge integrals, which are evaluated by
 16-node Gauss-Legendre quadrature in the log-charge variable
 w = log1p(Q/(Q_B + 5 V_t C_si)); there every integrand is a low-degree
 polynomial in e^w (plus one term linear in w), and the rule agrees with
-a 100-digit oracle to about 2e-15 at every corner of the validity box.
-A series expansion covers the symmetric (V_ds -> 0) limit, where the
-normalizing difference degenerates.
+a 100-digit oracle to about 2e-15 at every corner of the validity box,
+small drain-source splits included; equal end charges take the exact
+symmetric (V_ds = 0) limit.
 """
 
 from __future__ import annotations
@@ -80,10 +80,6 @@ _REF_MAX_ITER = 200
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
 _GL_1MX = 1.0 - _GL_X
 _GL_BLOCK = 1024      # bias points per pass of the rule
-
-# Relative drain-source charge split below which the Ward-Dutton
-# quadrature degenerates and the series expansion takes over.
-_SYMMETRIC_SPLIT = 1e-6
 
 # The elementwise operations of the model formulas, picked once per call
 # by ``_ops``.  Python floats (np.float64 among them) run the exact or
@@ -367,17 +363,12 @@ def charge_solution(p: MosParams, v_g: float, v_ds: float) -> ChargeSolution:
                           psi_sd=psi_sd, residual=res)
 
 
-def _solve_reference(p: MosParams, v_g, v_ch=0.0):
-    q = solve_charge_reference_grid(p, v_g, v_ch)
-    return float(q) if q.ndim == 0 else q
-
-
 def _pick_solver(method: str):
     """Charge solver by name; both accept scalars or broadcast arrays."""
     if method == "householder":
         return solve_charge_householder
     if method == "reference":
-        return _solve_reference
+        return solve_charge_reference_grid
     raise ValueError(f"unknown charge solver '{method}'")
 
 
@@ -534,7 +525,11 @@ def _channel_weight(p: MosParams, q):
 
 def _partition_series(p: MosParams, q_is: float, q_id: float):
     """(channel-average Q, drain-weighted Q) by second-order expansion
-    around the symmetric point; valid for nearly equal end charges."""
+    around the symmetric point; valid for nearly equal end charges.
+
+    The near-symmetric reference the tests compare the quadrature with;
+    the model itself does not call it.
+    """
     qm = 0.5 * (q_is + q_id)
     h = 0.5 * (q_is - q_id)
     g0 = _channel_weight(p, qm)
@@ -553,8 +548,9 @@ def _partition_quadrature(p: MosParams, q_is, q_id):
     plus one term linear in w.  Differences are formed without
     cancellation: the half-width h from log1p, the node offsets
     t_n = w_s - w_n = h (1 - x_n) directly, and q_s - Q_n as
-    -(q_s + a) expm1(-t_n).  Accepts scalars or arrays; callers mask out
-    near-symmetric points, where B(q_s) - B(q_d) degenerates.
+    -(q_s + a) expm1(-t_n).  Where B(q_s) - B(q_d) is zero, at equal end
+    charges, the limit is returned: average q_s, drain share q_s / 2.
+    Accepts scalars or arrays.
     """
     a = p.qb5
     shape = np.broadcast_shapes(np.shape(q_is), np.shape(q_id))
@@ -575,8 +571,11 @@ def _partition_quadrature(p: MosParams, q_is, q_id):
         i_w[blk] = h[blk] * (kernel @ _GL_W)
         i_y[blk] = h[blk] * ((b_diff * kernel) @ _GL_W)
     d = _bracket_diff(p, q_is, q_id)
-    d = np.where(d == 0.0, 1.0, d)
-    return (i_w / d).reshape(shape), (i_y / (d * d)).reshape(shape)
+    sym = d == 0.0
+    d = np.where(sym, 1.0, d)
+    avg = np.where(sym, q_is, i_w / d)
+    drain = np.where(sym, 0.5 * q_is, i_y / (d * d))
+    return avg.reshape(shape), drain.reshape(shape)
 
 
 def terminal_charges(p: MosParams, v_g, v_ds, method: str = "householder",
@@ -586,12 +585,11 @@ def terminal_charges(p: MosParams, v_g, v_ds, method: str = "householder",
     Position integrals are transformed to charge integrals via current
     continuity and evaluated by 16-node Gauss-Legendre quadrature in the
     log-charge variable (``_partition_quadrature``), within about 2e-15 of
-    a 100-digit oracle.  When the two end charges differ by less than 1e-6
-    of their sum, a second-order series around the symmetric point
-    replaces the degenerating quadrature.  Accepts scalars or broadcast
-    arrays; an element with V_ds < 0 is evaluated as the swapped device
-    and relabeled.  Pre-solved end charges can be passed to avoid
-    re-solving.
+    a 100-digit oracle at any drain-source split; equal end charges split
+    the channel charge evenly between drain and source.  Accepts scalars
+    or broadcast arrays; an element with V_ds < 0 is evaluated as the
+    swapped device and relabeled.  Pre-solved end charges can be passed
+    to avoid re-solving.
     """
     v_g = np.asarray(v_g, dtype=float)
     v_ds = np.asarray(v_ds, dtype=float)
@@ -605,13 +603,7 @@ def terminal_charges(p: MosParams, v_g, v_ds, method: str = "householder",
         end_s = np.where(rev, q_id, q_is)
         end_d = np.where(rev, q_is, q_id)
     area = p.w * p.l
-
-    sym = np.abs(end_s - end_d) < _SYMMETRIC_SPLIT * (end_s + end_d)
-    avg_s, drain_s = _partition_series(p, end_s, end_d)
-    avg_q, drain_q = _partition_quadrature(p, end_s, end_d)
-    avg = np.where(sym, avg_s, avg_q)
-    drain = np.where(sym, drain_s, drain_q)
-
+    avg, drain = _partition_quadrature(p, end_s, end_d)
     q_d = -area * drain
     q_s = -area * avg - q_d
     q_g = area * (avg + p.q_b)

@@ -27,11 +27,13 @@ def test_derived_constants():
     assert p.v_t == pytest.approx(EXPECTED_V_T, rel=1e-6)
     assert p.c_ox == pytest.approx(EXPECTED_C_OX, rel=1e-6)
     assert p.c_si == pytest.approx(EXPECTED_C_SI, rel=1e-6)
-    assert p.q_b == pytest.approx(EXPECTED_Q_B, rel=1e-9)
+    assert p.q_b == pytest.approx(EXPECTED_Q_B, rel=1e-9, abs=0.0)
     assert p.phi_b == pytest.approx(EXPECTED_PHI_B, rel=1e-6)
-    assert p.qb5 == pytest.approx(p.q_b + 5 * p.v_t * p.c_si, rel=1e-12)
+    assert p.qb5 == pytest.approx(p.q_b + 5 * p.v_t * p.c_si, rel=1e-12,
+                                  abs=0.0)
     assert p.q_ref_sq == pytest.approx(
-        1.602176634e-19 * (1.45e16 ** 2 / 1e23) * 10e-9 * p.qb5, rel=1e-9)
+        1.602176634e-19 * (1.45e16 ** 2 / 1e23) * 10e-9 * p.qb5, rel=1e-9,
+        abs=0.0)
 
 
 def test_invalid_params_rejected():
@@ -70,11 +72,12 @@ def test_deep_subthreshold_asymptote():
     v_g = p.v_fb + p.q_b / p.c_ox - 0.5   # overdrive exactly -0.5 V
     expected = p.q_ref_sq / p.qb5 * math.exp(-0.5 / p.v_t)
     got = solve_charge_reference(p, v_g, 0.0)
-    assert got == pytest.approx(expected, rel=0.01)
+    assert got == pytest.approx(expected, rel=0.01, abs=0.0)
     # much deeper: the asymptote becomes essentially exact
     v_g = p.v_fb + p.q_b / p.c_ox - 0.8
     expected = p.q_ref_sq / p.qb5 * math.exp(-0.8 / p.v_t)
-    assert solve_charge_reference(p, v_g, 0.0) == pytest.approx(expected, rel=1e-6)
+    assert solve_charge_reference(p, v_g, 0.0) == pytest.approx(
+        expected, rel=1e-6, abs=0.0)
 
 
 def test_charge_increases_with_gate_bias(default_params):
@@ -171,7 +174,7 @@ def test_charge_solution_surface_potentials(default_params):
     sol = charge_solution(p, 0.9, 0.4)
     assert sol.residual < 1e-9
     q_back = p.c_ox * (0.9 - p.v_fb - sol.psi_ss) - p.q_b
-    assert q_back == pytest.approx(sol.q_is, rel=1e-12)
+    assert q_back == pytest.approx(sol.q_is, rel=1e-12, abs=0.0)
     q_back_d = p.c_ox * (0.9 - p.v_fb - sol.psi_sd) - p.q_b
-    assert q_back_d == pytest.approx(sol.q_id, rel=1e-12)
+    assert q_back_d == pytest.approx(sol.q_id, rel=1e-12, abs=0.0)
     assert sol.q_id < sol.q_is  # drain end is pinched for V_ds > 0

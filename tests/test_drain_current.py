@@ -47,7 +47,7 @@ def test_householder_and_reference_paths_agree(rng):
         v_ds = rng.uniform(-1.0, 1.0)
         a = drain_current(p, v_gs, v_ds, method="householder")
         b = drain_current(p, v_gs, v_ds, method="reference")
-        assert a == pytest.approx(b, rel=1e-6)
+        assert a == pytest.approx(b, rel=1e-6, abs=0.0)
 
 
 def test_terminal_swap_antisymmetry():
@@ -57,7 +57,7 @@ def test_terminal_swap_antisymmetry():
     for v_gs, v_ds in [(0.9, 0.6), (0.4, 0.05), (1.2, 1.0), (0.0, 0.3)]:
         fwd = drain_current(p, v_gs, v_ds)
         rev = drain_current(p, v_gs - v_ds, -v_ds)
-        assert fwd == pytest.approx(-rev, rel=1e-12)
+        assert fwd == pytest.approx(-rev, rel=1e-12, abs=0.0)
 
 
 def test_zero_vds_zero_current():
@@ -117,12 +117,13 @@ def test_analytic_gradients_match_fd(effects, rng):
         v_gs = rng.uniform(0.2, 1.4)
         v_ds = rng.uniform(0.1, 1.0)
         i, gm, gds = drain_current_and_grads(p, v_gs, v_ds)
-        assert i == pytest.approx(drain_current(p, v_gs, v_ds), rel=1e-12)
+        assert i == pytest.approx(drain_current(p, v_gs, v_ds), rel=1e-12,
+                                  abs=0.0)
         gm_fd = (drain_current(p, v_gs + h, v_ds) -
                  drain_current(p, v_gs - h, v_ds)) / (2 * h)
         gds_fd = (drain_current(p, v_gs, v_ds + h) -
                   drain_current(p, v_gs, v_ds - h)) / (2 * h)
-        assert gm == pytest.approx(gm_fd, rel=1e-6)
+        assert gm == pytest.approx(gm_fd, rel=1e-6, abs=0.0)
         assert gds == pytest.approx(gds_fd, rel=1e-6, abs=1e-12)
 
 

@@ -31,7 +31,7 @@ R2 mid 0 1k
 .end
 """)
     assert res.column("v(mid)")[0] == 0.5
-    assert res.column("i(v1)")[0] == pytest.approx(-0.5e-3, rel=1e-12)
+    assert res.column("i(v1)")[0] == pytest.approx(-0.5e-3, rel=1e-12, abs=0.0)
 
 
 def test_diode_connected_mosfet_matches_model():
@@ -62,7 +62,7 @@ M1 mid g 0 model=nfet
     v_mid = res.column("v(mid)")[0]
     i_branch = -res.column("i(vpos)")[0]
     assert i_branch == pytest.approx(
-        rram_current(RramParams(), 0.1 - v_mid, 0.6), rel=1e-9)
+        rram_current(RramParams(), 0.1 - v_mid, 0.6), rel=1e-9, abs=0.0)
     assert circuit.state["xr1"] == 0.6
 
 
@@ -109,7 +109,8 @@ M1 d g 0 model=nfet
     i_d = -res.column("i(vd)")
     p = MosParams()
     for v, i in zip(vg, i_d):
-        assert i == pytest.approx(drain_current(p, float(v), 0.6), rel=1e-6)
+        assert i == pytest.approx(drain_current(p, float(v), 0.6), rel=1e-6,
+                                  abs=0.0)
 
 
 def test_linear_sweep_is_affine():
@@ -265,7 +266,7 @@ Vpfb pfb 0 DC 0.6
 XF1 d 0 sg nfb pfb model=syn
 .end
 """)
-    assert res.column("v(xf1#fg)")[0] == pytest.approx(0.6, rel=1e-12)
+    assert res.column("v(xf1#fg)")[0] == pytest.approx(0.6, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("gmin", [0.0, 1e-3])
@@ -282,7 +283,7 @@ XF1 d 0 sg nfb pfb model=syn qfg0=6e-17
 .end
 """, gmin=gmin)
     # v_fg = (sum C_i V_i + Q) / C_tot = 0.3 + 6e-17/3e-16
-    assert res.column("v(xf1#fg)")[0] == pytest.approx(0.5, rel=1e-12)
+    assert res.column("v(xf1#fg)")[0] == pytest.approx(0.5, rel=1e-12, abs=0.0)
 
 
 def test_circuit_pickled_after_an_analysis_gives_the_same_point():

@@ -215,4 +215,4 @@ C1 out 0 1n
     v_out = res.column("v(out)")
     i_r = (res.column("v(in)") - v_out) / 1e4
     q = np.trapezoid(i_r[1:], t[1:])
-    assert q == pytest.approx(1e-9 * (v_out[-1] - v_out[1]), rel=1e-9)
+    assert q == pytest.approx(1e-9 * (v_out[-1] - v_out[1]), rel=1e-9, abs=0.0)

@@ -74,7 +74,7 @@ def test_grad_matches_finite_difference():
         h = 1e-6
         fd = (fn_current(p, v + h) - fn_current(p, v - h)) / (2 * h)
         assert i == fn_current(p, v)
-        assert di_dv == pytest.approx(fd, rel=1e-6)
+        assert di_dv == pytest.approx(fd, rel=1e-6, abs=0.0)
         # the derivative of an odd function is even
         assert di_dv == fn_current_and_grad(p, -v)[1]
 
@@ -94,5 +94,5 @@ def test_param_validation_and_totals():
     with pytest.raises(ValueError):
         FloatingGateParams(c_sg=-1e-16)
     p = FloatingGateParams()
-    assert p.c_total == pytest.approx(3e-16, rel=1e-15)
+    assert p.c_total == pytest.approx(3e-16, rel=1e-15, abs=0.0)
     assert p.mos.l == 30e-9

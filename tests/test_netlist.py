@@ -99,7 +99,7 @@ def test_api_model_and_node_references_in_any_case():
     res = operating_point(c, AnalysisSpec(kind="op"))
     assert res.columns == ["v(a)", "v(xr1#x)", "i(V1)"]
     assert -res.column("i(v1)")[0] == pytest.approx(
-        rram_current(RramParams(), 0.1, 1.0), rel=1e-12)
+        rram_current(RramParams(), 0.1, 1.0), rel=1e-12, abs=0.0)
 
 
 def test_api_sweep_and_override_name_their_source_in_any_case():

@@ -48,7 +48,7 @@ def test_split_scopes_unknown_scope():
 
 def test_apply_params_si_suffixes_and_derived_refresh():
     p = apply_params(MosParams(), {"l": "10n", "temp": "350"})
-    assert p.l == pytest.approx(10e-9)
+    assert p.l == pytest.approx(10e-9, rel=1e-6, abs=0.0)
     assert p.temp == 350.0
     # derived quantities recomputed through __post_init__
     assert p.v_t == pytest.approx(MosParams(temp=350.0).v_t)

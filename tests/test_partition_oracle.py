@@ -10,8 +10,7 @@ import pathlib
 
 import numpy as np
 
-from synapsim.mosfet import (_SYMMETRIC_SPLIT, MosParams, _partition_quadrature,
-                             terminal_charges)
+from synapsim.mosfet import MosParams, _partition_quadrature, terminal_charges
 
 from conftest import box_param_sets
 
@@ -52,11 +51,10 @@ def test_partition_rule_matches_oracle_at_every_corner():
 
 def test_terminal_charges_match_oracle_off_symmetry():
     """The public function, given the table's end charges, reproduces the
-    oracle's charges wherever the quadrature branch is selected."""
+    oracle's charges on every row, the small-split half included."""
     for (n_a, t_si, eot), rows in _corners().items():
         p = MosParams(n_a=n_a, t_si=t_si, eot=eot)
-        off = rows[:, 0] - rows[:, 1] >= _SYMMETRIC_SPLIT * (rows[:, 0] + rows[:, 1])
-        q_s, q_d, avg_o, drain_o = rows[off].T
+        q_s, q_d, avg_o, drain_o = rows.T
         tc = terminal_charges(p, 0.0, 1.0, q_is=q_s, q_id=q_d)
         area = p.w * p.l
         np.testing.assert_allclose(tc.q_d, -area * drain_o, rtol=TOL)

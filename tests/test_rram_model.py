@@ -17,7 +17,7 @@ def test_ln_g_ratio_is_derived_from_the_window():
     assert p.ln_g_ratio == math.log(p.g_on / p.g_off)
     q = dataclasses.replace(p, g_on=2e-3)
     assert q.ln_g_ratio == math.log(2e-3 / p.g_off)
-    assert conductance(q, 1.0) == pytest.approx(2e-3, rel=1e-15)
+    assert conductance(q, 1.0) == pytest.approx(2e-3, rel=1e-15, abs=0.0)
     assert "ln_g_ratio" not in repr(p)
     with pytest.raises(TypeError):
         RramParams(ln_g_ratio=1.0)
@@ -30,10 +30,10 @@ def test_zero_bias_zero_current():
 
 def test_conductance_endpoints_and_midpoint():
     p = RramParams()
-    assert conductance(p, 0.0) == pytest.approx(p.g_off, rel=1e-15)
-    assert conductance(p, 1.0) == pytest.approx(p.g_on, rel=1e-15)
+    assert conductance(p, 0.0) == pytest.approx(p.g_off, rel=1e-15, abs=0.0)
+    assert conductance(p, 1.0) == pytest.approx(p.g_on, rel=1e-15, abs=0.0)
     assert conductance(p, 0.5) == pytest.approx(
-        math.sqrt(p.g_on * p.g_off), rel=1e-14)
+        math.sqrt(p.g_on * p.g_off), rel=1e-14, abs=0.0)
 
 
 def test_small_signal_linearization():
