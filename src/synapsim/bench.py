@@ -17,19 +17,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mosfet import (
+    SOLVERS,
     MosParams,
     current_from_charges,
-    solve_charge_householder,
-    solve_charge_reference_grid,
     terminal_charges_grid,
 )
 
 __all__ = ["BenchResult", "bench_model_eval", "default_bias_grid"]
-
-_SOLVERS = {
-    "reference": solve_charge_reference_grid,
-    "householder": solve_charge_householder,
-}
 
 
 @dataclass(frozen=True)
@@ -79,11 +73,11 @@ def bench_model_eval(p: MosParams | None = None, n: int = 100_000, reps: int = 5
         raise ValueError("benchmark needs at least one repetition")
 
     v_g, v_ds = default_bias_grid(n, seed)
-    t_solver = {v: [] for v in _SOLVERS}
-    t_eval = {v: [] for v in _SOLVERS}
+    t_solver = {v: [] for v in SOLVERS}
+    t_eval = {v: [] for v in SOLVERS}
 
     def one_pass(variant):
-        solve = _SOLVERS[variant]
+        solve = SOLVERS[variant]
         t0 = time.perf_counter()
         q_is = solve(p, v_g, 0.0)
         q_id = solve(p, v_g, v_ds)
@@ -93,7 +87,7 @@ def bench_model_eval(p: MosParams | None = None, n: int = 100_000, reps: int = 5
         t2 = time.perf_counter()
         return t1 - t0, t2 - t0
 
-    for variant in _SOLVERS:        # warm-up passes, untimed
+    for variant in SOLVERS:        # warm-up passes, untimed
         one_pass(variant)
     # variants interleaved per repetition so slow machine-load drift hits
     # both equally; collector paused across the timed region
@@ -101,7 +95,7 @@ def bench_model_eval(p: MosParams | None = None, n: int = 100_000, reps: int = 5
     gc.disable()
     try:
         for _ in range(reps):
-            for variant in _SOLVERS:
+            for variant in SOLVERS:
                 ts, te = one_pass(variant)
                 t_solver[variant].append(ts)
                 t_eval[variant].append(te)
@@ -111,7 +105,7 @@ def bench_model_eval(p: MosParams | None = None, n: int = 100_000, reps: int = 5
 
     solver_s, eval_s = {}, {}
     solver_spread, eval_spread = {}, {}
-    for variant in _SOLVERS:
+    for variant in SOLVERS:
         solver_s[variant], solver_spread[variant] = _median_and_spread(
             t_solver[variant])
         eval_s[variant], eval_spread[variant] = _median_and_spread(

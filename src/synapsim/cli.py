@@ -23,14 +23,17 @@ from .bench import bench_model_eval
 from .engine import (AnalysisSpec, ConvergenceError, NetlistError, SimResult,
                      TransientError, parse_netlist, run_analysis,
                      serialize_netlist)
-from .floatgate import FloatingGateParams, fg_program_pulse, fg_read_current
-from .mosfet import (ChargeSolveError, MosParams, drain_current,
+from .floatgate import (V_READ_FG, V_SG_FG, FloatingGateParams,
+                        fg_program_pulse, fg_read_current)
+from .mosfet import (SOLVERS, ChargeSolveError, MosParams, drain_current,
                      gummel_current, terminal_charges)
 from .neuro import (MacromodelConfig, TrainConfig, find_mnist,
                     train_and_gate, train_and_gate_software, train_macromodel)
 from .paramfile import (ParamError, apply_params, load_params,
                         parse_assignments, split_scopes)
-from .rram import RramParams, hysteresis_loop, tuning_curve_1t1r
+from .rram import (IV_PERIOD, IV_TSTEP, IV_V_PEAK, SET_WIDTH, V_READ_1T1R,
+                   V_SET_1T1R, RramParams, hysteresis_loop,
+                   tuning_curve_1t1r)
 
 EXIT_OK, EXIT_SIM, EXIT_USAGE = 0, 1, 2
 
@@ -301,7 +304,7 @@ def _mos_sweep(sub, start=None, stop=None):
         sub.add_argument("--start", type=float, default=start)
         sub.add_argument("--stop", type=float, default=stop)
     sub.add_argument("--points", type=int, default=201)
-    sub.add_argument("--method", choices=["householder", "reference"],
+    sub.add_argument("--method", choices=list(SOLVERS),
                      default="householder")
 
 
@@ -340,9 +343,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = subs.add_parser("rram-iv", help="bipolar hysteresis loop")
     _common(sp)
-    sp.add_argument("--v-peak", type=float, default=1.2)
-    sp.add_argument("--period", type=float, default=1e-3)
-    sp.add_argument("--tstep", type=float, default=1e-6)
+    sp.add_argument("--v-peak", type=float, default=IV_V_PEAK)
+    sp.add_argument("--period", type=float, default=IV_PERIOD)
+    sp.add_argument("--tstep", type=float, default=IV_TSTEP)
     sp.set_defaults(func=cmd_rram_iv)
 
     sp = subs.add_parser("rram-tune", help="1T1R compliance tuning curve")
@@ -350,9 +353,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--vpgm-start", type=float, default=0.25)
     sp.add_argument("--vpgm-stop", type=float, default=1.4)
     sp.add_argument("--vpgm-points", type=int, default=16)
-    sp.add_argument("--v-set", type=float, default=1.0)
-    sp.add_argument("--v-read", type=float, default=0.1)
-    sp.add_argument("--width", type=float, default=10e-6)
+    sp.add_argument("--v-set", type=float, default=V_SET_1T1R)
+    sp.add_argument("--v-read", type=float, default=V_READ_1T1R)
+    sp.add_argument("--width", type=float, default=SET_WIDTH)
     sp.set_defaults(func=cmd_rram_tune)
 
     sp = subs.add_parser("fg-pulse", help="floating-gate program/read sequence")
@@ -362,8 +365,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--amp-strengthen", type=float, default=4.5)
     sp.add_argument("--amp-weaken", type=float, default=-3.1)
     sp.add_argument("--width", type=float, default=100e-6)
-    sp.add_argument("--v-read", type=float, default=0.6)
-    sp.add_argument("--v-sg", type=float, default=1.0)
+    sp.add_argument("--v-read", type=float, default=V_READ_FG)
+    sp.add_argument("--v-sg", type=float, default=V_SG_FG)
     sp.set_defaults(func=cmd_fg_pulse)
 
     sp = subs.add_parser("crossbar-and", help="device-in-the-loop AND training")

@@ -94,23 +94,30 @@ class PulseResult:
         return self.i_after - self.i_before
 
 
-def _fg_circuit(p: FloatingGateParams, q_fg: float, v_d: float, v_sg: float,
-                v_nfb: float = 0.0, v_pfb: float = 0.0):
+# the read conditions: drain bias and synaptic-gate bias (V)
+V_READ_FG = 0.6
+V_SG_FG = 1.0
+
+
+def _fg_circuit(p: FloatingGateParams, q_fg: float, v_d: float, v_sg: float):
+    """The cell with drain and synaptic gate at v_d and v_sg and both
+    programming terminals at 0 V."""
     from .engine import (Circuit, FloatGateElement, VSource)
 
     c = Circuit()
     c.add_model("fgm", "fg", p)
     c.add(VSource("vd", "d", "0", dc=v_d))
     c.add(VSource("vsg", "sg", "0", dc=v_sg))
-    c.add(VSource("vnfb", "nfb", "0", dc=v_nfb))
-    c.add(VSource("vpfb", "pfb", "0", dc=v_pfb))
+    c.add(VSource("vnfb", "nfb", "0", dc=0.0))
+    c.add(VSource("vpfb", "pfb", "0", dc=0.0))
     c.add(FloatGateElement("xf1", "d", "0", "sg", "nfb", "pfb",
                            model="fgm", qfg0=q_fg))
     return c
 
 
 def fg_read_current(p: FloatingGateParams, q_fg: float,
-                    v_read: float = 0.6, v_sg: float = 1.0) -> float:
+                    v_read: float = V_READ_FG,
+                    v_sg: float = V_SG_FG) -> float:
     """DC drain current of the readout transistor at the given stored
     floating-gate charge."""
     from .engine import AnalysisSpec, operating_point
@@ -147,8 +154,9 @@ def fg_program_pulse(p: FloatingGateParams, q_fg: float, terminal: str,
 
 
 def program_pulse(p: FloatingGateParams, q_fg: float, terminal: str,
-                  amplitude: float, width: float, v_read: float = 0.6,
-                  v_sg: float = 1.0) -> PulseResult:
+                  amplitude: float, width: float,
+                  v_read: float = V_READ_FG,
+                  v_sg: float = V_SG_FG) -> PulseResult:
     """Pulse-then-read harness: returns read currents around the pulse
     and the updated stored charge."""
     i0 = fg_read_current(p, q_fg, v_read, v_sg)

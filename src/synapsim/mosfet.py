@@ -55,6 +55,7 @@ __all__ = [
     "solve_charge_reference",
     "solve_charge_reference_grid",
     "solve_charge_householder",
+    "SOLVERS",
     "charge_solution",
     "drain_current",
     "current_from_charges",
@@ -363,13 +364,19 @@ def charge_solution(p: MosParams, v_g: float, v_ds: float) -> ChargeSolution:
                           psi_sd=psi_sd, residual=res)
 
 
+# the charge solvers by name; both accept scalars or broadcast arrays
+SOLVERS = {
+    "reference": solve_charge_reference_grid,
+    "householder": solve_charge_householder,
+}
+
+
 def _pick_solver(method: str):
-    """Charge solver by name; both accept scalars or broadcast arrays."""
-    if method == "householder":
-        return solve_charge_householder
-    if method == "reference":
-        return solve_charge_reference_grid
-    raise ValueError(f"unknown charge solver '{method}'")
+    """Charge solver by name (``SOLVERS``)."""
+    try:
+        return SOLVERS[method]
+    except KeyError:
+        raise ValueError(f"unknown charge solver '{method}'") from None
 
 
 # ---------------------------------------------------------------------------
@@ -480,9 +487,8 @@ def gummel_current(p: MosParams, v_g, v_x, method: str = "householder"):
     return drain_current(p, v_g + 0.5 * v_x, v_x, method=method)
 
 
-def gummel_diagnostics(p: MosParams, v_g: float, h: float = 0.05,
-                       n: int = 4) -> dict:
-    """Finite-difference symmetry diagnostics of I(V_x) on a +-n*h grid.
+def gummel_diagnostics(p: MosParams, v_g: float, h: float = 0.05) -> dict:
+    """Finite-difference symmetry diagnostics of I(V_x) on a +-4h grid.
 
     Returns raw central stencils for the odd derivatives (orders 1 and 3)
     and the even ones (orders 0 and 2, the latter at spacings h and 2h),
@@ -490,7 +496,7 @@ def gummel_diagnostics(p: MosParams, v_g: float, h: float = 0.05,
     the odd-stencil scale in the same units (amps).  An exactly odd I(V_x)
     drives the ratio to rounding noise.
     """
-    ks = np.arange(-n, n + 1)
+    ks = np.arange(-4, 5)
     v_x = ks * h
     i = gummel_current(p, v_g, v_x)
     at = {int(k): val for k, val in zip(ks, i)}

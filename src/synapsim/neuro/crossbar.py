@@ -25,9 +25,9 @@ import numpy as np
 from ..engine import (AnalysisSpec, Circuit, RramElement, VSource,
                       operating_point)
 from ..mosfet import MosParams
-from ..rram import (_SINH_ARG_MAX, RramParams, _op_1t1r, _pulse_1t1r_cell,
-                    _run_transients, _set_1t1r_batch, conductance,
-                    state_for_conductance)
+from ..rram import (_SINH_ARG_MAX, V_GATE_ON, V_SET_1T1R, RramParams,
+                    _op_1t1r, _pulse_1t1r_cell, _run_transients,
+                    _set_1t1r_batch, conductance, state_for_conductance)
 
 __all__ = [
     "CrossbarSpec", "TrainConfig", "DeviceReport", "ProgramReport",
@@ -48,7 +48,6 @@ class CrossbarSpec:
 
     n_inputs: int
     n_outputs: int
-    model: str = "mem"
     v_read: float = 0.1
     scheme: str = "crossbar"
 
@@ -116,6 +115,9 @@ class ProgramReport:
 # ---------------------------------------------------------------------------
 # construction and readout
 
+# the array's RRAM model card name
+_MODEL = "mem"
+
 
 def synapse_devices(i: int, j: int) -> tuple[str, str]:
     """(positive, negative) device names of synapse (i, j), 0-based."""
@@ -127,7 +129,7 @@ def build_crossbar(spec: CrossbarSpec, params: RramParams,
     """Netlist of the array: word-line drivers, two devices per synapse,
     and 0 V bit-line clamps whose branch currents are the outputs."""
     c = Circuit()
-    c.add_model(spec.model, "rram", params)
+    c.add_model(_MODEL, "rram", params)
     for i in range(spec.n_inputs):
         c.add(VSource(f"vw{i}", f"w{i}", "0", dc=0.0))
     for j in range(spec.n_outputs):
@@ -136,9 +138,9 @@ def build_crossbar(spec: CrossbarSpec, params: RramParams,
     for i in range(spec.n_inputs):
         for j in range(spec.n_outputs):
             dp, dm = synapse_devices(i, j)
-            c.add(RramElement(dp, f"w{i}", f"bp{j}", model=spec.model,
+            c.add(RramElement(dp, f"w{i}", f"bp{j}", model=_MODEL,
                               x0=x_init))
-            c.add(RramElement(dm, f"w{i}", f"bm{j}", model=spec.model,
+            c.add(RramElement(dm, f"w{i}", f"bm{j}", model=_MODEL,
                               x0=x_init))
     c.resolve()
     return c
@@ -310,9 +312,7 @@ def write_verify_device(params: RramParams, x0: float, g_target: float,
     return _in_rounds([_verify_direct(params, x0, g_target, cfg)])[0]
 
 
-# 1T1R scheme: SET bias on the cell, and the gate voltages at which the
-# compliance map is sampled
-_V_SET_1T1R = 1.0
+# 1T1R scheme: the gate voltages at which the compliance map is sampled
 _GATE_GRID = np.linspace(0.25, 1.4, 12)
 
 
@@ -322,8 +322,7 @@ def _gate_calibration(params: RramParams) -> np.ndarray:
     voltage of ``_GATE_GRID``, all SETs in one lockstep transient.  It
     depends on the parameter set alone, so it is computed once per set
     and returned read-only."""
-    ceilings = _set_1t1r_batch(params, MosParams(), _GATE_GRID,
-                               v_set=_V_SET_1T1R)
+    ceilings = _set_1t1r_batch(params, MosParams(), _GATE_GRID)
     ceilings.setflags(write=False)
     return ceilings
 
@@ -351,7 +350,7 @@ def _write_verify_1t1r(params: RramParams, x0: float, g_target: float,
             else:
                 v_try = 0.5 * (v_lo + v_hi)
             v_try = min(max(v_try, v_lo), v_hi)
-            c, spec = _pulse_1t1r_cell(params, mos, _V_SET_1T1R, v_try,
+            c, spec = _pulse_1t1r_cell(params, mos, V_SET_1T1R, v_try,
                                        x0=x)
             yield c, spec
             x_new = float(c.state["xr1"])
@@ -366,8 +365,8 @@ def _write_verify_1t1r(params: RramParams, x0: float, g_target: float,
         v_dev = float(res.column("v(top)")[0] - res.column("v(mid)")[0])
         width = _pulse(params, x, x_target, v_dev,
                        cfg.min_width, cfg.max_width)[1]
-        c, spec = _pulse_1t1r_cell(params, mos, cfg.reset_amplitude, 1.5,
-                                   width=width, x0=x,
+        c, spec = _pulse_1t1r_cell(params, mos, cfg.reset_amplitude,
+                                   V_GATE_ON, width=width, x0=x,
                                    steps=4 * cfg.pulse_steps)
         yield c, spec
         return float(c.state["xr1"])
@@ -385,7 +384,7 @@ def program_weights(circuit: Circuit, spec: CrossbarSpec, g_plus, g_minus,
     outside [g_off, g_on] are rejected before any pulse is applied;
     devices already within tolerance receive zero pulses.
     """
-    params = circuit.models[spec.model][1]
+    params = circuit.models[_MODEL][1]
     g_plus = np.broadcast_to(np.asarray(g_plus, float),
                              (spec.n_inputs, spec.n_outputs))
     g_minus = np.broadcast_to(np.asarray(g_minus, float),

@@ -145,8 +145,24 @@ def state_rate_and_grads(p: RramParams, v, x):
 # circuit-level harnesses (engine imported lazily because the engine's
 # element layer imports this module)
 
-def hysteresis_loop(p: RramParams, v_peak: float = 1.2,
-                    period: float = 1e-3, tstep: float = 1e-6):
+# the rram-iv drive: peak bias (V), period (s) and time step (s) of the
+# bipolar loop
+IV_V_PEAK = 1.2
+IV_PERIOD = 1e-3
+IV_TSTEP = 1e-6
+
+# the 1T1R experiments: the SET bias on the cell (V), a SET pulse's width
+# and time step (s), the read bias (V), and the gate drive (V) of a read
+# or a RESET
+V_SET_1T1R = 1.0
+SET_WIDTH = 10e-6
+SET_TSTEP = 20e-9
+V_READ_1T1R = 0.1
+V_GATE_ON = 1.5
+
+
+def hysteresis_loop(p: RramParams, v_peak: float = IV_V_PEAK,
+                    period: float = IV_PERIOD, tstep: float = IV_TSTEP):
     """Bipolar triangular sweep 0 -> +v_peak -> 0 -> -v_peak -> 0.
 
     Returns (v, i, x) arrays over one period; the device starts at the
@@ -186,8 +202,9 @@ def _build_1t1r(p: RramParams, mos_params, v_top: float, v_gate: float):
 
 
 def _pulse_1t1r_cell(p: RramParams, mos_params, v_top: float,
-                     v_gate: float, width: float = 10e-6, x0: float = 0.0,
-                     steps: int = 500):
+                     v_gate: float, width: float = SET_WIDTH,
+                     x0: float = 0.0,
+                     steps: int = round(SET_WIDTH / SET_TSTEP)):
     """(circuit, spec) of one programming pulse on a 1T1R cell starting
     from state x0: a positive v_top SETs toward the transistor's
     compliance ceiling, a negative one (gate driven hard) RESETs."""
@@ -212,8 +229,8 @@ def _run_transients(cells) -> None:
 
 
 def _set_1t1r_batch(p: RramParams, mos_params, v_pgm_values,
-                    v_set: float = 1.0, width: float = 10e-6,
-                    tstep: float = 20e-9) -> np.ndarray:
+                    v_set: float = V_SET_1T1R, width: float = SET_WIDTH,
+                    tstep: float = SET_TSTEP) -> np.ndarray:
     """``set_1t1r`` at each gate voltage, all SETs in one lockstep
     transient; returns the final states."""
     steps = max(int(round(width / tstep)), 1)
@@ -223,37 +240,35 @@ def _set_1t1r_batch(p: RramParams, mos_params, v_pgm_values,
     return np.array([float(c.state["xr1"]) for c, _ in cells])
 
 
-def set_1t1r(p: RramParams, mos_params, v_pgm: float,
-             v_set: float = 1.0, width: float = 10e-6,
-             tstep: float = 20e-9) -> float:
+def set_1t1r(p: RramParams, mos_params, v_pgm: float) -> float:
     """SET a fresh 1T1R cell with the access gate at v_pgm; returns the
     final filament state X (compliance-limited by the transistor)."""
-    return float(_set_1t1r_batch(p, mos_params, [v_pgm], v_set, width,
-                                 tstep)[0])
+    return float(_set_1t1r_batch(p, mos_params, [v_pgm])[0])
 
 
-def _op_1t1r(p: RramParams, mos_params, v_top: float, x: float,
-             v_gate: float = 1.5):
+def _op_1t1r(p: RramParams, mos_params, v_top: float, x: float):
     """DC operating point of a 1T1R cell with the filament frozen at x
-    (nodes ``top`` and ``mid`` bracket the RRAM)."""
+    and the gate at ``V_GATE_ON`` (nodes ``top`` and ``mid`` bracket the
+    RRAM)."""
     from .engine import AnalysisSpec, operating_point
 
-    c = _build_1t1r(p, mos_params, v_top, v_gate)
+    c = _build_1t1r(p, mos_params, v_top, V_GATE_ON)
     c.state["xr1"] = float(x)
     return operating_point(c, AnalysisSpec(kind="op"))
 
 
-def read_1t1r(p: RramParams, mos_params, x: float, v_read: float = 0.1,
-              v_gate: float = 1.5) -> float:
+def read_1t1r(p: RramParams, mos_params, x: float,
+              v_read: float = V_READ_1T1R) -> float:
     """DC read current of a 1T1R cell at the given filament state; the
     access gate is driven hard so the cell, not the switch, dominates."""
-    res = _op_1t1r(p, mos_params, v_read, x, v_gate)
+    res = _op_1t1r(p, mos_params, v_read, x)
     return float(-res.column("i(vpos)")[0])
 
 
 def tuning_curve_1t1r(p: RramParams, mos_params, v_pgm_values,
-                      v_set: float = 1.0, v_read: float = 0.1,
-                      width: float = 10e-6):
+                      v_set: float = V_SET_1T1R,
+                      v_read: float = V_READ_1T1R,
+                      width: float = SET_WIDTH):
     """Compliance-tuning experiment: SET a fresh cell at each gate
     voltage, all in one lockstep transient, then read every programmed
     state at v_read.

@@ -1,5 +1,6 @@
 """DC operating point and sweep: exactness, consistency, homotopy."""
 
+import math
 import pickle
 
 import numpy as np
@@ -9,7 +10,7 @@ from scipy.optimize import brentq
 from synapsim.engine import (AnalysisSpec, ConvergenceError, SystemLayout,
                              dc_sweep, operating_point, parse_netlist,
                              run_analysis)
-from synapsim.engine.mna import EvalContext
+from synapsim.engine.mna import IABSTOL, EvalContext
 from synapsim.mosfet import MosParams, drain_current
 from synapsim.neuro import CrossbarSpec, build_crossbar
 from synapsim.rram import RramParams, rram_current
@@ -67,12 +68,17 @@ M1 mid g 0 model=nfet
 
 
 @pytest.mark.parametrize("kind", ["op", "dc", "tran"])
-@pytest.mark.parametrize("tol", ["reltol", "vabstol", "iabstol"])
-def test_every_analysis_rejects_nonpositive_tolerance(kind, tol):
-    r = parse_netlist("V1 a 0 DC 1\nR1 a 0 1k\n.end\n")
+@pytest.mark.parametrize(
+    "name, bad", [("reltol", 0.0), ("reltol", math.nan), ("max_iter", 0),
+                  ("gmin", -1e-3), ("gmin", math.nan)],
+    ids=["reltol", "reltol_nan", "max_iter", "gmin", "gmin_nan"])
+def test_every_analysis_rejects_nonpositive_tolerance(kind, name, bad):
+    # without the check, max_iter=0 would end in a source-stepping stall
+    # that names no row, and gmin=-1e-3 would solve v(b) to 1 V, not 0.5 V
+    r = parse_netlist("V1 a 0 DC 1\nR1 a b 1k\nR2 b 0 1k\n.end\n")
     spec = AnalysisSpec(kind=kind, src="v1", start=0.0, stop=1.0, step=0.5,
-                        tstep=1e-6, tstop=1e-5, **{tol: 0.0})
-    with pytest.raises(ValueError, match=tol):
+                        tstep=1e-6, tstop=1e-5, **{name: bad})
+    with pytest.raises(ValueError, match=name):
         run_analysis(r.circuit, spec)
 
 
@@ -92,7 +98,7 @@ R1 top 0 100k
     layout = SystemLayout(r.circuit)
     f = system_at(layout, EvalContext(mode="dc"), res.data[0]).f
     kcl = np.abs(f[layout.kcl("dc")])
-    assert max(kcl) < spec.iabstol
+    assert max(kcl) < IABSTOL
 
 
 def test_idvg_sweep_matches_model_pointwise():

@@ -35,7 +35,7 @@ def _cold_start(circuit, tol):
     return x, ok, ctx.iterations
 
 
-def _assert_same_point(circuit, x, cold, tol):
+def _assert_same_point(circuit, x, cold):
     """x equals cold within 1e-12 of the largest node voltage (for the
     voltages and states) or branch current (for the currents), plus a
     millionth of the Newton tolerance: below that two converged solves
@@ -43,9 +43,9 @@ def _assert_same_point(circuit, x, cold, tol):
     layout = SystemLayout(circuit)
     volts = np.arange(layout.size) < layout.n_nodes - 1
     bound = np.where(
-        volts, 1e-12 * np.max(np.abs(cold[volts])) + 1e-6 * tol.vabstol,
+        volts, 1e-12 * np.max(np.abs(cold[volts])) + 1e-6 * mna.VABSTOL,
         1e-12 * np.max(np.abs(cold[~volts]), initial=0.0)
-        + 1e-6 * tol.iabstol)
+        + 1e-6 * mna.IABSTOL)
     worst = int(np.argmax(np.abs(x - cold) - bound))
     assert abs(x[worst] - cold[worst]) <= bound[worst], layout.row_name(worst)
 
@@ -62,7 +62,7 @@ def test_dc_start_reaches_the_cold_start_point(circuit):
     cold, ok, _ = _cold_start(circuit, _TIGHT)
     assume(ok)
     x = operating_point(circuit, _TIGHT).data[0]
-    _assert_same_point(circuit, x, cold, _TIGHT)
+    _assert_same_point(circuit, x, cold)
 
 
 def _crossbar():
@@ -112,7 +112,7 @@ def test_experiment_reads_match_the_cold_start_in_no_more_iterations(name):
     cold, ok, iterations = _cold_start(circuit, tol)
     assert ok
     res = operating_point(circuit, tol)
-    _assert_same_point(circuit, res.data[0], cold, tol)
+    _assert_same_point(circuit, res.data[0], cold)
     assert res.stats["path"] == "newton"
     assert res.stats["newton_iterations"] <= iterations
 

@@ -2,7 +2,7 @@
 
 A row is a constraint row in a mode when only the mode's "row" blocks
 write it, and a KCL row otherwise; gmin goes on the KCL rows, and the
-residual tolerance is vabstol on the constraint rows, iabstol on the
+residual tolerance is VABSTOL on the constraint rows, IABSTOL on the
 KCL rows.  The stateful stamps seed the carried state into the start
 vector and store it back from a solution.
 """
@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from synapsim.engine import SystemLayout, parse_netlist
-from synapsim.engine.mna import Tolerances
+from synapsim.engine.mna import IABSTOL, VABSTOL
 from synapsim.neuro import CrossbarSpec, build_crossbar, set_states
 from synapsim.rram import RramParams
 
@@ -50,14 +50,13 @@ def test_row_classes_of_the_cells():
     assert gmin["dc"] == nodes - state - fg
     assert gmin["tran"] == nodes - state
     assert _rows(layout, ["cap"]) <= gmin["dc"]
-    tol = Tolerances()
     for mode, volts in (("dc", branches | state | fg),
                         ("tran", branches | state)):
-        f_tol = layout.abstols(mode, tol)[0][0]
-        assert set(np.flatnonzero(f_tol == tol.vabstol) + 1) == volts
-        assert set(np.flatnonzero(f_tol == tol.iabstol) + 1) == (
+        f_tol = layout.abstols(mode)[0][0]
+        assert set(np.flatnonzero(f_tol == VABSTOL) + 1) == volts
+        assert set(np.flatnonzero(f_tol == IABSTOL) + 1) == (
             nodes | branches) - volts
-        assert np.array_equal(layout.kcl(mode), f_tol == tol.iabstol)
+        assert np.array_equal(layout.kcl(mode), f_tol == IABSTOL)
 
 
 @pytest.mark.parametrize("vector", [False, True])

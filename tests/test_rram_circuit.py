@@ -2,6 +2,7 @@
 
 import numpy as np
 
+import synapsim.neuro.crossbar as crossbar
 from synapsim.mosfet import MosParams
 from synapsim.rram import (RramParams, hysteresis_loop, read_1t1r, set_1t1r,
                            tuning_curve_1t1r)
@@ -80,3 +81,20 @@ def test_1t1r_tuning_curve_is_pinned():
     np.testing.assert_allclose(
         reads, [1.4040714296714756e-05, 4.71405342559774e-05,
                 5.387773153029676e-05], rtol=1e-12, atol=0)
+
+
+def test_1t1r_entry_points_share_one_set_of_conditions():
+    # every entry point reads the SET, read and gate conditions from the
+    # one declaration in rram, so a tuning-curve point is bit for bit a
+    # lone SET followed by a read, and the crossbar's 1T1R calibration
+    # SETs as the tuning curve does
+    rp, mp = RramParams(), MosParams()
+    v_pgm = [0.4, 0.8, 1.2]
+    xs, reads = tuning_curve_1t1r(rp, mp, v_pgm)
+    for v, x, i in zip(v_pgm, xs, reads):
+        x_set = set_1t1r(rp, mp, v)
+        assert x_set == x
+        assert read_1t1r(rp, mp, x_set) == i
+    assert np.array_equal(
+        crossbar._gate_calibration(rp),
+        tuning_curve_1t1r(rp, mp, crossbar._GATE_GRID)[0])
