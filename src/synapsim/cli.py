@@ -258,8 +258,13 @@ def cmd_run(args) -> int:
         return EXIT_USAGE
     # the netlist as parsed, one card per line: it parses back to this run
     cards = serialize_netlist(parsed.circuit, parsed.analyses).splitlines()
-    for spec in parsed.analyses:
-        result = run_analysis(parsed.circuit, spec)
+    n = len(parsed.analyses)
+    if n > 1:
+        # a run writes one CSV; the analysis cards are the last before .end
+        print(f"run: netlist has {n} analysis cards; a run takes one: "
+              + "; ".join(cards[-1 - n:-1]), file=sys.stderr)
+        return EXIT_USAGE
+    result = run_analysis(parsed.circuit, parsed.analyses[0])
     meta = _metadata(args, {}) + [f"card: {card}" for card in cards]
     _write(args, result.columns, result.data, meta)
     return EXIT_OK

@@ -34,6 +34,12 @@ from .mna import (DC_PATHS, EvalContext, SystemLayout, Tolerances,
 
 _MIN_STEP_DIV = 1024.0
 
+# the most base steps a transient may take (tstop / tstep), far above any
+# experiment's (rram-iv's loop takes 1000): a larger ratio is taken for
+# a typing slip, such as a step in fs for a run in s, and rejected before
+# the first step
+MAX_STEPS = 1_000_000
+
 
 class TransientError(Exception):
     """A transient that cannot step on; ``circuit`` is the failing
@@ -124,18 +130,25 @@ def dc_sweep(circuit: Circuit, spec: AnalysisSpec) -> SimResult:
         raise ValueError("dc sweep range and step disagree")
     values = spec.start + spec.step * np.arange(n)
     rows = np.empty((n, layout.size + 1))
+    rows[:, 0] = values
     x = None
     # the iterations of every point, and the strongest homotopy a point
     # needed
     stats = {"newton_iterations": 0, "path": DC_PATHS[0]}
     point: dict = {}
-    for k, val in enumerate(values):
-        x = solve_dc(layout, spec, x0=x, src_override={src: float(val)},
-                     stats=point)
-        stats["newton_iterations"] += point["newton_iterations"]
-        stats["path"] = max(stats["path"], point["path"], key=DC_PATHS.index)
-        rows[k, 0] = val
-        rows[k, 1:] = x
+    # each point sets the source's dc; the sweep restores it
+    element = circuit.element(src)
+    dc = element.dc
+    try:
+        for k, val in enumerate(values):
+            element.dc = float(val)
+            x = solve_dc(layout, spec, x0=x, stats=point)
+            rows[k, 1:] = x
+            stats["newton_iterations"] += point["newton_iterations"]
+            stats["path"] = max(stats["path"], point["path"],
+                                key=DC_PATHS.index)
+    finally:
+        element.dc = dc
     columns, index = layout.columns((src,))
     return SimResult(columns=columns, data=rows, index=index, stats=stats)
 
@@ -183,17 +196,23 @@ def transient_batch(circuits, specs) -> list:
     circuit's result is bit for bit the one it has alone.  Each
     result's ``stats`` counts the accepted steps, the halvings and the
     Newton iterations of its stepping loop.  The specs must share their
-    tolerances, and the circuits their compiled pattern (ValueError
-    otherwise).  A timestep underflow raises TransientError naming the
-    circuit's position in the batch, and then no circuit's state is
-    written back.
+    tolerances, the circuits their compiled pattern, and no spec may
+    take more than ``MAX_STEPS`` base steps (ValueError otherwise).  A
+    timestep underflow raises TransientError naming the circuit's
+    position in the batch, and then no circuit's state is written back.
     """
     if len(circuits) != len(specs) or not circuits:
         raise ValueError("transient_batch needs one spec per circuit")
     tol = specs[0]
     for spec in specs:
-        if spec.tstep <= 0.0 or spec.tstop <= 0.0:
+        # written so that a NaN fails them too
+        if not (spec.tstep > 0.0 and spec.tstop > 0.0):
             raise ValueError("transient needs positive tstep and tstop")
+        if not spec.tstop / spec.tstep <= MAX_STEPS:
+            raise ValueError(
+                f"transient of tstep {spec.tstep:g} s to tstop "
+                f"{spec.tstop:g} s takes more than MAX_STEPS = "
+                f"{MAX_STEPS} steps")
         spec.check()
         if any(getattr(spec, name) != getattr(tol, name)
                for name in _TOL_FIELDS):

@@ -10,6 +10,8 @@ read sees the programmed device.
 Each element dataclass owns its structure: card prefix, terminals,
 internal node, model kind, carried-state seed and the checks of its
 values.  Its init fields are also its netlist card, read by ``netlist``.
+Compiled elements are frozen and ``resolve`` binds their ``params`` from
+model cards; sources stay mutable, their ``dc``/``pulse`` read per solve.
 Adding an element kind means one dataclass here plus one entry in the
 ``_KINDS`` table in ``mna``, and a primitive stamp with ``seed`` and
 ``store`` there if the kind carries state and no existing stamp fits.
@@ -17,7 +19,7 @@ Adding an element kind means one dataclass here plus one entry in the
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import ClassVar, Optional
 
 from ..floatgate import FloatingGateParams
@@ -82,7 +84,7 @@ class _Element:
         """Checks of the element's values; a kind overrides it."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class _TwoTerminal(_Element):
     name: str
     n1: str
@@ -141,28 +143,28 @@ class ISource(_Element):
     prefix: ClassVar[str] = "i"
 
 
-@dataclass
+@dataclass(frozen=True)
 class Mosfet(_Element):
     name: str
     nd: str
     ng: str
     ns: str
     model: str
-    params: Optional[MosParams] = None
+    params: Optional[MosParams] = field(default=None, init=False)
 
     prefix: ClassVar[str] = "m"
     terminal_fields: ClassVar[tuple[str, ...]] = ("nd", "ng", "ns")
     model_kind: ClassVar[str] = "cmg"
 
 
-@dataclass
+@dataclass(frozen=True)
 class RramElement(_Element):
     name: str
     npos: str
     nneg: str
     model: str
     x0: Optional[float] = None
-    params: Optional[RramParams] = None
+    params: Optional[RramParams] = field(default=None, init=False)
 
     prefix: ClassVar[str] = "xr"
     model_kind: ClassVar[str] = "rram"
@@ -176,7 +178,7 @@ class RramElement(_Element):
         return float(self.x0 if self.x0 is not None else self.params.x_init)
 
 
-@dataclass
+@dataclass(frozen=True)
 class FloatGateElement(_Element):
     name: str
     nd: str
@@ -186,7 +188,7 @@ class FloatGateElement(_Element):
     npfb: str
     model: str
     qfg0: float = 0.0
-    params: Optional[FloatingGateParams] = None
+    params: Optional[FloatingGateParams] = field(default=None, init=False)
 
     prefix: ClassVar[str] = "xf"
     terminal_fields: ClassVar[tuple[str, ...]] = ("nd", "ns", "nsg", "nnfb",
@@ -287,7 +289,7 @@ class Circuit:
                 bad[e.name] = (f"element '{e.name}' needs a '{want}' model "
                                f"but '{e.model}' is '{kind}'")
                 continue
-            e.params = params
+            object.__setattr__(e, "params", params)
             if e.internal_node and e.name not in self.state:
                 self.state[e.name] = e.state_seed()
         if bad:

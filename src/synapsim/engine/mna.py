@@ -24,22 +24,26 @@ the rram-iv drive 0/0, a 1T1R cell 1/1 and a floating-gate cell 0/1.
 DC start: each Newton attempt of ``solve_dc`` starts every unknown that
 the forward peel takes from a voltage-source row at the source's other
 terminal plus or minus its value in that attempt (source stepping's
-factor and a sweep's override applied), in peel order, so along chains
-of sources: a 32x16 read converges in 3 assemblies.  A transient step
-starts from the previous step's solution, and ``newton_solve`` from x0.
+factor applied), in peel order, so along chains of sources: a 32x16
+read converges in 3 assemblies.  A transient step starts from the
+previous step's solution, and ``newton_solve`` from x0.
 
-Compiled form: ``SystemLayout(circuit)`` compiles a circuit once and
-caches the result on it until an element or model is added.  Elements
-compile into primitive stamps (conductance, companion capacitor, voltage
-and current source, drain current, RRAM, tunnel junction, floating-gate
-charge row), each one set of index arrays over every element that uses
-it; per analysis mode the layout compiles the COO pattern of every
-residual, scale and Jacobian contribution, the scatter and the Newton
-step.  An assembly gathers terminal voltages, calls each device model
-once per element, except the RRAM model, which it calls once per stamp
-on arrays when the stamp has many elements (on Python floats per
-element when it has few), and scatters everything in one
-``np.bincount``.
+Compiled form: ``SystemLayout(circuit)`` compiles a circuit once, from
+frozen element fields and model cards, and caches the result on it
+until an element or model is added.  A solve reads each run-time input
+one way: source values off their elements (a DC sweep sets its source's
+``dc`` and restores it), the held RRAM states by row from
+``EvalContext.x_prev`` and a floating gate's stored charge from the
+carried state.  Elements compile into primitive stamps (conductance,
+companion capacitor, voltage and current source, drain current, RRAM,
+tunnel junction, floating-gate charge row), each one set of index
+arrays over every element that uses it; per analysis mode the layout
+compiles the COO pattern of every residual, scale and Jacobian
+contribution, the scatter and the Newton step.  An assembly gathers
+terminal voltages, calls each device model once per element, except the
+RRAM model, which it calls once per stamp on arrays when the stamp has
+many elements (on Python floats per element when it has few), and
+scatters everything in one ``np.bincount``.
 
 Lockstep Newton loop: ``newton_solve_batch`` iterates K circuits that
 share one compiled pattern, each with its own ``EvalContext``.  Each
@@ -134,15 +138,13 @@ class EvalContext:
     mode: str                    # "dc" | "tran"
     time: float = 0.0
     h: float = 0.0
+    # held device state by row: the carried state in DC (the assembler
+    # reads it when not given), the last step's solution in transient
     x_prev: Optional[np.ndarray] = None
     # companion history (``post_step_aux``), empty on a backward-Euler step
     aux_prev: dict = field(default_factory=dict)
     sfactor: float = 1.0
     gmin: float = 0.0
-    src_override: dict = field(default_factory=dict)
-    # DC: the carried device state as seeded into x (``initial_vector``),
-    # filled on first use when the analysis does not pass it
-    seed: Optional[np.ndarray] = None
     # the voltage sources' targets (``_VSource.targets``), computed by
     # the assembler when the analysis does not pass them
     targets: object = None
@@ -249,8 +251,6 @@ class _VSource(_Stamp):
     def __init__(self, recs):
         super().__init__(recs)
         self.elements = self.column(0)
-        # overrides name their source in any case
-        self.keys = [e.name.lower() for e in self.elements]
         self.vector = self.n >= _VECTOR_MIN
         if self.vector:
             self.npos, self.nneg, self.branch = (
@@ -263,17 +263,14 @@ class _VSource(_Stamp):
                 ("row", branch, (), ((npos, 1.0), (nneg, -1.0)))]
 
     def targets(self, ctx):
-        """Each source's value in ``ctx``, scaled by its source factor:
-        a list of floats, an array for a vector stamp."""
-        over, t, scale = ctx.src_override, ctx.time, ctx.sfactor
-        if over:
-            over = {name.lower(): v for name, v in over.items()}
+        """Each source's value in ``ctx``, read off its element and
+        scaled by the source factor: a list of floats, an array for a
+        vector stamp."""
+        t, scale = ctx.time, ctx.sfactor
         if ctx.mode == "tran":
-            out = [(over[key] if key in over else e.value_at(t)) * scale
-                   for e, key in zip(self.elements, self.keys)]
+            out = [e.value_at(t) * scale for e in self.elements]
         else:
-            out = [(over[key] if key in over else e.dc_value()) * scale
-                   for e, key in zip(self.elements, self.keys)]
+            out = [e.dc_value() * scale for e in self.elements]
         return np.array(out) if self.vector else out
 
     @staticmethod
@@ -349,9 +346,9 @@ class _Rram(_Stamp):
     @staticmethod
     def _slots(ctx, key, p, vpn, s, held):
         """Slot values of elements at terminal voltage vpn and state s, on
-        floats or arrays alike; ``held`` is the carried state in DC and
-        the previous step's in transient, ``key`` the trapezoidal
-        history's."""
+        floats or arrays alike; ``held`` is the state in ``ctx.x_prev``
+        (carried in DC, the previous step's in transient), ``key`` the
+        trapezoidal history's."""
         i, di_dv, di_dx = rram_current_and_grads(p, vpn, s)
         if ctx.mode == "dc":
             return i, di_dx, di_dv, -di_dv, s - held, abs(s) + abs(held)
@@ -368,18 +365,16 @@ class _Rram(_Stamp):
                 1.0 - w * dr_dx, -w * dr_dv, w * dr_dv)
 
     def values(self, asm, v, out):
-        ctx = asm.ctx
-        dc = ctx.mode == "dc"
-        held = asm.layout.circuit.state if dc else asm.v_prev()
+        ctx, held = asm.ctx, asm.v_prev()
         for name, params, npos, nneg, state in self.recs:
             out += self._slots(ctx, name, params, v[npos] - v[nneg], v[state],
-                               held[name if dc else state])
+                               held[state])
 
     def fill(self, asm, xp, blk):
         """Write the slots, one row of ``blk`` per slot, from the padded
         unknowns xp."""
         ctx = asm.ctx
-        held = (asm.seed() if ctx.mode == "dc" else ctx.x_prev)[self.rows]
+        held = ctx.x_prev[self.rows]
         for k, value in enumerate(self._slots(
                 ctx, self, self.params, xp[self.npos] - xp[self.nneg],
                 xp[self.state], held)):
@@ -1129,18 +1124,14 @@ class Assembler:
         self.targets = ctx.targets
         if self.targets is None and layout.sources is not None:
             self.targets = layout.sources.targets(ctx)
+        if ctx.x_prev is None and ctx.mode == "dc":
+            ctx.x_prev = layout.initial_vector()
 
     def v_prev(self) -> list:
-        """Padded previous-step solution, as floats."""
+        """Padded ``x_prev``, as floats."""
         if self._v_prev is None:
             self._v_prev = [0.0] + self.ctx.x_prev.tolist()
         return self._v_prev
-
-    def seed(self) -> np.ndarray:
-        """The DC carried-state vector, read once per context."""
-        if self.ctx.seed is None:
-            self.ctx.seed = self.layout.initial_vector()
-        return self.ctx.seed
 
     def assemble(self, x: np.ndarray, out: list, raw: np.ndarray,
                  off: int = 0) -> None:
@@ -1299,28 +1290,25 @@ DC_PATHS = ("newton", "gmin", "source")
 
 def solve_dc(layout: SystemLayout, tol: Tolerances,
              x0: Optional[np.ndarray] = None,
-             src_override: Optional[dict] = None,
              stats: Optional[dict] = None) -> np.ndarray:
     """Operating point with gmin-stepping and source-stepping fallbacks.
 
     Each Newton attempt starts from its start vector (the carried state,
     ``x0`` or the last attempt's point) with every pinned node set to its
-    source's value in that attempt, after the source-stepping factor and
-    ``src_override`` (``SystemLayout.dc_start``): the first assembly
-    linearizes the devices at the pinned voltages, not at 0 V.
+    source's value in that attempt, after the source-stepping factor
+    (``SystemLayout.dc_start``): the first assembly linearizes the
+    devices at the pinned voltages, not at 0 V.
     ``stats``, when given, receives the Newton iterations of every
     attempt (``newton_iterations``) and the homotopy that reached the
     solution (``path``: one of ``DC_PATHS``)."""
-    override = src_override or {}
     seed = layout.initial_vector()
     if stats is None:
         stats = {}
     stats["newton_iterations"] = 0
 
     def attempt(xstart, sfactor=1.0, gmin=None):
-        ctx = EvalContext(mode="dc", sfactor=sfactor,
-                          gmin=tol.gmin if gmin is None else gmin,
-                          src_override=override, seed=seed)
+        ctx = EvalContext(mode="dc", x_prev=seed, sfactor=sfactor,
+                          gmin=tol.gmin if gmin is None else gmin)
         out = newton_solve(layout, ctx, layout.dc_start(ctx, xstart), tol)
         stats["newton_iterations"] += ctx.iterations
         return out

@@ -20,8 +20,8 @@ The element cards above are not written out in this module: each one
 follows from its dataclass in ``circuit``.  A card's name starts with the
 class's ``prefix`` (the longest matching prefix wins), then come one node
 per entry of ``terminal_fields``, then the card fields, in any order.
-The card fields are the init fields other than the name, the terminals
-and the resolved ``params``:
+The card fields are the init fields other than the name and the
+terminals (a model card reaches an element through ``model`` only):
 
 * ``value`` is a bare number;
 * ``dc`` is ``DC <num>``;
@@ -87,7 +87,7 @@ class ParseResult:
 
 def _card_fields(cls) -> list:
     """The fields a card of ``cls``, an element or params class, sets."""
-    skip = {"name", "params", *getattr(cls, "terminal_fields", ())}
+    skip = {"name", *getattr(cls, "terminal_fields", ())}
     return [f for f in fields(cls) if f.init and f.name not in skip]
 
 

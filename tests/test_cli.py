@@ -135,6 +135,29 @@ def test_run_netlist_without_analysis_exits_2(tmp_path, capsys):
     assert "no analysis" in capsys.readouterr().err
 
 
+def test_run_netlist_with_two_analyses_exits_2(tmp_path, capsys):
+    # a run writes one CSV, so it runs exactly one analysis card
+    net = tmp_path / "two.sp"
+    net.write_text("v1 in 0 dc 1\nr1 in 0 1k\n.op\n.dc v1 0 1 0.5\n.end\n")
+    out = tmp_path / "o.csv"
+    assert main(["run", str(net), "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "2 analysis cards" in err
+    assert ".op; .dc v1 0.0 1.0 0.5" in err
+
+
+def test_run_transient_of_too_many_steps_exits_2(tmp_path, capsys):
+    # 1e15 steps: rejected before the first one instead of running for
+    # ever
+    net = tmp_path / "long.sp"
+    net.write_text("v1 a 0 dc 1\nr1 a b 1k\nc1 b 0 1n\n.tran 1f 1\n.end\n")
+    out = tmp_path / "o.csv"
+    assert main(["run", str(net), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "MAX_STEPS = 1000000" in capsys.readouterr().err
+
+
 def test_run_voltage_divider(tmp_path):
     net = tmp_path / "div.sp"
     net.write_text("v1 in 0 dc 2\nr1 in mid 1k\nr2 mid 0 3k\n.op\n.end\n")
@@ -149,7 +172,7 @@ def test_run_header_reparses_to_the_same_circuit(tmp_path):
     net.write_text(".model mem rram g_on=2m\n"
                    "v1 in 0 PULSE(0 1 1n 1n 1n 20n 50n)\n"
                    "r1 in a 1k\nxr1 a 0 model=mem x0=0.25\n"
-                   ".op\n.tran 1n 30n uic\n.end\n")
+                   ".tran 1n 30n uic\n.end\n")
     out = tmp_path / "cell.csv"
     assert main(["run", str(net), "--out", str(out)]) == 0
     meta, _, rows = _read_csv(out)
@@ -158,9 +181,9 @@ def test_run_header_reparses_to_the_same_circuit(tmp_path):
     original = parse_netlist(net.read_text())
     assert (serialize_netlist(parsed.circuit, parsed.analyses)
             == serialize_netlist(original.circuit, original.analyses))
-    assert [s.kind for s in parsed.analyses] == ["op", "tran"]
+    assert [s.kind for s in parsed.analyses] == ["tran"]
     # the rebuilt run gives the recorded rows
-    res = [run_analysis(parsed.circuit, s) for s in parsed.analyses][-1]
+    res = run_analysis(parsed.circuit, parsed.analyses[0])
     np.testing.assert_allclose(res.data, rows, rtol=1e-14, atol=0)
 
 

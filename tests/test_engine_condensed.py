@@ -307,8 +307,8 @@ def test_source_stamp_on_arrays_matches_per_element_stamp(mode):
         (stamp,) = [st for st in layout.stamps[mode]
                     if isinstance(st, mna._VSource)]
         assert stamp.vector == (vector_min == k)
-        ctx = EvalContext(mode=mode, time=2.5e-9, sfactor=0.75,
-                          src_override={"V3": 0.25})
+        layout.circuit.element("V3").dc = 0.25
+        ctx = EvalContext(mode=mode, time=2.5e-9, sfactor=0.75)
         x = np.random.default_rng(1).uniform(-1.0, 1.0, layout.size)
         raws.append(system_at(layout, ctx, x).raw)
     assert np.array_equal(*raws)

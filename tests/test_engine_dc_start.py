@@ -130,7 +130,7 @@ def test_every_attempt_starts_at_its_own_targets(monkeypatch):
     solve = mna.newton_solve
 
     def spy(lay, ctx, x0, tol):
-        starts.append((ctx.sfactor, x0[a], ctx.seed.copy()))
+        starts.append((ctx.sfactor, x0[a], ctx.x_prev.copy()))
         return solve(lay, ctx, x0, tol)
 
     monkeypatch.setattr(mna, "newton_solve", spy)

@@ -151,6 +151,16 @@ XR1 a 0 model=mem x0=0
         run_analysis(r.circuit, spec)
 
 
+@pytest.mark.parametrize("tstep,tstop,match", [
+    (1e-15, 1.0, "MAX_STEPS"), (0.0, 1e-6, "positive"),
+    (float("nan"), 1e-6, "positive"), (1e-9, float("inf"), "MAX_STEPS")])
+def test_transient_rejects_an_unbounded_step_count(tstep, tstop, match):
+    # each of these would step for ever, or for days
+    c = parse_netlist("V1 a 0 DC 1\nR1 a b 1k\nC1 b 0 1n\n.end\n").circuit
+    with pytest.raises(ValueError, match=match):
+        transient(c, AnalysisSpec(kind="tran", tstep=tstep, tstop=tstop))
+
+
 def test_deterministic_csv_output():
     def run_once():
         r = parse_netlist("""

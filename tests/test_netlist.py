@@ -110,8 +110,9 @@ def test_api_sweep_and_override_name_their_source_in_any_case():
                                    step=0.5))
     np.testing.assert_allclose(res.column("i(v1)"), [0.0, -5e-4, -1e-3],
                                rtol=1e-12, atol=0)
-    x = solve_dc(SystemLayout(c), AnalysisSpec(kind="op"),
-                 src_override={"V1": 0.25})
+    # a source's value reaches a solve through its element alone
+    c.element("v1").dc = 0.25
+    x = solve_dc(SystemLayout(c), AnalysisSpec(kind="op"))
     assert x[0] == 0.25
 
 
