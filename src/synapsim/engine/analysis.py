@@ -34,10 +34,10 @@ from .mna import (DC_PATHS, EvalContext, SystemLayout, Tolerances,
 
 _MIN_STEP_DIV = 1024.0
 
-# the most base steps a transient may take (tstop / tstep), far above any
-# experiment's (rram-iv's loop takes 1000): a larger ratio is taken for
-# a typing slip, such as a step in fs for a run in s, and rejected before
-# the first step
+# the most base steps a transient may take (tstop / tstep), and the most
+# points of a DC sweep, far above any experiment's (rram-iv's loop takes
+# 1000): a larger count is taken for a typing slip, such as a step in fs
+# for a run in s, and rejected before the first step
 MAX_STEPS = 1_000_000
 
 
@@ -120,12 +120,19 @@ def operating_point(circuit: Circuit, spec: AnalysisSpec) -> SimResult:
 def dc_sweep(circuit: Circuit, spec: AnalysisSpec) -> SimResult:
     if spec.step == 0.0:
         raise ValueError("dc sweep needs a nonzero step")
+    span = (spec.stop - spec.start) / spec.step
+    # written so that a NaN or infinite step fails it too
+    if not (abs(spec.step) < np.inf and span < MAX_STEPS - 0.5):
+        raise ValueError(
+            f"dc sweep of start {spec.start:g}, stop {spec.stop:g} and step "
+            f"{spec.step:g} needs a finite step and at most MAX_STEPS = "
+            f"{MAX_STEPS} points")
     layout = SystemLayout(circuit)
     src = spec.src.lower()
     if src not in layout.branch:
         raise ValueError(f"dc sweep source '{spec.src}' not in circuit")
     spec.check()
-    n = int(round((spec.stop - spec.start) / spec.step)) + 1
+    n = int(round(span)) + 1
     if n < 1:
         raise ValueError("dc sweep range and step disagree")
     values = spec.start + spec.step * np.arange(n)

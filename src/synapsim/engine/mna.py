@@ -43,7 +43,10 @@ contribution, the scatter and the Newton step.  An assembly gathers
 terminal voltages, calls each device model once per element, except the
 RRAM model, which it calls once per stamp on arrays when the stamp has
 many elements (on Python floats per element when it has few), and
-scatters everything in one ``np.bincount``.
+scatters everything in one ``np.bincount``.  A MOSFET or tunnel
+junction whose biases repeat its last call's bit for bit makes none: its
+stamp keeps that call's inputs and slots, and a layout never outlives
+the frozen fields it compiled.
 
 Lockstep Newton loop: ``newton_solve_batch`` iterates K circuits that
 share one compiled pattern, each with its own ``EvalContext``.  Each
@@ -76,7 +79,7 @@ from typing import Optional
 import numpy as np
 
 from ..floatgate import fn_current_and_grad
-from ..mosfet import drain_current_and_grads
+from ..mosfet import drain_current_and_grads, solve_charge_householder
 from ..rram import rram_current_and_grads, state_rate_and_grads
 from .circuit import (Capacitor, Circuit, FloatGateElement, ISource,
                       Mosfet, Resistor, RramElement, VSource)
@@ -298,8 +301,24 @@ class _ISource(_Stamp):
         out += (e.dc * asm.ctx.sfactor for e, _, _ in self.recs)
 
 
+def _recall(memo: list, k: int, key: tuple):
+    """What ``memo[k]`` holds if ``key`` repeats, bit for bit, the model
+    inputs it was stored for, else None.  A key holding 0.0 never does
+    (== takes -0.0 for 0.0), nor one holding NaN (its floats are fresh,
+    so tuple == compares them by float ==)."""
+    old, value = memo[k]
+    return value if key == old and all(key) else None
+
+
 class _Drain(_Stamp):
-    """MOSFET drain current, one model call per element."""
+    """MOSFET drain current, one model call per element whose (V_gs,
+    V_ds) are not its last call's (``_recall``); at a repeated V_gs the
+    call reuses the source-end charge, which the stamp solves otherwise."""
+
+    def __init__(self, recs):
+        super().__init__(recs)
+        # per element: ((v_gs, v_ds), slots) and ((v_gs,), charge)
+        self.last, self.charge = [((), None)] * self.n, [((), None)] * self.n
 
     # record: (drain, gate, source, MosParams)
     def blocks(self, mode):
@@ -307,10 +326,20 @@ class _Drain(_Stamp):
         return [("cur", d, s, (d, g, s), ())]
 
     def values(self, asm, v, out):
-        for d, g, s, params in self.recs:
-            i, gm, gds = drain_current_and_grads(params, v[g] - v[s],
-                                                 v[d] - v[s])
-            out += (i, gds, gm, -(gm + gds))
+        last, charge = self.last, self.charge
+        for k, (d, g, s, params) in enumerate(self.recs):
+            v_gs, v_ds = key = (v[g] - v[s], v[d] - v[s])
+            slots = _recall(last, k, key)
+            if slots is None:
+                q = _recall(charge, k, (v_gs,))
+                if q is None:
+                    q = solve_charge_householder(params, v_gs, 0.0)
+                    charge[k] = ((v_gs,), q)
+                i, gm, gds = drain_current_and_grads(params, v_gs, v_ds,
+                                                     q_is=q)
+                slots = (i, gds, gm, -(gm + gds))
+                last[k] = (key, slots)
+            out += slots
 
 
 class _Rram(_Stamp):
@@ -405,9 +434,15 @@ class _Rram(_Stamp):
 
 class _Tunnel(_Stamp):
     """Fowler-Nordheim junction from a node into a floating gate; it
-    conducts only in transient (DC holds the stored charge instead)."""
+    conducts only in transient (DC holds the stored charge instead).  An
+    element whose V repeats its last call's (``_recall``) appends that
+    call's slots."""
 
     modes = ("tran",)
+
+    def __init__(self, recs):
+        super().__init__(recs)
+        self.last = [((), None)] * self.n       # per element: ((V,), slots)
 
     # record: (node, floating gate, FloatingGateParams)
     def blocks(self, mode):
@@ -415,9 +450,15 @@ class _Tunnel(_Stamp):
         return [("cur", node, fg, (fg, node), ())]
 
     def values(self, asm, v, out):
-        for node, fg, params in self.recs:
-            i, di = fn_current_and_grad(params, v[node] - v[fg])
-            out += (i, -di, di)
+        last = self.last
+        for k, (node, fg, params) in enumerate(self.recs):
+            key = (v[node] - v[fg],)
+            slots = _recall(last, k, key)
+            if slots is None:
+                i, di = fn_current_and_grad(params, key[0])
+                slots = (i, -di, di)
+                last[k] = (key, slots)
+            out += slots
 
 
 class _ChargeRow(_Stamp):

@@ -444,14 +444,17 @@ def _charge_slope(p: MosParams, q):
     return 1.0 / p.c_ox + p.v_t / q + p.v_t / (q + p.qb5)
 
 
-def drain_current_and_grads(p: MosParams, v_gs, v_ds):
+def drain_current_and_grads(p: MosParams, v_gs, v_ds, q_is=None):
     """(I_d, dI_d/dV_gs, dI_d/dV_ds) with analytic chain-rule derivatives.
 
     Accepts scalars or broadcastable arrays.  Along the implicit solution
     dB(Q)/dV = Q, so d[B(Q_is) - B(Q_id)]/dV_gs = Q_is - Q_id and
     d[...]/dV_ds = Q_id; the effect wrappers add I_d (mu'/mu - L_eff'/L_eff).
+    A pre-solved source-end charge ``q_is`` at v_gs skips its solve, as in
+    ``terminal_charges``; None solves it.
     """
-    q_is = solve_charge_householder(p, v_gs, 0.0)
+    if q_is is None:
+        q_is = solve_charge_householder(p, v_gs, 0.0)
     q_id = solve_charge_householder(p, v_gs, v_ds)
     i_d = current_from_charges(p, q_is, q_id, v_ds)
     mu, l_eff = p.mu0, p.l

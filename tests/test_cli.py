@@ -158,6 +158,17 @@ def test_run_transient_of_too_many_steps_exits_2(tmp_path, capsys):
     assert "MAX_STEPS = 1000000" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("step", ["1e-6", "1e-12"])
+def test_run_dc_sweep_of_too_many_points_exits_2(tmp_path, capsys, step):
+    # 1e6 and 1e12 points: rejected before any is allocated
+    net = tmp_path / "fine.sp"
+    net.write_text(f"v1 a 0 dc 1\nr1 a 0 1k\n.dc v1 0 1 {step}\n.end\n")
+    out = tmp_path / "o.csv"
+    assert main(["run", str(net), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "MAX_STEPS = 1000000" in capsys.readouterr().err
+
+
 def test_run_voltage_divider(tmp_path):
     net = tmp_path / "div.sp"
     net.write_text("v1 in 0 dc 2\nr1 in mid 1k\nr2 mid 0 3k\n.op\n.end\n")

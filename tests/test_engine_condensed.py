@@ -164,8 +164,8 @@ def test_vanishing_kcl_diagonal_stays_in_the_dense_solve(monkeypatch):
     assert layout.pattern("dc", False).m == 2
     model = mna.drain_current_and_grads
 
-    def no_gds(p, vgs, vds):
-        i, gm, _ = model(p, vgs, vds)
+    def no_gds(p, vgs, vds, q_is=None):
+        i, gm, _ = model(p, vgs, vds, q_is=q_is)
         return i, gm, 0.0
 
     monkeypatch.setattr(mna, "drain_current_and_grads", no_gds)

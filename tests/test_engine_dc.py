@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+import synapsim.engine.analysis as analysis
 from synapsim.engine import (AnalysisSpec, ConvergenceError, SystemLayout,
                              dc_sweep, operating_point, parse_netlist,
                              run_analysis)
@@ -235,6 +236,36 @@ XR1 a 0 model=mem x0=1
     assert runs[0] == runs[1]
     assert runs[0]["path"] == "newton"
     assert runs[0]["newton_iterations"] >= 5
+
+
+@pytest.mark.parametrize("start,stop,step", [
+    (0.0, 1.0, 1e-6), (0.0, 1.0, 1e-12), (0.0, 1.0, float("nan")),
+    (0.0, 1.0, float("inf")), (0.0, 1.0, -float("inf")),
+    (0.0, float("nan"), 0.5)])
+def test_sweep_rejects_an_unbounded_point_count(monkeypatch, start, stop,
+                                                step):
+    # each would run for days, or allocate its rows for ever; rejected
+    # before the layout compiles
+    def no_layout(circuit):
+        raise AssertionError("layout compiled")
+
+    monkeypatch.setattr(analysis, "SystemLayout", no_layout)
+    c = parse_netlist("V1 a 0 DC 1\nR1 a 0 1k\n.end\n").circuit
+    with pytest.raises(ValueError, match="MAX_STEPS = 1000000") as err:
+        dc_sweep(c, AnalysisSpec(kind="dc", src="v1", start=start,
+                                 stop=stop, step=step))
+    names = f"start {start:g}, stop {stop:g} and step {step:g}"
+    assert names in str(err.value)
+
+
+def test_sweep_takes_at_most_max_steps_points(monkeypatch):
+    monkeypatch.setattr(analysis, "MAX_STEPS", 5)
+    c = parse_netlist("V1 a 0 DC 1\nR1 a 0 1k\n.end\n").circuit
+    spec = AnalysisSpec(kind="dc", src="v1", start=0.0, stop=1.0, step=0.25)
+    assert dc_sweep(c, spec).data.shape[0] == 5
+    spec.step = 0.2
+    with pytest.raises(ValueError, match="MAX_STEPS = 5 points"):
+        dc_sweep(c, spec)
 
 
 def test_floating_node_needs_nonzero_gmin():
