@@ -130,6 +130,9 @@ def dc_sweep(circuit: Circuit, spec: AnalysisSpec) -> SimResult:
     layout = SystemLayout(circuit)
     src = spec.src.lower()
     if src not in layout.branch:
+        if any(e.name.lower() == src for e in circuit.elements):
+            raise ValueError(f"dc sweep source '{spec.src}' is not a "
+                             "voltage source")
         raise ValueError(f"dc sweep source '{spec.src}' not in circuit")
     spec.check()
     n = int(round(span)) + 1

@@ -263,6 +263,12 @@ class Circuit:
         key = element.name.lower()
         if key in self._by_name:
             raise CircuitError(f"duplicate element '{element.name}'")
+        # '#' marks the internal nodes ("<element>#x", "<element>#fg")
+        for node in element.terminals:
+            if "#" in node:
+                raise CircuitError(
+                    f"element '{element.name}': node name '{node}' contains "
+                    "'#', which only internal nodes use")
         self._by_name[key] = element
         self.elements.append(element)
         self._layout = None

@@ -5,12 +5,15 @@ for nodes 1..N-1 (ground dropped), then one branch current per
 independent voltage source.  Device state rides along on internal nodes:
 each RRAM element's filament state X and each floating gate's voltage.
 
-Rows are classed by structure, per analysis mode: a constraint row is
-one that only the mode's "row" blocks write (a voltage source's branch
-voltage, an RRAM state equation, a floating gate's stored charge in DC),
-every other row a KCL row, the sum of currents leaving its node.  gmin
-goes on the KCL rows; a residual meets ``IABSTOL`` on a KCL row and
-``VABSTOL`` on a constraint row, whose residual is in volts or state.
+Rows are classed by structure, per analysis mode, once per topology on
+the compiled pattern that its circuits share (``_Pattern.kcl``): a
+constraint row is one that only the mode's "row" blocks write (a voltage
+source's branch voltage, an RRAM state equation, a floating gate's
+stored charge in DC), every other row a KCL row, the sum of currents
+leaving its node.  gmin is a conductance from each KCL node to ground,
+compiled as one more current; a residual meets ``IABSTOL`` on a KCL row
+and ``VABSTOL`` on a constraint row, whose residual is in volts or state
+(``_Pattern.f_tol`` and ``x_tol``).
 
 Solved system: the Newton step leaves out of its dense solve every
 unknown that one structural rule, read off the compiled pattern and
@@ -586,61 +589,29 @@ class SystemLayout:
         self.sources = next((st for st in stamps if type(st) is _VSource),
                             None)
         self.stateful = [st for st in stamps if st.store is not None]
-        self._kcl: dict = {}
         self._patterns: dict = {}
-        self._abstols: dict = {}
         self._results: dict = {}
         self._starts: dict = {}
 
-    def kcl(self, mode: str) -> np.ndarray:
-        """True on each KCL row of one mode, False on each constraint row:
-        one that only the mode's "row" blocks write."""
-        out = self._kcl.get(mode)
-        if out is None:
-            cur, row = [], []
-            for st in self.stamps[mode]:
-                for blk in st.blocks(mode):
-                    if blk[0] == "cur":
-                        cur += blk[1] + blk[2]
-                    else:
-                        row += blk[1]
-            out = np.ones(self.size + 1, bool)
-            out[row], out[cur] = False, True
-            out = self._kcl[mode] = out[1:]
-        return out
-
     def pattern(self, mode: str, gmin: bool) -> "_Pattern":
-        """Compiled contribution pattern of one mode, with or without gmin
-        on its KCL rows."""
+        """Compiled contribution pattern of one mode, with or without gmin,
+        a conductance from each KCL node of the plain pattern to ground."""
         key = (mode, gmin)
         pat = self._patterns.get(key)
         if pat is None:
-            groups = [(st.n, tuple(st.blocks(mode)), st.vector)
-                      for st in self.stamps[mode]]
+            groups = tuple((st.n, tuple(st.blocks(mode)), st.vector)
+                           for st in self.stamps[mode])
             gmin_rows = None
             if gmin:
                 gmin_rows = tuple(
-                    (np.flatnonzero(self.kcl(mode)) + 1).tolist())
-                groups.append((len(gmin_rows),
-                               (("row", gmin_rows, (gmin_rows,), ()),), False))
+                    (np.flatnonzero(self.pattern(mode, False).kcl) + 1)
+                    .tolist())
+                groups += ((len(gmin_rows), (("cur", gmin_rows,
+                                              (0,) * len(gmin_rows),
+                                              (gmin_rows,), ()),), False),)
             pat = self._patterns[key] = _compiled_pattern(
-                self.size, tuple(groups), gmin_rows)
+                self.size, self.n_nodes, groups, gmin_rows)
         return pat
-
-    def abstols(self, mode: str):
-        """(per-row residual abstol, by row class; per-unknown update
-        abstol, padded with a 0 for ground) of one mode, each one row of a
-        2-D array: the Newton loop compares them with one row per circuit,
-        and at one circuit equal shapes skip numpy's broadcasting, a
-        measurable share of a one-device iteration."""
-        out = self._abstols.get(mode)
-        if out is None:
-            f_tol = np.where(self.kcl(mode), IABSTOL, VABSTOL)
-            x_tol = np.where(np.arange(self.size) < self.n_nodes - 1,
-                             VABSTOL, IABSTOL)
-            x_tol = np.concatenate(([0.0], x_tol))
-            out = self._abstols[mode] = (f_tol[None], x_tol[None])
-        return out
 
     def row_name(self, row: int) -> str:
         if row < self.n_nodes - 1:
@@ -711,12 +682,11 @@ def _coo(groups):
     slot, sign), the scale slot of each residual entry (same row,
     absolute value taken), the Jacobian entries (row, col, slot, sign),
     the number of slots, each group's (first slot, slots per element)
-    and the rows that a "cur" block writes (the pivot rule takes no
-    other row for a KCL row).
+    and the rows that "cur" blocks write and that "row" blocks write.
     """
     f_rows, f_slot, f_sign, s_slot = [], [], [], []
     j_rows, j_cols, j_slot, j_sign = [], [], [], []
-    spans, cur = [], []
+    spans, cur, row = [], [], []
     off = 1
     # the stamps pass one tuple of indices to several ends and columns
     ints = functools.lru_cache(maxsize=None)(_ints)
@@ -734,6 +704,7 @@ def _coo(groups):
             else:                            # f, then its scale
                 sides = ((ints(blk[1]), 1.0),)
                 scale, grads = slot + 1, slot + 2
+                row.append(sides[0][0])
             for rows, sign in sides:
                 f_rows.append(rows)
                 f_slot.append(slot)
@@ -755,7 +726,7 @@ def _coo(groups):
     return (cat(f_rows, np.intp), cat(f_slot, np.intp), cat(f_sign, float),
             cat(s_slot, np.intp), cat(j_rows, np.intp), cat(j_cols, np.intp),
             cat(j_slot, np.intp), cat(j_sign, float), off, spans,
-            cat(cur, np.intp))
+            cat(cur, np.intp), cat(row, np.intp))
 
 
 def _peel(lines, others, ok, live_l, live_o) -> list:
@@ -821,9 +792,11 @@ def _expand(rows, reads, entries, pivot, unit):
 def _entries(groups, n1):
     """The residual and scale bins' parts, in stamp order; every entry
     off ground (row, slot, sign, column: n1 for a residual), stably
-    sorted by row, residuals first, then column; the rest of ``_coo``."""
+    sorted by row, residuals first, then column; the number of slots and
+    each group's span (``_coo``); and the KCL rows, padded: those that a
+    "cur" block writes or that nothing writes."""
     (f_rows, f_slot, f_sign, s_slot, j_rows, j_cols, j_slot, j_sign,
-     n_raw, spans, cur) = _coo(groups)
+     n_raw, spans, cur, row) = _coo(groups)
     on_f, on_j = f_rows != 0, (j_rows != 0) & (j_cols != 0)
     entries = [np.concatenate((a[on_f], b[on_j])) for a, b in (
         (f_rows, j_rows), (f_slot, j_slot), (f_sign, j_sign),
@@ -832,10 +805,12 @@ def _entries(groups, n1):
     resid = ((f_slot[on_f], f_sign[on_f], f_rows - 1),
              (n_raw + s_slot[on_f], np.ones(len(f_rows)), n1 - 2 + f_rows))
     order = np.argsort(entries[0] * n1 + entries[3] % n1, kind="stable")
-    return resid, [a[order] for a in entries], n_raw, spans, cur
+    kcl = np.ones(n1, bool)
+    kcl[row], kcl[cur] = False, True
+    return resid, [a[order] for a in entries], n_raw, spans, kcl
 
 
-def _pivots(entries, cur, n1):
+def _pivots(entries, kcl, n1):
     """The pivot entries' places, each eliminated column's pivot (row,
     slot, sign) and each pivot row's column, the plain updates, R's rows
     and columns and each forward round's (rows, columns) (``_Pattern``)."""
@@ -857,7 +832,7 @@ def _pivots(entries, cur, n1):
                           & live_c[u_col])
     cand = np.zeros(n1, bool)
     cand[u_row[diag]] = True
-    cand[cur] = False
+    cand[kcl] = False
     coupled = cand[u_row] & cand[u_col] & (u_row != u_col)
     cand[u_row[coupled]] = cand[u_col[coupled]] = False
     diag = diag[cand[u_row[diag]]]
@@ -890,16 +865,10 @@ def _monomials(rows, reads, entries, pivot, n_raw):
     num, den, ext = num[deep], den[deep], num[:, 0]
     wn = max(1, (num != one).sum(1).max(initial=0))
     wd = (den != one).sum(1).max(initial=0)
-    # the distinct monomials (a current's derivative feeds two rows),
-    # through one integer key each, ranked before it would overflow
-    slots = np.hstack((num[:, :wn], den[:, :wd]))
-    key = np.zeros(len(slots), np.int64)
-    for a in slots.T:
-        if key.max(initial=0) >= np.iinfo(np.int64).max // n_raw:
-            key = np.unique(key, return_inverse=True)[1].reshape(-1)
-        key = key * n_raw + a
-    _, first, inv = np.unique(key, return_index=True, return_inverse=True)
-    mono = slots[first]
+    # the distinct monomials (a current's derivative feeds two rows), in
+    # lexicographic order of their slots
+    mono, inv = np.unique(np.hstack((num[:, :wn], den[:, :wd])), axis=0,
+                          return_inverse=True)
     ext[deep] = 2 * n_raw + inv.reshape(-1)
     return (row, sign, col, ext,
             (list(np.ascontiguousarray(mono[:, :wn].T)),
@@ -937,10 +906,19 @@ class _Pattern:
     runs all this for k circuits at once.
     """
 
-    def __init__(self, size: int, groups, gmin_rows):
+    def __init__(self, size: int, n_nodes: int, groups, gmin_rows):
         n1 = size + 1
-        resid, entries, n_raw, spans, cur = _entries(groups, n1)
+        resid, entries, n_raw, spans, kcl = _entries(groups, n1)
         self.gmin_rows, self.n_raw = gmin_rows, n_raw
+        # the row classes; each row's residual abstol, by class, and each
+        # unknown's update abstol, padded with a 0 for ground, one row of
+        # a 2-D array each: the Newton loop compares them with one row per
+        # circuit, and at one circuit equal shapes skip numpy's
+        # broadcasting, a measurable share of a one-device iteration
+        self.kcl = kcl[1:]
+        self.f_tol = np.where(self.kcl, IABSTOL, VABSTOL)[None]
+        self.x_tol = np.concatenate(([0.0], np.where(
+            np.arange(size) < n_nodes - 1, VABSTOL, IABSTOL)))[None]
         self._stacks: dict = {}
         # (first slot, end, slots per element) of each vector stamp, and
         # the slots of the others, which run in assembly order
@@ -958,7 +936,7 @@ class _Pattern:
         self.n, self.n1 = size, n1
 
         pe, pivot, row_target, plain, live_r, live_c, self.forward = (
-            _pivots(entries, cur, n1))
+            _pivots(entries, kcl, n1))
         t_row, t_col = entries[0][pe], entries[3][pe]
         self.solved = np.flatnonzero(live_c)
         self.m = m = len(self.solved)
@@ -1027,12 +1005,12 @@ class _Pattern:
 
 
 @functools.lru_cache(maxsize=64)
-def _compiled_pattern(size: int, groups: tuple,
+def _compiled_pattern(size: int, n_nodes: int, groups: tuple,
                       gmin_rows: Optional[tuple]) -> _Pattern:
-    """The pattern of one index structure (all arguments are index
-    tuples, so circuits of the same topology share it: the one-device
-    circuits of a write-verify loop compile once)."""
-    return _Pattern(size, groups, gmin_rows)
+    """The pattern of one index structure (all arguments are ints and
+    index tuples, so circuits of the same topology share it: the
+    one-device circuits of a write-verify loop compile once)."""
+    return _Pattern(size, n_nodes, groups, gmin_rows)
 
 
 class _Stack:
@@ -1192,7 +1170,7 @@ class Assembler:
             if pat.gmin_rows is not None:
                 gmin = self.ctx.gmin
                 for r in pat.gmin_rows:
-                    out += (gmin * v[r], 0.0, gmin)
+                    out += (gmin * v[r], gmin)
         if pat.vector:
             xp = np.concatenate(([0.0], x))
             for st, blk in zip(self.layout.vector[self.ctx.mode],
@@ -1223,7 +1201,7 @@ def newton_solve_batch(layouts, ctxs, x0s, tol: Tolerances) -> list:
     if any(asm.pattern is not pat for asm in asms):
         raise ValueError("circuits of a batch must share one topology and "
                          "analysis mode")
-    f_tol, x_tol = layout.abstols(ctxs[0].mode)
+    f_tol, x_tol = pat.f_tol, pat.x_tol
     nv, n, n1, n_raw = layout.n_nodes - 1, pat.n, pat.n1, pat.n_raw
     k = len(asms)
     results: list = [None] * k

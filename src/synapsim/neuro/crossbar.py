@@ -92,6 +92,11 @@ class TrainConfig:
             raise ValueError("need write_tol > 0 and max_verify >= 1")
         if self.set_amplitude <= 0.0 or self.reset_amplitude >= 0.0:
             raise ValueError("set pulses are positive, reset negative")
+        if self.pulse_steps < 1:
+            raise ValueError("pulse_steps must be >= 1")
+        # written so that a NaN width fails it too
+        if not 0.0 < self.min_width <= self.max_width:
+            raise ValueError("need 0 < min_width <= max_width")
 
 
 @dataclass

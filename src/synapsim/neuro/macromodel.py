@@ -25,7 +25,7 @@ __all__ = ["MacromodelConfig", "TrainReport", "quantize_levels",
 
 @dataclass(frozen=True)
 class MacromodelConfig:
-    layer_sizes: tuple = (784, 64, 10)
+    layer_sizes: tuple[int, ...] = (784, 64, 10)
     levels: Optional[int] = None      # None: continuous ideal weights
     w_max_mult: float = 4.0           # weight range, in init-sigma units
     batch_size: int = 32

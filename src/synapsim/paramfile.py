@@ -29,8 +29,6 @@ _NUMBER_RE = re.compile(
 _BOOL_WORDS = {"true": True, "yes": True, "on": True, "1": True,
                "false": False, "no": False, "off": False, "0": False}
 
-_int_or_float = object()     # sentinel: numeric tuple element of unknown kind
-
 
 class ParamError(ValueError):
     """Malformed parameter file, override, or unknown/ill-typed key."""
@@ -110,19 +108,19 @@ def coerce_value(raw: str, pytype):
             raise ParamError(f"expected a boolean, got {raw!r}")
         return _BOOL_WORDS[word]
     if pytype is int:
-        return int(round(parse_number(raw)))
+        num = parse_number(raw)
+        if not num.is_integer():
+            raise ParamError(f"expected an integer, got {raw!r}")
+        return int(num)
     if pytype is float:
         return float(parse_number(raw))
     if pytype is str:
         return raw
     if pytype is tuple or typing.get_origin(pytype) is tuple:
         args = [a for a in typing.get_args(pytype) if a is not Ellipsis]
-        elem = args[0] if args else None
-        return tuple(coerce_value(part.strip(), elem or _int_or_float)
+        elem = args[0] if args else float
+        return tuple(coerce_value(part.strip(), elem)
                      for part in raw.split(",") if part.strip())
-    if pytype is _int_or_float:
-        num = parse_number(raw)
-        return int(num) if float(num).is_integer() else float(num)
     raise ParamError(f"unsupported parameter type {pytype!r}")
 
 

@@ -220,6 +220,33 @@ def test_crossbar_and_rejects_removed_train_keys(tmp_path, assignment):
                  str(tmp_path / "and.csv")]) == 2
 
 
+@pytest.mark.parametrize("assignment, field", [
+    ("train.pulse_steps=0", "pulse_steps"),
+    ("train.pulse_steps=-3", "pulse_steps"),
+    ("train.max_width=-1", "max_width"),
+    ("train.min_width=-1", "min_width"),
+    ("train.min_width=0", "min_width"),
+    ("train.min_width=1e-1", "min_width")])
+def test_crossbar_and_rejects_pulses_no_write_can_run(tmp_path, capsys,
+                                                      assignment, field):
+    assert main(["crossbar-and", "--set", assignment, "--out",
+                 str(tmp_path / "and.csv")]) == 2
+    assert field in capsys.readouterr().err
+
+
+def test_integer_setting_rejects_a_fraction(tmp_path, capsys):
+    assert main(["crossbar-and", "--set", "train.epochs=2.5", "--out",
+                 str(tmp_path / "and.csv")]) == 2
+    assert "epochs" in capsys.readouterr().err
+
+
+def test_layer_sizes_reject_a_fraction(mnist_dir, tmp_path, capsys):
+    assert main(["mnist-train", "--data-dir", str(mnist_dir),
+                 "--set", "train.layer_sizes=16,8.5,10", "--set",
+                 "train.epochs=1", "--out", str(tmp_path / "m.csv")]) == 2
+    assert "layer_sizes" in capsys.readouterr().err
+
+
 def test_rram_iv_starts_at_the_model_cards_x_init(tmp_path):
     out = tmp_path / "iv.csv"
     assert main(["rram-iv", "--tstep", "1e-5", "--set", "rram.x_init=0.5",

@@ -98,7 +98,7 @@ R1 top 0 100k
     res = run_analysis(r.circuit, spec)
     layout = SystemLayout(r.circuit)
     f = system_at(layout, EvalContext(mode="dc"), res.data[0]).f
-    kcl = np.abs(f[layout.kcl("dc")])
+    kcl = np.abs(f[layout.pattern("dc", False).kcl])
     assert max(kcl) < IABSTOL
 
 

@@ -52,11 +52,12 @@ def test_row_classes_of_the_cells():
     assert _rows(layout, ["cap"]) <= gmin["dc"]
     for mode, volts in (("dc", branches | state | fg),
                         ("tran", branches | state)):
-        f_tol = layout.abstols(mode)[0][0]
+        pat = layout.pattern(mode, False)
+        f_tol = pat.f_tol[0]
         assert set(np.flatnonzero(f_tol == VABSTOL) + 1) == volts
         assert set(np.flatnonzero(f_tol == IABSTOL) + 1) == (
             nodes | branches) - volts
-        assert np.array_equal(layout.kcl(mode), f_tol == IABSTOL)
+        assert np.array_equal(pat.kcl, f_tol == IABSTOL)
 
 
 @pytest.mark.parametrize("vector", [False, True])

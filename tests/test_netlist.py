@@ -91,6 +91,42 @@ def test_api_rejects_element_names_that_differ_only_in_case():
         c.add(Resistor("r1", "a", "0", 1e3))
 
 
+def test_api_rejects_a_node_name_with_a_hash():
+    # "<element>#x" is an RRAM's state node; a terminal may not reach it
+    c = Circuit()
+    c.add_model("mem", "rram", RramParams())
+    c.add(RramElement("xr1", "a", "0", model="mem"))
+    with pytest.raises(CircuitError, match="element 'r1'.*'xr1#x'"):
+        c.add(Resistor("r1", "xr1#x", "0", 1e3))
+    assert [e.name for e in c.elements] == ["xr1"]
+
+
+def test_netlist_rejects_a_node_name_with_a_hash_on_its_line():
+    with pytest.raises(NetlistError) as exc:
+        parse_netlist("""
+.model mem rram
+v1 a 0 DC 0.5
+xr1 a 0 model=mem
+r1 xr1#x 0 1k
+.op
+.end
+""")
+    assert any(m.startswith("line 5:") and "'xr1#x'" in m and "'#'" in m
+               for m in exc.value.errors)
+
+
+def test_dc_sweep_of_an_element_that_is_not_a_voltage_source():
+    c = Circuit()
+    c.add(ISource("i1", "a", "0", dc=1e-3))
+    c.add(Resistor("r1", "a", "0", 1e3))
+    with pytest.raises(ValueError, match="'i1' is not a voltage source"):
+        dc_sweep(c, AnalysisSpec(kind="dc", src="i1", start=0.0, stop=1e-3,
+                                 step=5e-4))
+    with pytest.raises(ValueError, match="'v9' not in circuit"):
+        dc_sweep(c, AnalysisSpec(kind="dc", src="v9", start=0.0, stop=1.0,
+                                 step=0.5))
+
+
 def test_api_model_and_node_references_in_any_case():
     c = Circuit()
     c.add_model("MEM", "rram", RramParams())

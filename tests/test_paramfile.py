@@ -78,6 +78,19 @@ def test_tuple_fields_with_mixed_elements():
     assert coerce_value("0.3,1.2,8", tuple) == (0.3, 1.2, 8)
 
 
+@pytest.mark.parametrize("raw", ["2.5", "1e-3", "64.5"])
+def test_integer_coercion_rejects_a_non_integral_number(raw):
+    with pytest.raises(ParamError, match="integer"):
+        coerce_value(raw, int)
+    with pytest.raises(ParamError, match="layer_sizes"):
+        apply_params(MacromodelConfig(), {"layer_sizes": f"784,{raw},10"})
+
+
+def test_integer_coercion_takes_an_integral_number():
+    assert coerce_value("2k", int) == 2000
+    assert coerce_value("3.0", int) == 3
+
+
 def test_coerce_value_bool_words():
     assert coerce_value("YES", bool) is True
     assert coerce_value("off", bool) is False
