@@ -231,8 +231,6 @@ class Circuit:
         self.elements: list = []
         self.models: dict[str, tuple[str, object]] = {}
         self.state: dict[str, float] = {}
-        # fg model name -> cmg model name used for its readout transistor
-        self.fg_mos_ref: dict[str, str] = {}
         # lower-cased element name -> element
         self._by_name: dict[str, object] = {}
         # the compiled engine form (``mna.SystemLayout``); adding an

@@ -28,8 +28,9 @@ DC start: each Newton attempt of ``solve_dc`` starts every unknown that
 the forward peel takes from a voltage-source row at the source's other
 terminal plus or minus its value in that attempt (source stepping's
 factor applied), in peel order, so along chains of sources: a 32x16
-read converges in 3 assemblies.  A transient step starts from the
-previous step's solution, and ``newton_solve`` from x0.
+read converges in 3 assemblies.  The chains are compiled once per
+topology, on the DC pattern (``_Pattern.starts``).  A transient step
+starts from the previous step's solution, and ``newton_solve`` from x0.
 
 Compiled form: ``SystemLayout(circuit)`` compiles a circuit once, from
 frozen element fields and model cards, and caches the result on it
@@ -66,7 +67,9 @@ loop; its solve is the plain 2-D one.
 
 Element numerics live in one table, ``_KINDS``, which maps each element
 class to the primitive stamps it compiles into; a stamp that reads
-carried device state also seeds and stores it (``seed``, ``store``).
+carried device state also seeds and stores it (``seed``, ``store``), and
+one that carries step history records it under itself, in record order
+(``accept``; ``EvalContext.aux_prev``), so no element name keys it.
 Adding an element kind means one dataclass in ``circuit`` plus one entry
 here, and a primitive stamp class (with ``seed`` and ``store`` if it
 carries state) when no existing one fits.
@@ -147,7 +150,8 @@ class EvalContext:
     # held device state by row: the carried state in DC (the assembler
     # reads it when not given), the last step's solution in transient
     x_prev: Optional[np.ndarray] = None
-    # companion history (``post_step_aux``), empty on a backward-Euler step
+    # trapezoidal history (``post_step_aux``) by stamp, in record order;
+    # empty on a backward-Euler step
     aux_prev: dict = field(default_factory=dict)
     sfactor: float = 1.0
     gmin: float = 0.0
@@ -160,17 +164,6 @@ class EvalContext:
 
 def _ints(values) -> np.ndarray:
     return np.array(values, dtype=np.intp)
-
-
-def _companion(cap: float, key: str, dv: float, dv_prev: float, h: float,
-               hist: dict):
-    """Companion current and conductance of a capacitor across dv; a
-    trapezoidal step where ``hist`` holds the key's history."""
-    if key in hist:
-        geq = 2.0 * cap / h
-        return geq * (dv - dv_prev) - hist[key], geq
-    geq = cap / h
-    return geq * (dv - dv_prev), geq
 
 
 # -- primitive stamps ---------------------------------------------------
@@ -187,9 +180,9 @@ def _companion(cap: float, key: str, dv: float, dv_prev: float, h: float,
 # element by element, the values of the slots in the same order (v holds
 # the padded unknowns as floats);
 # a ``vector`` stamp instead writes them all at once with ``fill``.
-# ``accept(ctx, v, x, aux)``, where present, records in aux the history
-# the next trapezoidal step needs (aux is None when no step will read
-# it) and clamps what must be clamped; ``seed(x, carried)`` and
+# ``accept(ctx, v, x, aux)``, where present, records in aux[stamp] the
+# history the next trapezoidal step needs (aux is None when no step will
+# read it) and clamps what must be clamped; ``seed(x, carried)`` and
 # ``store(x, carried)`` move carried device state into a start x and back
 # from a solution x.  A stamp takes part only in its ``modes``.
 
@@ -220,30 +213,35 @@ class _Conductance(_Stamp):
 
 
 class _Companion(_Stamp):
-    """Capacitor companion model; it conducts only in transient."""
+    """Capacitor companion model; it conducts only in transient.  Its
+    history is each capacitor's current at the last accepted step."""
 
     modes = ("tran",)
 
-    # record: (n1, n2, capacitance, history key)
+    # record: (n1, n2, capacitance)
     def blocks(self, mode):
         n1, n2 = self.column(0), self.column(1)
         return [("cur", n1, n2, (n1, n2), ())]
 
-    def values(self, asm, v, out):
-        ctx = asm.ctx
-        vp, hist = asm.v_prev(), ctx.aux_prev
-        for n1, n2, cap, key in self.recs:
-            i, geq = _companion(cap, key, v[n1] - v[n2], vp[n1] - vp[n2],
-                                ctx.h, hist)
+    def _slots(self, ctx, v, vp) -> list:
+        """The slots at v, vp being the last step's voltages; a
+        trapezoidal step when ``ctx.aux_prev`` holds the stamp's history."""
+        h, last = ctx.h, ctx.aux_prev.get(self)
+        out = []
+        for k, (n1, n2, cap) in enumerate(self.recs):
+            dv = v[n1] - v[n2] - (vp[n1] - vp[n2])
+            # backward Euler, or trapezoidal from the last step's current
+            geq = (cap if last is None else 2.0 * cap) / h
+            i = geq * dv if last is None else geq * dv - last[k]
             out += (i, geq, -geq)
+        return out
+
+    def values(self, asm, v, out):
+        out += self._slots(asm.ctx, v, asm.v_prev())
 
     def accept(self, ctx, v, x, aux):
-        if aux is None:
-            return
-        vp, hist = [0.0] + ctx.x_prev.tolist(), ctx.aux_prev
-        for n1, n2, cap, key in self.recs:
-            aux[key] = _companion(cap, key, v[n1] - v[n2], vp[n1] - vp[n2],
-                                  ctx.h, hist)[0]
+        if aux is not None:
+            aux[self] = self._slots(ctx, v, [0.0] + ctx.x_prev.tolist())[::3]
 
 
 class _VSource(_Stamp):
@@ -376,30 +374,32 @@ class _Rram(_Stamp):
         return [cur, ("row", state, (state, npos, nneg), ())]
 
     @staticmethod
-    def _slots(ctx, key, p, vpn, s, held):
+    def _slots(ctx, last, p, vpn, s, held):
         """Slot values of elements at terminal voltage vpn and state s, on
         floats or arrays alike; ``held`` is the state in ``ctx.x_prev``
-        (carried in DC, the previous step's in transient), ``key`` the
-        trapezoidal history's."""
+        (carried in DC, the previous step's in transient), ``last`` the
+        state rate at the last accepted step, None on a backward-Euler
+        step."""
         i, di_dv, di_dx = rram_current_and_grads(p, vpn, s)
         if ctx.mode == "dc":
             return i, di_dx, di_dv, -di_dv, s - held, abs(s) + abs(held)
         rate, dr_dv, dr_dx = state_rate_and_grads(p, vpn, s)
-        hist, h = ctx.aux_prev, ctx.h
-        if key in hist:
-            w = 0.5 * h
-            resid = s - held - w * (rate + hist[key])
-        else:
-            w = h
+        if last is None:
+            w = ctx.h
             resid = s - held - w * rate
+        else:
+            w = 0.5 * ctx.h
+            resid = s - held - w * (rate + last)
         return (i, di_dx, di_dv, -di_dv,
                 resid, abs(s) + abs(held) + abs(w * rate),
                 1.0 - w * dr_dx, -w * dr_dv, w * dr_dv)
 
     def values(self, asm, v, out):
         ctx, held = asm.ctx, asm.v_prev()
-        for name, params, npos, nneg, state in self.recs:
-            out += self._slots(ctx, name, params, v[npos] - v[nneg], v[state],
+        rates = ctx.aux_prev.get(self)
+        for k, (_, params, npos, nneg, state) in enumerate(self.recs):
+            out += self._slots(ctx, None if rates is None else rates[k],
+                               params, v[npos] - v[nneg], v[state],
                                held[state])
 
     def fill(self, asm, xp, blk):
@@ -408,8 +408,8 @@ class _Rram(_Stamp):
         ctx = asm.ctx
         held = ctx.x_prev[self.rows]
         for k, value in enumerate(self._slots(
-                ctx, self, self.params, xp[self.npos] - xp[self.nneg],
-                xp[self.state], held)):
+                ctx, ctx.aux_prev.get(self), self.params,
+                xp[self.npos] - xp[self.nneg], xp[self.state], held)):
             blk[k] = value
 
     def accept(self, ctx, v, x, aux):
@@ -422,11 +422,13 @@ class _Rram(_Stamp):
                     self.params, xp[self.npos] - xp[self.nneg],
                     xp[self.state])[0]
             return
-        for name, params, npos, nneg, state in self.recs:
+        if aux is not None:
+            aux[self] = rates = []
+        for _, params, npos, nneg, state in self.recs:
             x[state - 1] = s = min(max(v[state], 0.0), 1.0)
             if aux is not None:
-                aux[name] = state_rate_and_grads(params, v[npos] - v[nneg],
-                                                 s)[0]
+                rates.append(state_rate_and_grads(params, v[npos] - v[nneg],
+                                                  s)[0])
 
     def seed(self, x, carried):
         x[self.rows] = self._held(carried)
@@ -507,10 +509,9 @@ _PRIMITIVES = (_VSource, _ISource, _Conductance, _Companion, _Drain, _Rram,
 def _floatgate_parts(e: FloatGateElement, n: dict, layout):
     fg, p = n[e.internal_node], e.params
     parts = [(_Drain, (n[e.nd], fg, n[e.ns], p.mos))]
-    parts += [(_Companion, (n[node], fg, cap, e.name + suffix))
-              for suffix, cap, node in (("#csg", p.c_sg, e.nsg),
-                                        ("#cnfb", p.c_nfb, e.nnfb),
-                                        ("#cpfb", p.c_pfb, e.npfb))]
+    parts += [(_Companion, (n[node], fg, cap))
+              for cap, node in ((p.c_sg, e.nsg), (p.c_nfb, e.nnfb),
+                                (p.c_pfb, e.npfb))]
     parts += [(_Tunnel, (n[term], fg, p)) for term in (e.nnfb, e.npfb)]
     parts.append((_ChargeRow, (e.name, fg, (n[e.nsg], n[e.nnfb], n[e.npfb]),
                                p)))
@@ -523,7 +524,7 @@ _KINDS = {
     Resistor: lambda e, n, lay: [
         (_Conductance, (n[e.n1], n[e.n2], 1.0 / e.value))],
     Capacitor: lambda e, n, lay: [
-        (_Companion, (n[e.n1], n[e.n2], e.value, e.name))],
+        (_Companion, (n[e.n1], n[e.n2], e.value))],
     VSource: lambda e, n, lay: [
         (_VSource, (e, n[e.npos], n[e.nneg],
                     lay.branch[e.name.lower()] + 1))],
@@ -591,7 +592,6 @@ class SystemLayout:
         self.stateful = [st for st in stamps if st.store is not None]
         self._patterns: dict = {}
         self._results: dict = {}
-        self._starts: dict = {}
 
     def pattern(self, mode: str, gmin: bool) -> "_Pattern":
         """Compiled contribution pattern of one mode, with or without gmin,
@@ -642,28 +642,15 @@ class SystemLayout:
         """A copy of x in which each unknown that the DC pattern's forward
         pivots take from a voltage-source row starts at the source's
         other terminal plus or minus its value in ``ctx``, in pivot order,
-        so along chains of sources; ``ctx.targets`` keeps the values for
-        the assembly."""
+        so along chains of sources (``_Pattern.starts``); ``ctx.targets``
+        keeps the values for the assembly."""
         if self.sources is None:
             return x.copy()
-        gmin = ctx.gmin != 0.0
-        chains = self._starts.get(gmin)
-        if chains is None:
-            # per round, (node, other terminal, source, sign) of each
-            # pivot on a branch row (after the node rows, in source order)
-            npos, nneg = (_ints(self.sources.column(k)) for k in (1, 2))
-            chains = self._starts[gmin] = []
-            for rows, nodes in self.pattern("dc", gmin).forward:
-                on = rows >= self.n_nodes
-                src, nodes = rows[on] - self.n_nodes, nodes[on]
-                if len(src):
-                    up = nodes == npos[src]
-                    chains.append((nodes, np.where(up, nneg[src], npos[src]),
-                                   src, np.where(up, 1.0, -1.0)))
         ctx.targets = self.sources.targets(ctx)
         target = np.asarray(ctx.targets)
         xp = np.concatenate(([0.0], x))
-        for node, other, src, sign in chains:
+        for node, other, src, sign in self.pattern("dc",
+                                                   ctx.gmin != 0.0).starts:
             xp[node] = xp[other] + sign * target[src]
         return xp[1:]
 
@@ -813,8 +800,9 @@ def _entries(groups, n1):
 def _pivots(entries, kcl, n1):
     """The pivot entries' places, each eliminated column's pivot (row,
     slot, sign) and each pivot row's column, the plain updates, R's rows
-    and columns and each forward round's (rows, columns) (``_Pattern``)."""
-    e_row, e_slot, _, e_col = entries
+    and columns and each forward round's rows, columns, other columns
+    (the row's unit columns but the pivot's, or 0) and signs."""
+    e_row, e_slot, e_sign, e_col = entries
     # the distinct Jacobian entries, a run of one key each
     key = e_row * n1 + e_col % n1
     start = np.flatnonzero(np.diff(key, prepend=-1))
@@ -823,6 +811,8 @@ def _pivots(entries, kcl, n1):
     start, count = start[jac], count[jac]
     u_row, u_col, ok = e_row[start], e_col[start], count == 1
     unit = ok & (e_slot[start] == 0)          # slot 0: the constant 1
+    # each row's unit columns, summed
+    unit_sum = np.bincount(u_row[unit], u_col[unit], n1).astype(np.intp)
     live_r, live_c = np.ones(n1, bool), np.ones(n1, bool)
     live_r[0] = live_c[0] = False
     forward = _peel(u_row, u_col, unit, live_r, live_c)
@@ -851,7 +841,8 @@ def _pivots(entries, kcl, n1):
         bad = np.bincount(u_row[bad], minlength=n1)[u_row[e]] > 0
         plain[u_col[e][~bad]] = True
     return (pe, pivot, row_target, plain, live_r, live_c,
-            [(u_row[e], u_col[e]) for e in forward])
+            [(u_row[e], u_col[e], unit_sum[u_row[e]] - u_col[e],
+              e_sign[start[e]]) for e in forward])
 
 
 def _monomials(rows, reads, entries, pivot, n_raw):
@@ -935,8 +926,16 @@ class _Pattern:
         self.groups = groups      # _coo(groups) gives J's entries again
         self.n, self.n1 = size, n1
 
-        pe, pivot, row_target, plain, live_r, live_c, self.forward = (
+        pe, pivot, row_target, plain, live_r, live_c, forward = (
             _pivots(entries, kcl, n1))
+        # the DC start (``SystemLayout.dc_start``): per forward round, each
+        # pivot on a branch row as (column, other column, source, sign)
+        self.starts = []
+        for rows, cols, other, sign in forward:
+            on = rows >= n_nodes
+            if on.any():
+                self.starts.append((cols[on], other[on], rows[on] - n_nodes,
+                                    sign[on]))
         t_row, t_col = entries[0][pe], entries[3][pe]
         self.solved = np.flatnonzero(live_c)
         self.m = m = len(self.solved)
@@ -1375,8 +1374,8 @@ def solve_dc(layout: SystemLayout, tol: Tolerances,
 def post_step_aux(layout: SystemLayout, ctx: EvalContext,
                   x: np.ndarray, history: bool = True) -> dict:
     """Accept the step just solved at x: clamp each RRAM state into
-    [0, 1] in place and return the companion-model history (capacitor
-    currents, RRAM state rates) the next trapezoidal step needs.
+    [0, 1] in place and return the history the next trapezoidal step
+    needs, by stamp (capacitor currents, RRAM state rates).
     Without ``history`` (a backward-Euler run, which never reads it)
     only the clamp runs and the history is empty."""
     aux = {} if history else None

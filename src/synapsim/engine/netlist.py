@@ -41,7 +41,10 @@ card's keys are the init fields of the kind's parameter class
 coerced exactly as ``--set`` overrides are: numbers by the grammar above,
 booleans as true/yes/on/1 or false/no/off/0.  An fg card's ``mos=<name>``
 names the cmg model of its readout transistor; the card may come before
-or after it.
+or after it.  The writer names the cmg model whose params object is the
+fg card's ``mos`` and leaves ``mos=`` out when the readout transistor is
+the default ``MosParams()``; any other readout transistor that is no cmg
+model of the circuit raises ValueError.
 
 Parsing either yields a fully resolved circuit or raises with every
 error and its line number; nodes referenced exactly once produce
@@ -53,6 +56,7 @@ from __future__ import annotations
 import re
 from dataclasses import MISSING, dataclass, field, fields, replace
 
+from ..mosfet import MosParams
 from ..paramfile import ParamError, coerce_field
 from .analysis import AnalysisSpec
 from .circuit import MODEL_CARDS, Circuit, CircuitError, PulseSpec
@@ -298,8 +302,7 @@ class _Parser:
                                       f"unknown cmg model '{mos_name}'")
                     continue
                 params = replace(params, mos=entry[1])
-            if self._add_model(lineno, name, "fg", params) and mos_name:
-                self.circuit.fg_mos_ref[name] = mos_name
+            self._add_model(lineno, name, "fg", params)
         if not self.errors:
             try:
                 self.circuit.resolve()
@@ -324,6 +327,19 @@ def parse_netlist(text: str) -> ParseResult:
     return parser.finish()
 
 
+def _readout_model(circuit: Circuit, name: str, mos) -> str | None:
+    """The cmg model whose params object is fg model ``name``'s readout
+    transistor ``mos``; None when there is none and ``mos`` is the
+    default one, which a card without ``mos=`` reads back."""
+    for model, (kind, params) in circuit.models.items():
+        if kind == "cmg" and params is mos:
+            return model
+    if mos == MosParams():
+        return None
+    raise ValueError(f"fg model '{name}': its readout transistor is no cmg "
+                     "model of the circuit, so no card can name it")
+
+
 def serialize_netlist(circuit: Circuit,
                       analyses: list[AnalysisSpec] | None = None) -> str:
     lines = []
@@ -332,7 +348,7 @@ def serialize_netlist(circuit: Circuit,
         for f in _card_fields(type(params)):
             value = getattr(params, f.name)
             if f.name == "mos":      # an fg card names its cmg model, if any
-                value = circuit.fg_mos_ref.get(name)
+                value = _readout_model(circuit, name, value)
                 if value is None:
                     continue
             words.append(_word(f.name, value))

@@ -14,6 +14,7 @@ circuitry, not in the array).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import Optional
 
 import numpy as np
@@ -21,6 +22,12 @@ import numpy as np
 __all__ = ["MacromodelConfig", "TrainReport", "quantize_levels",
            "synapse_audit", "init_layers", "loss_and_grads",
            "train_macromodel"]
+
+
+def _whole(value, least: int) -> bool:
+    """Whether value is an integer (not a bool) of at least ``least``."""
+    return (isinstance(value, Integral) and not isinstance(value, bool)
+            and value >= least)
 
 
 @dataclass(frozen=True)
@@ -36,10 +43,11 @@ class MacromodelConfig:
     def __post_init__(self):
         if len(self.layer_sizes) < 2:
             raise ValueError("need at least input and output layers")
-        if any(int(n) < 1 for n in self.layer_sizes):
-            raise ValueError("layer sizes must be positive")
-        if self.levels is not None and self.levels < 2:
-            raise ValueError("need >= 2 conductance levels per device")
+        if not all(_whole(n, 1) for n in self.layer_sizes):
+            raise ValueError("layer_sizes must be whole numbers >= 1")
+        if self.levels is not None and not _whole(self.levels, 2):
+            raise ValueError("levels must be a whole number >= 2 "
+                             "(conductance levels per device)")
         if self.batch_size < 1 or self.epochs < 1 or self.lr <= 0.0:
             raise ValueError("invalid batch size, epochs, or lr")
         if self.w_max_mult <= 0.0:

@@ -224,6 +224,50 @@ def test_program_rounds_equal_the_per_device_loop(scheme, shape, params):
         assert c.state[dev.name] == x
 
 
+def test_1t1r_verify_resets_and_raises_the_lower_bracket(params):
+    # from x = 0.9 both devices start above their targets: the loop
+    # RESETs, and a SET that stays below the target moves the gate
+    # bracket's lower end up
+    spec = CrossbarSpec(1, 1, scheme="1t1r")
+    cfg = TrainConfig()
+    targets = (2e-4, 5e-5)
+    c = build_crossbar(spec, params, x_init=0.9)
+    report = program_weights(c, spec, *targets, cfg)
+    assert [(d.pulses, d.converged) for d in report.devices] == [
+        (3, True), (2, True)]
+    ceilings = crossbar._gate_calibration(params)
+    for dev, target in zip(report.devices, targets):
+        loop = crossbar._write_verify_1t1r(params, 0.9, target, cfg,
+                                           ceilings)
+        alone, x = crossbar._in_rounds([loop])[0]
+        alone.name = dev.name
+        assert dev == alone
+        assert c.state[dev.name] == x
+
+
+@pytest.mark.parametrize("x0, x1, amplitude, lowered", [
+    (0.2, 0.7, 0.6, False),         # SET
+    (0.7, 0.2, -0.6, False),        # RESET
+    (0.5, 0.5 + 1e-6, 1.0, True)])  # too short a move at this amplitude
+def test_pulse_lands_on_target_at_window_exponent_one(x0, x1, amplitude,
+                                                      lowered):
+    # at p = 1 the rate law dX/dt = k sinh(V/v_c) * base is linear in
+    # the window's base (1 - X for SET, X for RESET), which decays as
+    # exp(-k sinh(|V|/v_c) t)
+    p = RramParams(p=1.0)
+    lo, hi = 1e-9, 1e-3
+    amp, width = crossbar._pulse(p, x0, x1, amplitude, lo, hi)
+    assert (width == lo) == lowered
+    assert (amp != amplitude) == lowered
+    if amp > 0.0:
+        k = p.k_set * np.sinh(amp / p.vc_set)
+        x = 1.0 - (1.0 - x0) * np.exp(-k * width)
+    else:
+        k = p.k_reset * np.sinh(-amp / p.vc_reset)
+        x = x0 * np.exp(-k * width)
+    assert abs(x - x1) <= 1e-12 * x1
+
+
 def test_rounds_run_one_cell_through_transient_and_more_in_one_batch(
         params, monkeypatch):
     # the benchmark's engine.tran boundary wraps synapsim.engine.transient:

@@ -109,9 +109,13 @@ def test_effects_disabled_is_pure_core():
     assert drain_current(p, v_gs, v_ds) == expected
 
 
-@pytest.mark.parametrize("effects", [False, True])
-def test_analytic_gradients_match_fd(effects, rng):
-    p = MosParams(mob_degradation=effects, vel_saturation=effects)
+# both effect wrappers off or on, or one of them alone, whose partner's
+# off branch must give its derivatives too
+@pytest.mark.parametrize("mobility, saturation", [
+    (False, False), (True, True), (True, False), (False, True)],
+    ids=["False", "True", "mobility", "saturation"])
+def test_analytic_gradients_match_fd(mobility, saturation, rng):
+    p = MosParams(mob_degradation=mobility, vel_saturation=saturation)
     h = 1e-5
     for _ in range(12):
         v_gs = rng.uniform(0.2, 1.4)

@@ -11,7 +11,7 @@ import synapsim.engine.analysis as analysis
 from synapsim.engine import (AnalysisSpec, ConvergenceError, SystemLayout,
                              dc_sweep, operating_point, parse_netlist,
                              run_analysis)
-from synapsim.engine.mna import IABSTOL, EvalContext
+from synapsim.engine.mna import IABSTOL, VABSTOL, EvalContext
 from synapsim.mosfet import MosParams, drain_current
 from synapsim.neuro import CrossbarSpec, build_crossbar
 from synapsim.rram import RramParams, rram_current
@@ -179,6 +179,29 @@ def test_source_stepping_rescues_tight_iteration_budget():
     i = -res.column("i(v1)")[0]
     assert i == pytest.approx(rram_current(p, v_b, 1.0), rel=1e-9)
     assert res.column("v(b)")[0] == pytest.approx(v_b, rel=1e-9)
+
+
+_OFF_STACK = """
+.model nfet cmg
+Vd d 0 DC 1
+Vg g 0 DC 0
+M1 d g m model=nfet
+M2 m g 0 model=nfet
+.end
+"""
+
+
+def test_gmin_stepping_rescues_a_stack_of_off_transistors():
+    # both gates at 0 V: only subthreshold leakage sets the middle node,
+    # which plain Newton does not reach in 5 iterations; every rung of
+    # the gmin ladder and the final solve do
+    res, _ = _solve_op(_OFF_STACK, max_iter=5)
+    assert res.stats["path"] == "gmin"
+    ref, _ = _solve_op(_OFF_STACK)
+    assert ref.stats["path"] == "newton"
+    # the point is the plain solve's, within the Newton tolerances
+    tol = np.array([VABSTOL] * 3 + [IABSTOL] * 2) + 1e-6 * np.abs(ref.data)
+    assert np.all(np.abs(res.data - ref.data) <= tol)
 
 
 def test_bare_device_converges_by_plain_newton():

@@ -53,7 +53,12 @@ def _solved_point(layout, mode):
     if mode == "be":
         return ctx, x1
     aux = post_step_aux(layout, ctx, x1)
-    assert {"c1", "xr1", "xf1#csg", "xf1#cnfb", "xf1#cpfb"} <= set(aux)
+    # one value per element of each stamp that carries history, in record
+    # order: C1's and XF1's three couplings' currents, XR1's state rate
+    carriers = [st for st in layout.stamps["tran"] if st.accept is not None]
+    assert set(aux) == set(carriers)
+    assert [len(aux[st]) for st in carriers] == [st.n for st in carriers]
+    assert sorted(st.n for st in carriers) == [1, 4]
     ctx = EvalContext(mode="tran", time=2 * H, h=H, x_prev=x1,
                       aux_prev=aux)
     x2, ok, _ = newton_solve(layout, ctx, x1, tol)

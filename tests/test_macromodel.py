@@ -147,6 +147,25 @@ def test_config_validation():
         MacromodelConfig(epochs=0)
 
 
+@pytest.mark.parametrize("kw, field", [
+    ({"layer_sizes": (16, 8.5, 10)}, "layer_sizes"),
+    ({"layer_sizes": (16, 0, 10)}, "layer_sizes"),
+    ({"layer_sizes": (16, True, 10)}, "layer_sizes"),
+    ({"levels": 2.5}, "levels"),
+    ({"levels": 64.0}, "levels"),
+    ({"levels": 1}, "levels")])
+def test_config_takes_whole_numbers_only(kw, field):
+    with pytest.raises(ValueError, match=field):
+        MacromodelConfig(**kw)
+
+
+def test_default_and_numpy_integer_configs_pass():
+    MacromodelConfig()
+    cfg = MacromodelConfig(layer_sizes=tuple(np.array([16, 8, 10])),
+                           levels=np.int64(2))
+    assert cfg.levels == 2
+
+
 def test_input_dimension_mismatch_rejected():
     train, test = _blob_task()
     bad = dataclasses.replace(_CFG, layer_sizes=(40, 8, 3))

@@ -358,6 +358,45 @@ Vg g 0 DC 0.9
     assert serialize_netlist(second.circuit, second.analyses) == ser
 
 
+def _fg_cell(mos: MosParams, cmg: MosParams | None) -> Circuit:
+    """A floating-gate cell on an fg card with readout transistor
+    ``mos``, and a cmg card ``nfet`` of ``cmg`` when given."""
+    c = Circuit()
+    if cmg is not None:
+        c.add_model("nfet", "cmg", cmg)
+    c.add_model("syn", "fg", FloatingGateParams(mos=mos))
+    c.add(FloatGateElement("xf1", "d", "0", "sg", "0", "0", model="syn"))
+    c.add(VSource("vd", "d", "0", dc=0.3))
+    c.add(VSource("vsg", "sg", "0", dc=1.0))
+    c.resolve()
+    return c
+
+
+def test_an_api_fg_card_names_its_readout_model():
+    mos = MosParams(l=50e-9)
+    c = _fg_cell(mos, mos)
+    text = serialize_netlist(c)
+    assert ".model syn fg" in text and "mos=nfet" in text
+    r = parse_netlist(text)
+    assert r.circuit.models == c.models
+    assert r.circuit.element("xf1").params.mos.l == 50e-9
+    assert serialize_netlist(r.circuit) == text
+
+
+def test_a_default_readout_transistor_needs_no_card():
+    # an equal but distinct cmg card is not the readout transistor
+    c = _fg_cell(MosParams(), MosParams())
+    text = serialize_netlist(c)
+    assert "mos=" not in text
+    assert parse_netlist(text).circuit.models == c.models
+
+
+def test_a_readout_transistor_no_card_names_is_an_error():
+    c = _fg_cell(MosParams(l=50e-9), MosParams(l=50e-9))
+    with pytest.raises(ValueError, match="fg model 'syn'"):
+        serialize_netlist(c)
+
+
 def test_api_rejects_the_values_a_card_rejects():
     with pytest.raises(ValueError, match="zero resistance"):
         Resistor("r1", "a", "0", 0.0)
@@ -382,7 +421,6 @@ def _circuits(draw):
     c.add_model("mem", "rram", RramParams(x_init=draw(st.floats(0.0, 1.0))))
     c.add_model("syn", "fg", FloatingGateParams(
         c_sg=draw(st.floats(1e-17, 1e-15)), mos=nfet))
-    c.fg_mos_ref["syn"] = "nfet"
     c.add(Resistor("rgnd", "a", "0", 1.0))
     kinds = draw(st.permutations(
         list(range(7)) + draw(st.lists(st.integers(0, 6), max_size=4))))
@@ -421,6 +459,5 @@ def test_random_circuits_round_trip(c, analyses):
     r = parse_netlist(text)
     assert r.circuit.elements == c.elements
     assert r.circuit.models == c.models
-    assert r.circuit.fg_mos_ref == c.fg_mos_ref
     assert r.analyses == analyses
     assert serialize_netlist(r.circuit, r.analyses) == text
