@@ -40,6 +40,9 @@ _MIN_STEP_DIV = 1024.0
 # for a run in s, and rejected before the first step
 MAX_STEPS = 1_000_000
 
+# the transient integrators: backward Euler and the trapezoidal rule
+INTEGRATORS = ("be", "trap")
+
 
 class TransientError(Exception):
     """A transient that cannot step on; ``circuit`` is the failing
@@ -64,7 +67,16 @@ class AnalysisSpec(Tolerances):
     tstep: float = 0.0
     tstop: float = 0.0
     uic: bool = False
-    integrator: str = "be"       # "be" | "trap"
+    integrator: str = "be"       # one of INTEGRATORS
+
+    def check(self) -> None:
+        """``Tolerances.check``, and raise ValueError naming the field on
+        an integrator that is not one of INTEGRATORS."""
+        super().check()
+        if self.integrator not in INTEGRATORS:
+            raise ValueError(
+                "integrator must be " + " or ".join(map(repr, INTEGRATORS))
+                + f", not {self.integrator!r}")
 
 
 @dataclass

@@ -13,7 +13,7 @@ Grammar (keywords case-insensitive, node and model names lowercased):
     .model <name> <cmg|rram|fg> key=val ...
     .op
     .dc <src> <start> <stop> <step>
-    .tran <tstep> <tstop> [uic]
+    .tran <tstep> <tstop> [uic] [method=be|trap]
     .end
 
 The element cards above are not written out in this module: each one
@@ -33,7 +33,10 @@ A field without a dataclass default must be on the card, and a field may
 appear once.  The writer leaves out a field that equals its default.  The
 element class checks the values, so a card and an API call reject the
 same elements.  The analysis cards list positional ``AnalysisSpec``
-fields (``_ANALYSES``); a bool field is an optional flag word.
+fields (``_ANALYSES``); a bool field is an optional flag word, and an
+optional ``key=value`` word sets a field under a card key of its own:
+``.tran``'s ``method`` is ``AnalysisSpec.integrator``, checked by
+``AnalysisSpec.check`` and written only when it is not the default.
 
 Numbers accept engineering suffixes f p n u m k meg g.  A ``.model``
 card's keys are the init fields of the kind's parameter class
@@ -65,10 +68,13 @@ from .mna import _KINDS
 # element classes, longest card prefix first
 _ELEMENTS = sorted(_KINDS, key=lambda cls: len(cls.prefix), reverse=True)
 
-# analysis kind -> (positional AnalysisSpec fields, optional flag words)
-_ANALYSES = {"op": ((), ()),
-             "dc": (("src", "start", "stop", "step"), ()),
-             "tran": (("tstep", "tstop"), ("uic",))}
+# analysis kind -> (positional AnalysisSpec fields, optional flag words,
+# optional key=value words as card key -> AnalysisSpec field)
+_ANALYSES = {"op": ((), (), {}),
+             "dc": (("src", "start", "stop", "step"), (), {}),
+             "tran": (("tstep", "tstop"), ("uic",), {"method": "integrator"})}
+# the values a card leaves out
+_ANALYSIS_DEFAULT = AnalysisSpec(kind="op")
 
 # card fields with a syntax of their own; every other one is key=value
 _OWN_SYNTAX = ("value", "dc", "pulse")
@@ -245,20 +251,36 @@ class _Parser:
         if kind not in _ANALYSES:
             self.fail(lineno, f"unknown directive '{head}'")
             return
-        names, flags = _ANALYSES[kind]
-        words = rest[len(names):]
-        if (len(rest) < len(names) or len(words) > len(flags)
-                or not set(words) <= set(flags)):
-            usage = " ".join([*names, *(f"[{f}]" for f in flags)])
+        names, flags, keys = _ANALYSES[kind]
+        texts = dict(zip(names, rest))
+        kw = {}
+        ok = len(rest) >= len(names)
+        for word in rest[len(names):]:
+            key, eq, text = word.partition("=")
+            name = keys.get(key) if eq else key if key in flags else None
+            if name is None or name in kw or name in texts:
+                ok = False
+            elif eq:
+                texts[name] = text
+            else:
+                kw[name] = True
+        if not ok:
+            usage = " ".join([*names, *(f"[{f}]" for f in flags),
+                              *(f"[{k}=<{f}>]" for k, f in keys.items())])
             self.fail(lineno, f"{head} expects: {usage or 'no arguments'}")
             return
-        kw = dict.fromkeys(words, True)
-        for name, text in zip(names, rest):
+        for name, text in texts.items():
             try:
                 kw[name] = coerce_field(AnalysisSpec, name, text)
             except ParamError as exc:
                 self.fail(lineno, str(exc))
-        self.analyses.append(AnalysisSpec(kind=kind, **kw))
+        spec = AnalysisSpec(kind=kind, **kw)
+        try:
+            spec.check()
+        except ValueError as exc:
+            self.fail(lineno, f"{head}: {exc}")
+            return
+        self.analyses.append(spec)
 
     def _model_card(self, lineno: int, rest):
         if len(rest) < 2:
@@ -358,8 +380,10 @@ def serialize_netlist(circuit: Circuit,
             _word(f.name, getattr(e, f.name)) for f in _card_fields(type(e))
             if getattr(e, f.name) != f.default]))
     for spec in analyses or []:
-        names, flags = _ANALYSES[spec.kind]
-        lines.append(" ".join([f".{spec.kind}",
-                               *(_text(getattr(spec, n)) for n in names),
-                               *(f for f in flags if getattr(spec, f))]))
+        names, flags, keys = _ANALYSES[spec.kind]
+        lines.append(" ".join([
+            f".{spec.kind}", *(_text(getattr(spec, n)) for n in names),
+            *(f for f in flags if getattr(spec, f)),
+            *(_word(k, getattr(spec, f)) for k, f in keys.items()
+              if getattr(spec, f) != getattr(_ANALYSIS_DEFAULT, f))]))
     return "\n".join(lines + [".end"]) + "\n"

@@ -25,8 +25,8 @@ import numpy as np
 from ..engine import (AnalysisSpec, Circuit, RramElement, VSource,
                       operating_point)
 from ..mosfet import MosParams
-from ..rram import (_SINH_ARG_MAX, V_GATE_ON, V_SET_1T1R, RramParams,
-                    _op_1t1r, _pulse_1t1r_cell, _run_transients,
+from ..rram import (_SINH_ARG_MAX, RESET_STEPS, V_GATE_ON, V_SET_1T1R,
+                    RramParams, _op_1t1r, _pulse_1t1r_cell, _run_transients,
                     _set_1t1r_batch, conductance, state_for_conductance)
 
 __all__ = [
@@ -69,6 +69,10 @@ class TrainConfig:
     at which verify stops; pulse widths come from inverting the state
     rate law for the remaining distance, clipped to the width window,
     and a move shorter than ``min_width`` lowers the amplitude instead.
+    ``pulse_steps`` is the trapezoidal step count of one direct pulse:
+    at 10, the pulses of a default AND training land within 5e-7 S of
+    the rate law's exact integral, closer than 50 backward-Euler steps
+    (1.1e-6 S), and about a tenth of ``write_tol``.
     """
 
     lr: float = 0.5
@@ -81,7 +85,7 @@ class TrainConfig:
     reset_amplitude: float = -1.0
     min_width: float = 1e-9
     max_width: float = 1e-2
-    pulse_steps: int = 50
+    pulse_steps: int = 10
 
     def __post_init__(self):
         if self.lr <= 0.0:
@@ -234,13 +238,15 @@ def _pulse(p: RramParams, x0: float, x1: float, amplitude: float,
 def _pulse_cell(p: RramParams, x0: float, amplitude: float, width: float,
                 steps: int):
     """(circuit, spec) of one constant-voltage pulse on an isolated
-    device."""
+    device, integrated by the trapezoidal rule in ``steps`` steps.  An
+    ideal source drives the device, so the state it lands on has the
+    closed form that ``_pulse`` inverts."""
     c = Circuit()
     c.add_model("mem", "rram", p)
     c.add(VSource("vp", "a", "0", dc=amplitude))
     c.add(RramElement("xr", "a", "0", model="mem", x0=x0))
     return c, AnalysisSpec(kind="tran", tstep=width / steps, tstop=width,
-                           uic=True)
+                           uic=True, integrator="trap")
 
 
 def _verify(params: RramParams, x0: float, g_target: float,
@@ -310,9 +316,12 @@ def write_verify_device(params: RramParams, x0: float, g_target: float,
     Each iteration reads G, picks SET or RESET by the sign of the error,
     pulses for the closed-form width of the remaining distance (at
     ``min_width`` and a lower amplitude when the distance needs a shorter
-    pulse), and re-reads; integrator landing error shrinks geometrically
-    so a few iterations reach the tolerance.  It is ``program_weights``'
-    verify rounds with one device.
+    pulse), and re-reads.  A pulse misses its target only by the
+    integrator's error, well under ``write_tol`` except near ``g_on``,
+    where the coarse steps can overshoot to the X = 1 bound; a second
+    pulse from there lands, so a device takes at most 2 pulses on a
+    405-move grid (``tests/test_write_verify_oracle.py``).  It is
+    ``program_weights``' verify rounds with one device.
     """
     return _in_rounds([_verify_direct(params, x0, g_target, cfg)])[0]
 
@@ -372,7 +381,7 @@ def _write_verify_1t1r(params: RramParams, x0: float, g_target: float,
                        cfg.min_width, cfg.max_width)[1]
         c, spec = _pulse_1t1r_cell(params, mos, cfg.reset_amplitude,
                                    V_GATE_ON, width=width, x0=x,
-                                   steps=4 * cfg.pulse_steps)
+                                   steps=RESET_STEPS)
         yield c, spec
         return float(c.state["xr1"])
 

@@ -152,11 +152,12 @@ IV_PERIOD = 1e-3
 IV_TSTEP = 1e-6
 
 # the 1T1R experiments: the SET bias on the cell (V), a SET pulse's width
-# and time step (s), the read bias (V), and the gate drive (V) of a read
-# or a RESET
+# and time step (s), a write-verify RESET pulse's backward-Euler step
+# count, the read bias (V), and the gate drive (V) of a read or a RESET
 V_SET_1T1R = 1.0
 SET_WIDTH = 10e-6
 SET_TSTEP = 20e-9
+RESET_STEPS = 200
 V_READ_1T1R = 0.1
 V_GATE_ON = 1.5
 

@@ -62,7 +62,7 @@ def test_history_epochs_match_report(device_result):
 
 @pytest.mark.parametrize("which,epochs,history,weights", [
     ("device", 7, [3, 3, 3, 3, 3, 4, 4],
-     (0.22253632717292662, 0.19877225723686806, -0.3883830114806823)),
+     (0.2226469045529436, 0.1988922811780313, -0.38845576841800483)),
     ("software", 8, [3, 3, 3, 3, 3, 3, 4, 4],
      (0.2544781629911104, 0.22930106166240166, -0.42620469696210567)),
 ], ids=["device", "software"])

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from synapsim.cli import build_parser, main
-from synapsim.engine import parse_netlist, run_analysis, serialize_netlist
+from synapsim.engine import (AnalysisSpec, parse_netlist, run_analysis,
+                             serialize_netlist, transient)
 from synapsim.mosfet import MosParams, drain_current
 from test_mnist_loader import _image_bytes, _label_bytes
 
@@ -196,6 +197,35 @@ def test_run_header_reparses_to_the_same_circuit(tmp_path):
     # the rebuilt run gives the recorded rows
     res = run_analysis(parsed.circuit, parsed.analyses[0])
     np.testing.assert_allclose(res.data, rows, rtol=1e-14, atol=0)
+
+
+def test_run_integrates_by_the_cards_method(tmp_path, monkeypatch):
+    # a method=trap card runs the API's trapezoidal transient bit for bit,
+    # and the header records the method
+    cell = (".model mem rram\nv1 in 0 PULSE(0 1 1n 1n 1n 20n 50n)\n"
+            "r1 in a 1k\nc1 a 0 1p\nxr1 a 0 model=mem x0=0.25\n")
+    net = tmp_path / "trap.sp"
+    net.write_text(cell + ".tran 1n 30n uic method=trap\n.end\n")
+    results = []
+
+    def recording(circuit, spec):
+        results.append(run_analysis(circuit, spec))
+        return results[-1]
+
+    monkeypatch.setattr("synapsim.cli.run_analysis", recording)
+    out = tmp_path / "trap.csv"
+    assert main(["run", str(net), "--out", str(out)]) == 0
+    meta, _, rows = _read_csv(out)
+    assert "card: .tran 1e-09 3e-08 uic method=trap" in meta
+    spec = dict(kind="tran", tstep=1e-9, tstop=30e-9, uic=True)
+    trap, be = (transient(parse_netlist(cell).circuit,
+                          AnalysisSpec(**spec, integrator=integrator))
+                for integrator in ("trap", "be"))
+    assert results[0].data.tobytes() == trap.data.tobytes()
+    assert results[0].columns == trap.columns
+    np.testing.assert_array_equal(rows, np.array(
+        [[float("%.15g" % v) for v in row] for row in trap.data]))
+    assert not np.array_equal(trap.data, be.data)
 
 
 def test_crossbar_and_device_and_software_learn_and(tmp_path):

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from synapsim.engine import (AnalysisSpec, TransientError, parse_netlist,
-                             run_analysis, transient)
+                             run_analysis, transient, transient_batch)
+from synapsim.neuro.crossbar import _pulse_cell
+from synapsim.rram import RramParams
 
 RC_NETLIST = """
 V1 in 0 DC 1.0
@@ -159,6 +161,20 @@ def test_transient_rejects_an_unbounded_step_count(tstep, tstop, match):
     c = parse_netlist("V1 a 0 DC 1\nR1 a b 1k\nC1 b 0 1n\n.end\n").circuit
     with pytest.raises(ValueError, match=match):
         transient(c, AnalysisSpec(kind="tran", tstep=tstep, tstop=tstop))
+
+
+@pytest.mark.parametrize("integrator", ["Trap", "trapezoidal", "gear", ""])
+def test_unknown_integrator_is_rejected_before_any_step(integrator):
+    # any name but "trap" used to integrate by backward Euler unannounced
+    cells = [_pulse_cell(RramParams(), 0.25, 1.0, 1e-6, 10) for _ in "ab"]
+    cells[1][1].integrator = integrator
+    message = f"integrator must be 'be' or 'trap', not {integrator!r}"
+    with pytest.raises(ValueError, match=message):
+        transient(*cells[1])
+    with pytest.raises(ValueError, match=message):
+        transient_batch(*zip(*cells))
+    # no run wrote its state back
+    assert [c.state for c, _ in cells] == [{}, {}]
 
 
 def test_deterministic_csv_output():

@@ -9,6 +9,7 @@ from synapsim.engine import (AnalysisSpec, Capacitor, Circuit, CircuitError,
                              PulseSpec, Resistor, RramElement, SystemLayout,
                              VSource, dc_sweep, operating_point,
                              parse_netlist, parse_number, serialize_netlist)
+from synapsim.engine.analysis import INTEGRATORS
 from synapsim.engine.mna import solve_dc
 from synapsim.floatgate import FloatingGateParams
 from synapsim.mosfet import MosParams
@@ -358,6 +359,36 @@ Vg g 0 DC 0.9
     assert serialize_netlist(second.circuit, second.analyses) == ser
 
 
+@pytest.mark.parametrize("words, integrator, written", [
+    ("", "be", ".tran 1e-06 0.001"),
+    ("method=be", "be", ".tran 1e-06 0.001"),
+    ("method=trap", "trap", ".tran 1e-06 0.001 method=trap"),
+    ("METHOD=Trap uic", "trap", ".tran 1e-06 0.001 uic method=trap")])
+def test_tran_method_round_trips(words, integrator, written):
+    # the writer leaves the default integrator out, as it leaves out
+    # every default
+    first = parse_netlist(f"v1 a 0 dc 1\nr1 a 0 1k\n.tran 1u 1m {words}\n")
+    assert first.analyses[0].integrator == integrator
+    text = serialize_netlist(first.circuit, first.analyses)
+    assert text.splitlines()[-2] == written
+    assert parse_netlist(text).analyses == first.analyses
+
+
+_TRAN_USAGE = ".tran expects: tstep tstop [uic] [method=<integrator>]"
+
+
+@pytest.mark.parametrize("card, message", [
+    (".tran 1u 1m method=gear",
+     ".tran: integrator must be 'be' or 'trap', not 'gear'"),
+    (".tran 1u 1m method=trap method=be", _TRAN_USAGE),
+    (".tran 1u 1m integrator=trap", _TRAN_USAGE),
+    (".op method=trap", ".op expects: no arguments")])
+def test_bad_tran_method_is_a_line_tagged_error(card, message):
+    with pytest.raises(NetlistError) as exc:
+        parse_netlist(f"v1 a 0 dc 1\nr1 a 0 1k\n{card}\n.end\n")
+    assert exc.value.errors == [f"line 3: {message}"]
+
+
 def _fg_cell(mos: MosParams, cmg: MosParams | None) -> Circuit:
     """A floating-gate cell on an fg card with readout transistor
     ``mos``, and a cmg card ``nfet`` of ``cmg`` when given."""
@@ -449,7 +480,7 @@ _ANALYSIS = st.one_of(
     st.builds(AnalysisSpec, kind=st.just("dc"), src=st.just("v1"),
               start=_NUM, stop=_NUM, step=_NUM),
     st.builds(AnalysisSpec, kind=st.just("tran"), tstep=_NUM, tstop=_NUM,
-              uic=st.booleans()))
+              uic=st.booleans(), integrator=st.sampled_from(INTEGRATORS)))
 
 
 @settings(max_examples=60, deadline=None)
