@@ -25,8 +25,8 @@ import numpy as np
 from ..engine import (AnalysisSpec, Circuit, RramElement, VSource,
                       operating_point)
 from ..mosfet import MosParams
-from ..rram import (_SINH_ARG_MAX, RESET_STEPS, V_GATE_ON, V_SET_1T1R,
-                    RramParams, _op_1t1r, _pulse_1t1r_cell, _run_transients,
+from ..rram import (_SINH_ARG_MAX, V_GATE_ON, V_SET_1T1R, RramParams,
+                    _op_1t1r, _pulse_1t1r_cell, _run_transients,
                     _set_1t1r_batch, conductance, state_for_conductance)
 
 __all__ = [
@@ -380,8 +380,7 @@ def _write_verify_1t1r(params: RramParams, x0: float, g_target: float,
         width = _pulse(params, x, x_target, v_dev,
                        cfg.min_width, cfg.max_width)[1]
         c, spec = _pulse_1t1r_cell(params, mos, cfg.reset_amplitude,
-                                   V_GATE_ON, width=width, x0=x,
-                                   steps=RESET_STEPS)
+                                   V_GATE_ON, width=width, x0=x)
         yield c, spec
         return float(c.state["xr1"])
 

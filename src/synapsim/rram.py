@@ -152,11 +152,16 @@ IV_PERIOD = 1e-3
 IV_TSTEP = 1e-6
 
 # the 1T1R experiments: the SET bias on the cell (V), a SET pulse's width
-# and time step (s), a write-verify RESET pulse's backward-Euler step
-# count, the read bias (V), and the gate drive (V) of a read or a RESET
+# and longest trapezoidal step (s), a write-verify RESET pulse's
+# backward-Euler step count, the read bias (V), and the gate drive (V) of
+# a read or a RESET.  At SET_TSTEP a SET_WIDTH pulse takes 250 steps, the
+# fewest that keep the default 16-point tuning curve within its error
+# budget (each point's X error under a tenth of the gap to its nearer
+# neighbour) with a 2x margin: 250 steps reach 0.042 of the gap, 200
+# reach 0.073 and 150 miss it (tests/test_set_budget.py).
 V_SET_1T1R = 1.0
 SET_WIDTH = 10e-6
-SET_TSTEP = 20e-9
+SET_TSTEP = 40e-9
 RESET_STEPS = 200
 V_READ_1T1R = 0.1
 V_GATE_ON = 1.5
@@ -202,18 +207,32 @@ def _build_1t1r(p: RramParams, mos_params, v_top: float, v_gate: float):
     return c
 
 
+def _set_steps(width: float) -> int:
+    """Trapezoidal step count of a SET pulse of the given width: steps of
+    ``SET_TSTEP``, and never fewer than a ``SET_WIDTH`` pulse takes.  A
+    shorter pulse keeps the 250 steps because at 40 ns it loses the
+    budget's margin (8 us reads 0.053 of the gap) and then the budget
+    (4 us reads 0.106)."""
+    return round(max(width, SET_WIDTH) / SET_TSTEP)
+
+
 def _pulse_1t1r_cell(p: RramParams, mos_params, v_top: float,
                      v_gate: float, width: float = SET_WIDTH,
-                     x0: float = 0.0,
-                     steps: int = round(SET_WIDTH / SET_TSTEP)):
+                     x0: float = 0.0):
     """(circuit, spec) of one programming pulse on a 1T1R cell starting
-    from state x0: a positive v_top SETs toward the transistor's
-    compliance ceiling, a negative one (gate driven hard) RESETs."""
+    from state x0.  A positive v_top SETs toward the transistor's
+    compliance ceiling, integrated by the trapezoidal rule in
+    ``_set_steps(width)`` steps; a negative one (gate driven hard)
+    RESETs, in ``RESET_STEPS`` backward-Euler steps."""
     from .engine import AnalysisSpec
 
     c = _build_1t1r(p, mos_params, v_top, v_gate)
     c.state["xr1"] = float(x0)
-    return c, AnalysisSpec(kind="tran", tstep=width / steps, tstop=width)
+    if v_top > 0.0:
+        return c, AnalysisSpec(kind="tran", tstep=width / _set_steps(width),
+                               tstop=width, integrator="trap")
+    return c, AnalysisSpec(kind="tran", tstep=width / RESET_STEPS,
+                           tstop=width)
 
 
 def _run_transients(cells) -> None:
@@ -230,13 +249,12 @@ def _run_transients(cells) -> None:
 
 
 def _set_1t1r_batch(p: RramParams, mos_params, v_pgm_values,
-                    v_set: float = V_SET_1T1R, width: float = SET_WIDTH,
-                    tstep: float = SET_TSTEP) -> np.ndarray:
+                    v_set: float = V_SET_1T1R,
+                    width: float = SET_WIDTH) -> np.ndarray:
     """``set_1t1r`` at each gate voltage, all SETs in one lockstep
     transient; returns the final states."""
-    steps = max(int(round(width / tstep)), 1)
-    cells = [_pulse_1t1r_cell(p, mos_params, v_set, float(v), width, 0.0,
-                              steps) for v in v_pgm_values]
+    cells = [_pulse_1t1r_cell(p, mos_params, v_set, float(v), width)
+             for v in v_pgm_values]
     _run_transients(cells)
     return np.array([float(c.state["xr1"]) for c, _ in cells])
 

@@ -37,13 +37,18 @@ def pulses(draw):
 
 @st.composite
 def sets_1t1r(draw):
-    """A 1T1R SET at a random gate voltage from a random state (fewer
-    steps than the tuning curve's 500, to keep the test quick)."""
+    """A 1T1R SET at a random gate voltage from a random state (25
+    steps, fewer than the tuning curve's 250, to keep the test quick)."""
     v_gate = draw(st.floats(0.25, 1.4))
     x0 = draw(st.floats(0.0, 1.0))
     width = 10.0 ** draw(st.floats(-7.0, -5.0))
-    return lambda: _pulse_1t1r_cell(P, MosParams(), 1.0, v_gate, width=width,
-                                    x0=x0, steps=25)
+
+    def make():
+        c, spec = _pulse_1t1r_cell(P, MosParams(), 1.0, v_gate, width=width,
+                                   x0=x0)
+        spec.tstep = width / 25
+        return c, spec
+    return make
 
 
 def _assert_batch_equals_solo(makers, integrators):
@@ -114,7 +119,7 @@ def test_batch_of_array_stamps_equals_each_alone():
 
 def test_mixed_topologies_raise():
     cells = [_pulse_cell(P, 0.2, 1.0, 1e-6, 10),
-             _pulse_1t1r_cell(P, MosParams(), 1.0, 0.8, width=1e-6, steps=10)]
+             _pulse_1t1r_cell(P, MosParams(), 1.0, 0.8, width=1e-6)]
     with pytest.raises(ValueError, match="topology"):
         transient_batch([c for c, _ in cells], [s for _, s in cells])
 

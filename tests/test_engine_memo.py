@@ -154,6 +154,6 @@ def test_a_1t1r_set_makes_fewer_mosfet_calls_than_assemblies(monkeypatch):
     monkeypatch.setattr(mna.Assembler, "assemble", counted_assemble)
     c, spec = _pulse_1t1r_cell(RramParams(), MosParams(), 1.0, 0.8)
     res = transient(c, spec)
-    assert res.stats["steps"] == 500
+    assert res.stats["steps"] == 250
     # a step's first assembly is at the point the last step converged to
     assert 0 < counts["calls"] < counts["assemblies"]
