@@ -3,8 +3,11 @@
 Transient integration is backward Euler by default with a trapezoidal
 option; the trapezoidal path takes its first step (and the first step
 after any history reset) with backward Euler because no companion
-history exists yet.  A failed Newton solve halves the step, down to
-tstep/1024; accepted steps grow back toward the base step.
+history exists yet.  The base step starts at ``tstep`` and is multiplied
+by ``growth`` after each accepted step (1.0, the default, keeps a
+uniform grid; a larger ratio grows the steps geometrically).  A failed
+Newton solve halves the step, down to tstep/1024; accepted steps grow
+back toward the base step, and the last step lands on ``tstop``.
 
 ``transient_batch`` runs the transients of circuits of one topology in
 lockstep: each circuit keeps its own time, step, step halving and
@@ -23,6 +26,7 @@ the strongest any point needed).
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass, field, fields
 from typing import Optional
 
@@ -34,10 +38,10 @@ from .mna import (DC_PATHS, EvalContext, SystemLayout, Tolerances,
 
 _MIN_STEP_DIV = 1024.0
 
-# the most base steps a transient may take (tstop / tstep), and the most
-# points of a DC sweep, far above any experiment's (rram-iv's loop takes
-# 1000): a larger count is taken for a typing slip, such as a step in fs
-# for a run in s, and rejected before the first step
+# the most base steps a transient may take (``_base_steps``), and the
+# most points of a DC sweep, far above any experiment's (rram-iv's loop
+# takes 1000): a larger count is taken for a typing slip, such as a step
+# in fs for a run in s, and rejected before the first step
 MAX_STEPS = 1_000_000
 
 # the transient integrators: backward Euler and the trapezoidal rule
@@ -68,15 +72,26 @@ class AnalysisSpec(Tolerances):
     tstop: float = 0.0
     uic: bool = False
     integrator: str = "be"       # one of INTEGRATORS
+    # the ratio of successive base steps of a transient
+    growth: float = 1.0
 
     def check(self) -> None:
         """``Tolerances.check``, and raise ValueError naming the field on
-        an integrator that is not one of INTEGRATORS."""
+        an integrator that is not one of INTEGRATORS, a tstep or tstop
+        that is not finite, or a growth that is not finite and >= 1."""
         super().check()
         if self.integrator not in INTEGRATORS:
             raise ValueError(
                 "integrator must be " + " or ".join(map(repr, INTEGRATORS))
                 + f", not {self.integrator!r}")
+        for name in ("tstep", "tstop"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, not "
+                                 f"{getattr(self, name)!r}")
+        # written so that a NaN fails it too
+        if not 1.0 <= self.growth < math.inf:
+            raise ValueError("growth must be finite and at least 1, not "
+                             f"{self.growth!r}")
 
 
 @dataclass
@@ -191,6 +206,7 @@ class _Run:
                   else solve_dc(layout, spec))
         self.times, self.rows = [0.0], [self.x]
         self.aux: dict = {}
+        # the step to try, and the base step it grows back toward
         self.t, self.h, self.tstep = 0.0, spec.tstep, spec.tstep
         self.h_min = spec.tstep / _MIN_STEP_DIV
         # only a trapezoidal run reads the companion history
@@ -208,6 +224,18 @@ class _Run:
 _TOL_FIELDS = tuple(f.name for f in fields(Tolerances))
 
 
+def _base_steps(spec: AnalysisSpec) -> float:
+    """The base steps of a transient: tstop / tstep on a uniform grid,
+    and on a geometric one the n at which tstep * (1 + g + ... + g**(n-1))
+    reaches tstop.  A growth that ``check`` rejects counts as uniform, so
+    that ``check`` names it."""
+    g = spec.growth
+    if 1.0 < g < math.inf:
+        return (math.log1p(spec.tstop / spec.tstep * (g - 1.0))
+                / math.log1p(g - 1.0))
+    return spec.tstop / spec.tstep
+
+
 def transient_batch(circuits, specs) -> list:
     """Transient analyses of circuits that share one topology, stepped in
     lockstep; returns one SimResult per circuit.
@@ -219,9 +247,10 @@ def transient_batch(circuits, specs) -> list:
     result's ``stats`` counts the accepted steps, the halvings and the
     Newton iterations of its stepping loop.  The specs must share their
     tolerances, the circuits their compiled pattern, and no spec may
-    take more than ``MAX_STEPS`` base steps (ValueError otherwise).  A
-    timestep underflow raises TransientError naming the circuit's
-    position in the batch, and then no circuit's state is written back.
+    take more than ``MAX_STEPS`` base steps (``_base_steps``; ValueError
+    otherwise).  A timestep underflow raises TransientError naming the
+    circuit's position in the batch, and then no circuit's state is
+    written back.
     """
     if len(circuits) != len(specs) or not circuits:
         raise ValueError("transient_batch needs one spec per circuit")
@@ -230,9 +259,11 @@ def transient_batch(circuits, specs) -> list:
         # written so that a NaN fails them too
         if not (spec.tstep > 0.0 and spec.tstop > 0.0):
             raise ValueError("transient needs positive tstep and tstop")
-        if not spec.tstop / spec.tstep <= MAX_STEPS:
+        if not _base_steps(spec) <= MAX_STEPS:
+            grows = (f" growing by {spec.growth:g}" if spec.growth != 1.0
+                     else "")
             raise ValueError(
-                f"transient of tstep {spec.tstep:g} s to tstop "
+                f"transient of tstep {spec.tstep:g} s{grows} to tstop "
                 f"{spec.tstop:g} s takes more than MAX_STEPS = "
                 f"{MAX_STEPS} steps")
         spec.check()
@@ -270,6 +301,7 @@ def transient_batch(circuits, specs) -> list:
             run.x = x_new
             run.times.append(t)
             run.rows.append(x_new)
+            run.tstep *= run.spec.growth
             run.h = min(run.tstep, 2.0 * run.h)
             stats["steps"] += 1
             finished = finished or t >= run.end

@@ -13,7 +13,7 @@ Grammar (keywords case-insensitive, node and model names lowercased):
     .model <name> <cmg|rram|fg> key=val ...
     .op
     .dc <src> <start> <stop> <step>
-    .tran <tstep> <tstop> [uic] [method=be|trap]
+    .tran <tstep> <tstop> [uic] [method=be|trap] [growth=<ratio>]
     .end
 
 The element cards above are not written out in this module: each one
@@ -35,8 +35,9 @@ element class checks the values, so a card and an API call reject the
 same elements.  The analysis cards list positional ``AnalysisSpec``
 fields (``_ANALYSES``); a bool field is an optional flag word, and an
 optional ``key=value`` word sets a field under a card key of its own:
-``.tran``'s ``method`` is ``AnalysisSpec.integrator``, checked by
-``AnalysisSpec.check`` and written only when it is not the default.
+``.tran``'s ``method`` is ``AnalysisSpec.integrator`` and its ``growth``
+is ``AnalysisSpec.growth``, each checked by ``AnalysisSpec.check`` and
+written only when it is not the default.
 
 Numbers accept engineering suffixes f p n u m k meg g.  A ``.model``
 card's keys are the init fields of the kind's parameter class
@@ -72,7 +73,8 @@ _ELEMENTS = sorted(_KINDS, key=lambda cls: len(cls.prefix), reverse=True)
 # optional key=value words as card key -> AnalysisSpec field)
 _ANALYSES = {"op": ((), (), {}),
              "dc": (("src", "start", "stop", "step"), (), {}),
-             "tran": (("tstep", "tstop"), ("uic",), {"method": "integrator"})}
+             "tran": (("tstep", "tstop"), ("uic",),
+                      {"method": "integrator", "growth": "growth"})}
 # the values a card leaves out
 _ANALYSIS_DEFAULT = AnalysisSpec(kind="op")
 

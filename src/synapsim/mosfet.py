@@ -444,18 +444,20 @@ def _charge_slope(p: MosParams, q):
     return 1.0 / p.c_ox + p.v_t / q + p.v_t / (q + p.qb5)
 
 
-def drain_current_and_grads(p: MosParams, v_gs, v_ds, q_is=None):
+def drain_current_and_grads(p: MosParams, v_gs, v_ds, q_is=None, q_id=None):
     """(I_d, dI_d/dV_gs, dI_d/dV_ds) with analytic chain-rule derivatives.
 
     Accepts scalars or broadcastable arrays.  Along the implicit solution
     dB(Q)/dV = Q, so d[B(Q_is) - B(Q_id)]/dV_gs = Q_is - Q_id and
     d[...]/dV_ds = Q_id; the effect wrappers add I_d (mu'/mu - L_eff'/L_eff).
-    A pre-solved source-end charge ``q_is`` at v_gs skips its solve, as in
+    A pre-solved source-end charge ``q_is`` at v_gs, or drain-end charge
+    ``q_id`` at (v_gs, v_ds), skips its solve, as in
     ``terminal_charges``; None solves it.
     """
     if q_is is None:
         q_is = solve_charge_householder(p, v_gs, 0.0)
-    q_id = solve_charge_householder(p, v_gs, v_ds)
+    if q_id is None:
+        q_id = solve_charge_householder(p, v_gs, v_ds)
     i_d = current_from_charges(p, q_is, q_id, v_ds)
     mu, l_eff = p.mu0, p.l
     rel_gs = rel_ds = 0.0

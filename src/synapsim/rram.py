@@ -152,16 +152,23 @@ IV_PERIOD = 1e-3
 IV_TSTEP = 1e-6
 
 # the 1T1R experiments: the SET bias on the cell (V), a SET pulse's width
-# and longest trapezoidal step (s), a write-verify RESET pulse's
-# backward-Euler step count, the read bias (V), and the gate drive (V) of
-# a read or a RESET.  At SET_TSTEP a SET_WIDTH pulse takes 250 steps, the
-# fewest that keep the default 16-point tuning curve within its error
-# budget (each point's X error under a tenth of the gap to its nearer
-# neighbour) with a 2x margin: 250 steps reach 0.042 of the gap, 200
-# reach 0.073 and 150 miss it (tests/test_set_budget.py).
+# (s), the first trapezoidal step of a SET (s) and the ratio of its
+# successive steps, a write-verify RESET pulse's backward-Euler step
+# count, the read bias (V), and the gate drive (V) of a read or a RESET.
+# A SET's filament state covers most of its move in the first few
+# hundred ns and then creeps, so its steps start fine and grow
+# geometrically up to the pulse's end (Nagel 1975; Hairer, Norsett &
+# Wanner, Solving ODEs I, II.4).  SET_H0 and SET_GROWTH are the cheapest
+# pair found that keeps the default 16-point tuning curve within its
+# error budget (each point's X error under a tenth of the gap to its
+# nearer neighbour) with a 2x margin at every width from 0.1 to 100 us,
+# reads the trapezoidal order at the worst point with room, and lands a
+# write-verify SET no further off than 250 uniform steps did
+# (tests/test_set_budget.py; the README's "1T1R SET budget").
 V_SET_1T1R = 1.0
 SET_WIDTH = 10e-6
-SET_TSTEP = 40e-9
+SET_H0 = 1e-9
+SET_GROWTH = 1.12
 RESET_STEPS = 200
 V_READ_1T1R = 0.1
 V_GATE_ON = 1.5
@@ -207,30 +214,25 @@ def _build_1t1r(p: RramParams, mos_params, v_top: float, v_gate: float):
     return c
 
 
-def _set_steps(width: float) -> int:
-    """Trapezoidal step count of a SET pulse of the given width: steps of
-    ``SET_TSTEP``, and never fewer than a ``SET_WIDTH`` pulse takes.  A
-    shorter pulse keeps the 250 steps because at 40 ns it loses the
-    budget's margin (8 us reads 0.053 of the gap) and then the budget
-    (4 us reads 0.106)."""
-    return round(max(width, SET_WIDTH) / SET_TSTEP)
-
-
 def _pulse_1t1r_cell(p: RramParams, mos_params, v_top: float,
                      v_gate: float, width: float = SET_WIDTH,
                      x0: float = 0.0):
     """(circuit, spec) of one programming pulse on a 1T1R cell starting
     from state x0.  A positive v_top SETs toward the transistor's
-    compliance ceiling, integrated by the trapezoidal rule in
-    ``_set_steps(width)`` steps; a negative one (gate driven hard)
-    RESETs, in ``RESET_STEPS`` backward-Euler steps."""
+    compliance ceiling, integrated by the trapezoidal rule on steps that
+    start at ``SET_H0`` and grow by ``SET_GROWTH``; a negative one (gate
+    driven hard) RESETs, in ``RESET_STEPS`` backward-Euler steps.  A
+    width that is not finite and positive raises ValueError."""
     from .engine import AnalysisSpec
 
+    # written so that a NaN fails it too
+    if not 0.0 < width < math.inf:
+        raise ValueError(f"width must be finite and positive, not {width!r}")
     c = _build_1t1r(p, mos_params, v_top, v_gate)
     c.state["xr1"] = float(x0)
     if v_top > 0.0:
-        return c, AnalysisSpec(kind="tran", tstep=width / _set_steps(width),
-                               tstop=width, integrator="trap")
+        return c, AnalysisSpec(kind="tran", tstep=SET_H0, tstop=width,
+                               growth=SET_GROWTH, integrator="trap")
     return c, AnalysisSpec(kind="tran", tstep=width / RESET_STEPS,
                            tstop=width)
 

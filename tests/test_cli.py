@@ -159,6 +159,25 @@ def test_run_transient_of_too_many_steps_exits_2(tmp_path, capsys):
     assert "MAX_STEPS = 1000000" in capsys.readouterr().err
 
 
+def test_rram_iv_of_an_infinite_step_exits_2(tmp_path, capsys):
+    # one step of tstop used to write a CSV whose time column read NaN
+    out = tmp_path / "iv.csv"
+    assert main(["rram-iv", "--tstep", "inf", "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "tstep must be finite, not inf" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("width", ["inf", "nan", "0"])
+def test_rram_tune_of_a_bad_width_exits_2(tmp_path, capsys, width):
+    # rejected before any transient runs, naming the width
+    out = tmp_path / "tune.csv"
+    assert main(["rram-tune", "--vpgm-points", "2", "--width", width,
+                 "--out", str(out)]) == 2
+    assert not out.exists()
+    assert ("width must be finite and positive, not "
+            f"{float(width)!r}") in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("step", ["1e-6", "1e-12"])
 def test_run_dc_sweep_of_too_many_points_exits_2(tmp_path, capsys, step):
     # 1e6 and 1e12 points: rejected before any is allocated

@@ -37,18 +37,13 @@ def pulses(draw):
 
 @st.composite
 def sets_1t1r(draw):
-    """A 1T1R SET at a random gate voltage from a random state (25
-    steps, fewer than the tuning curve's 250, to keep the test quick)."""
+    """A 1T1R SET at a random gate voltage from a random state, on the
+    shipped geometric grid (23 to 63 steps over these widths)."""
     v_gate = draw(st.floats(0.25, 1.4))
     x0 = draw(st.floats(0.0, 1.0))
     width = 10.0 ** draw(st.floats(-7.0, -5.0))
-
-    def make():
-        c, spec = _pulse_1t1r_cell(P, MosParams(), 1.0, v_gate, width=width,
-                                   x0=x0)
-        spec.tstep = width / 25
-        return c, spec
-    return make
+    return lambda: _pulse_1t1r_cell(P, MosParams(), 1.0, v_gate, width=width,
+                                    x0=x0)
 
 
 def _assert_batch_equals_solo(makers, integrators):

@@ -2,10 +2,11 @@
 
 The MOSFET and tunnel-junction stamps make no model call when a device's
 biases repeat its last call's bit for bit, and a MOSFET stamp solves no
-source-end charge when its V_gs does (``mna._recall``).  A reuse drops
-no term, so every result must be bit for bit the one a fresh call at
-every assembly gives: on random netlists, at a bias of 0.0 of either
-sign, and after a model card is replaced.  A 1T1R SET must make fewer
+source-end charge when its V_gs does (``mna._recall``), nor a drain-end
+one at V_ds = +0.0.  A reuse drops no term, so every result must be bit
+for bit the one a fresh call at every assembly gives: on random
+netlists, at a bias of 0.0 of either sign, and after a model card is
+replaced.  A 1T1R SET must make fewer
 MOSFET calls than it runs assemblies.
 """
 
@@ -16,6 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import synapsim.engine.mna as mna
+import synapsim.mosfet as mosfet
 from synapsim.engine import (AnalysisSpec, ConvergenceError, TransientError,
                              operating_point, run_analysis, transient)
 from synapsim.floatgate import FloatingGateParams, fn_current_and_grad
@@ -119,6 +121,31 @@ def test_a_mosfet_reuses_the_charge_of_a_repeated_gate_bias_only():
         assert out == [i, gds, gm, -(gm + gds)]
 
 
+@pytest.mark.parametrize("v_ds, solves", [(0.0, 1), (-0.0, 2)])
+def test_a_mosfet_at_zero_drain_bias_reuses_its_source_charge(
+        v_ds, solves, monkeypatch):
+    # at +0.0 the drain end takes the source end's charge, with a fresh
+    # call's bits and one charge solve fewer; a -0.0 still solves it
+    calls = []
+    for module in (mna, mosfet):
+        solve = module.solve_charge_householder
+
+        def counted(*args, solve=solve):
+            calls.append(args)
+            return solve(*args)
+
+        monkeypatch.setattr(module, "solve_charge_householder", counted)
+    p = MosParams()
+    i, gm, gds = drain_current_and_grads(p, 0.7, v_ds)
+    assert len(calls) == 2
+    calls.clear()
+    out = []
+    mna._Drain([(1, 2, 0, p)]).values(None, [0.0, v_ds, 0.7], out)
+    assert np.array(out).tobytes() == np.array(
+        [i, gds, gm, -(gm + gds)]).tobytes()
+    assert len(calls) == solves
+
+
 def _read_1t1r(mos):
     c = _build_1t1r(RramParams(), mos, 0.1, 1.5)
     c.state["xr1"] = 0.4
@@ -154,6 +181,6 @@ def test_a_1t1r_set_makes_fewer_mosfet_calls_than_assemblies(monkeypatch):
     monkeypatch.setattr(mna.Assembler, "assemble", counted_assemble)
     c, spec = _pulse_1t1r_cell(RramParams(), MosParams(), 1.0, 0.8)
     res = transient(c, spec)
-    assert res.stats["steps"] == 250
+    assert res.stats["steps"] == 63
     # a step's first assembly is at the point the last step converged to
     assert 0 < counts["calls"] < counts["assemblies"]

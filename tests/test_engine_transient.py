@@ -1,5 +1,7 @@
 """Transient integration: accuracy, order, state handling, determinism."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -155,12 +157,68 @@ XR1 a 0 model=mem x0=0
 
 @pytest.mark.parametrize("tstep,tstop,match", [
     (1e-15, 1.0, "MAX_STEPS"), (0.0, 1e-6, "positive"),
-    (float("nan"), 1e-6, "positive"), (1e-9, float("inf"), "MAX_STEPS")])
+    (float("nan"), 1e-6, "positive"), (1e-9, float("inf"), "MAX_STEPS"),
+    (float("inf"), 1e-6, "tstep must be finite")])
 def test_transient_rejects_an_unbounded_step_count(tstep, tstop, match):
-    # each of these would step for ever, or for days
+    # each of these would step for ever, or for days, but an infinite
+    # tstep, which would take one step of tstop
     c = parse_netlist("V1 a 0 DC 1\nR1 a b 1k\nC1 b 0 1n\n.end\n").circuit
     with pytest.raises(ValueError, match=match):
         transient(c, AnalysisSpec(kind="tran", tstep=tstep, tstop=tstop))
+
+
+@pytest.mark.parametrize("growth", [0.5, 0.0, float("nan"), float("inf")])
+def test_transient_rejects_a_growth_below_1_or_not_finite(growth):
+    c = parse_netlist("V1 a 0 DC 1\nR1 a b 1k\nC1 b 0 1n\n.end\n").circuit
+    with pytest.raises(ValueError, match="growth must be finite and at "
+                                         "least 1"):
+        transient(c, AnalysisSpec(kind="tran", tstep=1e-9, tstop=1e-6,
+                                  growth=growth))
+
+
+def test_geometric_steps_grow_by_growth_and_land_on_tstop():
+    # steps of h0, h0 g, h0 g^2, ... and a last one cut to end on tstop
+    c = parse_netlist("V1 a 0 DC 1\nR1 a b 1k\nC1 b 0 1n\n.end\n").circuit
+    h0, g, tstop = 1e-9, 1.25, 1e-6
+    res = transient(c, AnalysisSpec(kind="tran", tstep=h0, tstop=tstop,
+                                    growth=g))
+    t = res.column("time")
+    n = len(t) - 1
+    assert res.stats == {"steps": n, "halvings": 0,
+                         "newton_iterations": res.stats["newton_iterations"]}
+    assert n == math.ceil(math.log1p(tstop / h0 * (g - 1)) / math.log(g))
+    np.testing.assert_allclose(np.diff(t)[:-1], h0 * g ** np.arange(n - 1),
+                               rtol=1e-12)
+    assert t[-1] == tstop
+
+
+def test_max_steps_counts_the_geometric_grid():
+    # 1 s at a 5 ns first step: 2e8 uniform steps, 177 growing by 1.1
+    c = parse_netlist("V1 a 0 DC 1\nR1 a b 1k\nC1 b 0 1n\n.end\n").circuit
+    with pytest.raises(ValueError, match="MAX_STEPS"):
+        transient(c, AnalysisSpec(kind="tran", tstep=5e-9, tstop=1.0))
+    res = transient(c, AnalysisSpec(kind="tran", tstep=5e-9, tstop=1.0,
+                                    growth=1.1))
+    assert res.stats["steps"] == 177
+    assert res.column("time")[-1] == 1.0
+    with pytest.raises(ValueError, match="growing by 1.00001 to tstop"):
+        transient(c, AnalysisSpec(kind="tran", tstep=1e-15, tstop=1.0,
+                                  growth=1.00001))
+
+
+def test_a_halved_step_doubles_back_toward_the_growing_base_step():
+    # a tight Newton budget halves the first steps of a fast pulse; each
+    # accepted step is at most twice the last and never above the base
+    # step h0 g^k of its index k, and the run still ends on tstop
+    c, spec = _pulse_cell(RramParams(), 0.0, 1.0, 1e-4, 10)
+    spec.max_iter, spec.growth = 10, 1.5
+    res = transient(c, spec)
+    assert res.stats["halvings"] > 0
+    h = np.diff(res.column("time"))
+    assert np.all(h[1:] <= 2.0 * h[:-1] * (1 + 1e-12))
+    assert np.all(h <= spec.tstep * spec.growth ** np.arange(len(h))
+                  * (1 + 1e-12))
+    assert res.column("time")[-1] == spec.tstop
 
 
 @pytest.mark.parametrize("integrator", ["Trap", "trapezoidal", "gear", ""])

@@ -374,7 +374,8 @@ def test_tran_method_round_trips(words, integrator, written):
     assert parse_netlist(text).analyses == first.analyses
 
 
-_TRAN_USAGE = ".tran expects: tstep tstop [uic] [method=<integrator>]"
+_TRAN_USAGE = (".tran expects: tstep tstop [uic] [method=<integrator>] "
+               "[growth=<growth>]")
 
 
 @pytest.mark.parametrize("card, message", [
@@ -382,11 +383,30 @@ _TRAN_USAGE = ".tran expects: tstep tstop [uic] [method=<integrator>]"
      ".tran: integrator must be 'be' or 'trap', not 'gear'"),
     (".tran 1u 1m method=trap method=be", _TRAN_USAGE),
     (".tran 1u 1m integrator=trap", _TRAN_USAGE),
-    (".op method=trap", ".op expects: no arguments")])
+    (".op method=trap", ".op expects: no arguments"),
+    (".tran 1u 1m growth=0.5",
+     ".tran: growth must be finite and at least 1, not 0.5"),
+    (".tran 1u 1m growth=1e999",
+     ".tran: growth must be finite and at least 1, not inf"),
+    (".tran 1e999 1m", ".tran: tstep must be finite, not inf"),
+    (".tran 1u 1e999", ".tran: tstop must be finite, not inf")])
 def test_bad_tran_method_is_a_line_tagged_error(card, message):
     with pytest.raises(NetlistError) as exc:
         parse_netlist(f"v1 a 0 dc 1\nr1 a 0 1k\n{card}\n.end\n")
     assert exc.value.errors == [f"line 3: {message}"]
+
+
+@pytest.mark.parametrize("words, growth, written", [
+    ("growth=1", 1.0, ".tran 1e-06 0.001"),
+    ("growth=1.12", 1.12, ".tran 1e-06 0.001 growth=1.12"),
+    ("method=trap GROWTH=2", 2.0, ".tran 1e-06 0.001 method=trap growth=2.0")])
+def test_tran_growth_round_trips(words, growth, written):
+    # a growth of 1, the uniform grid, is left out like any default
+    first = parse_netlist(f"v1 a 0 dc 1\nr1 a 0 1k\n.tran 1u 1m {words}\n")
+    assert first.analyses[0].growth == growth
+    text = serialize_netlist(first.circuit, first.analyses)
+    assert text.splitlines()[-2] == written
+    assert parse_netlist(text).analyses == first.analyses
 
 
 def _fg_cell(mos: MosParams, cmg: MosParams | None) -> Circuit:
@@ -480,7 +500,8 @@ _ANALYSIS = st.one_of(
     st.builds(AnalysisSpec, kind=st.just("dc"), src=st.just("v1"),
               start=_NUM, stop=_NUM, step=_NUM),
     st.builds(AnalysisSpec, kind=st.just("tran"), tstep=_NUM, tstop=_NUM,
-              uic=st.booleans(), integrator=st.sampled_from(INTEGRATORS)))
+              uic=st.booleans(), integrator=st.sampled_from(INTEGRATORS),
+              growth=st.just(1.0) | st.floats(1.0, 1e6)))
 
 
 @settings(max_examples=60, deadline=None)

@@ -76,11 +76,11 @@ def test_1t1r_tuning_curve_is_pinned():
     xs, reads = tuning_curve_1t1r(RramParams(), MosParams(),
                                   np.array([0.4, 0.8, 1.2]))
     np.testing.assert_allclose(
-        xs, [0.5939396141156068, 0.9320011158244644, 0.9798272133919816],
+        xs, [0.594213290403007, 0.9320117714102337, 0.9797979378082068],
         rtol=1e-12, atol=0)
     np.testing.assert_allclose(
-        reads, [1.4069083405893995e-05, 4.720519486397081e-05,
-                5.3913277397758596e-05], rtol=1e-12, atol=0)
+        reads, [1.4084857277980669e-05, 4.720665292900103e-05,
+                5.390908560515181e-05], rtol=1e-12, atol=0)
 
 
 def test_1t1r_entry_points_share_one_set_of_conditions():

@@ -2,8 +2,8 @@
 
 A SET has no closed form: the access transistor's compliance sets the
 bias the device sees as its state moves.  So the oracle is the engine's
-own pulse at 2x and 4x the shipped step count, extrapolated to the step
-limit (Richardson 1911; Hairer, Norsett & Wanner, Solving ODEs I, II.4).
+own pulse on its geometric grid refined 2x and 4x, extrapolated to the
+step limit (Richardson 1911; Hairer, Norsett & Wanner, Solving ODEs I, II.4).
 The budget comes from what the tuning curve is for, telling its points
 apart: each point's X error stays under a tenth of the gap to its nearer
 neighbour.  A write-verify SET lands within a tenth of ``write_tol`` in G.
@@ -51,13 +51,18 @@ def richardson(y1, y2, y4, order: int):
 
 
 def _sets(v_gates, width=SET_WIDTH, x0=0.0, k=1):
-    """SET pulses at each gate voltage, at k times the shipped step
-    count, all in one lockstep transient; returns the landed states and
-    the order of the shipped integrator."""
+    """SET pulses at each gate voltage, on the shipped grid refined k
+    times, all in one lockstep transient; returns the landed states and
+    the order of the shipped integrator.
+
+    The refined grid's first step is the shipped one over k and its
+    growth the k-th root of the shipped growth: about k steps for each
+    shipped one, along the same mesh function."""
     cells = [_pulse_1t1r_cell(P, MOS, V_SET_1T1R, float(v), width, x0)
              for v in v_gates]
     for _, spec in cells:
         spec.tstep /= k
+        spec.growth **= 1.0 / k
     _run_transients(cells)
     return (np.array([float(c.state["xr1"]) for c, _ in cells]),
             ORDER[cells[0][1].integrator])
@@ -79,8 +84,8 @@ def test_richardson_recovers_a_known_error(order):
 
 @pytest.mark.parametrize("width", [1e-7, SET_WIDTH, 1e-4])
 def test_tuning_curve_meets_its_budget(width):
-    # the shipped SETs of the tuning curve, then the same at 2x and 4x
-    # the steps
+    # the shipped SETs of the tuning curve, then the same on grids
+    # refined 2x and 4x
     y1 = _set_1t1r_batch(P, MOS, GRID, width=width)
     (y2, order), (y4, _) = _sets(GRID, width, k=2), _sets(GRID, width, k=4)
     err, observed = richardson(y1, y2, y4, order)
@@ -91,7 +96,7 @@ def test_tuning_curve_meets_its_budget(width):
     assert np.max(share) < BUDGET
     # the estimate that decides the verdict is in the integrator's
     # asymptotic range (points far under the budget may not be yet: at
-    # gate 0.48-0.56 V the order reads 0.5-1.5 at 250 steps)
+    # 0.1 us the order at gate 0.33 V reads 1.4)
     worst = observed[np.argmax(share)]
     assert np.isnan(worst) or abs(worst - order) <= 0.5
 
@@ -100,7 +105,7 @@ def test_tuning_curve_meets_its_budget(width):
 @given(x0=st.floats(0.0, 1.0, exclude_max=True),
        v_gate=st.floats(float(crossbar._GATE_GRID[0]),
                         float(crossbar._GATE_GRID[-1])))
-@example(x0=0.0, v_gate=0.9)        # the largest G error found, 4.4e-7 S
+@example(x0=0.0, v_gate=0.65)       # the largest G error found, 4.2e-7 S
 @example(x0=0.95, v_gate=1.4)       # from near the compliance ceiling
 @example(x0=0.0, v_gate=0.25)       # the weakest gate drive
 def test_a_write_verify_set_lands_within_a_tenth_of_write_tol(x0, v_gate):
