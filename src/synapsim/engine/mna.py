@@ -78,7 +78,6 @@ carries state) when no existing one fits.
 from __future__ import annotations
 
 import functools
-import math
 import operator
 from dataclasses import dataclass, field
 from typing import Optional
@@ -316,7 +315,7 @@ class _Drain(_Stamp):
     """MOSFET drain current, one model call per element whose (V_gs,
     V_ds) are not its last call's (``_recall``); at a repeated V_gs the
     call reuses the source-end charge, which the stamp solves otherwise,
-    and at V_ds = +0.0 it reuses that charge as the drain-end one."""
+    and at V_ds = 0.0 it reuses that charge as the drain-end one."""
 
     def __init__(self, recs):
         super().__init__(recs)
@@ -338,11 +337,9 @@ class _Drain(_Stamp):
                 if q is None:
                     q = solve_charge_householder(params, v_gs, 0.0)
                     charge[k] = ((v_gs,), q)
-                # at V_ds = +0.0 the drain-end solve has the source end's
-                # inputs, so it takes the source end's charge; a -0.0 is
-                # solved
-                q_d = (q if v_ds == 0.0 and math.copysign(1.0, v_ds) > 0.0
-                       else None)
+                # at V_ds = 0.0 the drain-end solve has the source end's
+                # inputs, so it takes the source end's charge
+                q_d = q if v_ds == 0.0 else None
                 i, gm, gds = drain_current_and_grads(params, v_gs, v_ds,
                                                      q_is=q, q_id=q_d)
                 slots = (i, gds, gm, -(gm + gds))

@@ -152,23 +152,34 @@ IV_PERIOD = 1e-3
 IV_TSTEP = 1e-6
 
 # the 1T1R experiments: the SET bias on the cell (V), a SET pulse's width
-# (s), the first trapezoidal step of a SET (s) and the ratio of its
-# successive steps, a write-verify RESET pulse's backward-Euler step
-# count, the read bias (V), and the gate drive (V) of a read or a RESET.
-# A SET's filament state covers most of its move in the first few
-# hundred ns and then creeps, so its steps start fine and grow
-# geometrically up to the pulse's end (Nagel 1975; Hairer, Norsett &
-# Wanner, Solving ODEs I, II.4).  SET_H0 and SET_GROWTH are the cheapest
-# pair found that keeps the default 16-point tuning curve within its
-# error budget (each point's X error under a tenth of the gap to its
-# nearer neighbour) with a 2x margin at every width from 0.1 to 100 us,
-# reads the trapezoidal order at the worst point with room, and lands a
-# write-verify SET no further off than 250 uniform steps did
-# (tests/test_set_budget.py; the README's "1T1R SET budget").
+# (s), the first trapezoidal step of a SET (s), the ratio of its
+# successive steps, the width in first steps below which a SET's first
+# step shrinks with its width, the longest SET (s), a write-verify RESET
+# pulse's backward-Euler step count, the read bias (V), and the gate
+# drive (V) of a read or a RESET.  A SET's filament state covers most of
+# its move in the first few hundred ns and then creeps, so its steps
+# start fine and grow geometrically up to the pulse's end (Nagel 1975;
+# Hairer, Norsett & Wanner, Solving ODEs I, II.4).  SET_H0 and
+# SET_GROWTH keep the default 16-point tuning curve within its error
+# budget (each point's X error under a tenth of the gap to its nearer
+# neighbour) with a 2x margin at every width, read the trapezoidal order
+# at the worst point with room, and land a write-verify SET no further
+# off than 250 uniform steps did (tests/test_set_budget.py).  Of the
+# pairs scanned only 1.5 ns x 1.12 is cheaper, 59 steps against 63 at
+# 10 us, and it reads the order 0.15 from the check's limit (the
+# README's "1T1R SET budget").  A pulse shorter than SET_SPLIT * SET_H0
+# (50 ns) starts at a SET_SPLIT-th of its width, so every shorter grid
+# has the 50 ns grid's shape, 18 steps: from a 1 ns first step a 10 ns
+# pulse takes 7 steps and reads order 0.7.  Past SET_WIDTH_MAX the
+# tuning curve's nearest points lie closer than 3.3e-6 in X (3.3e-7 at
+# 0.1 s) and the error estimate leaves its asymptotic range (order 4.1
+# at 0.1 s), so a longer SET is refused.
 V_SET_1T1R = 1.0
 SET_WIDTH = 10e-6
 SET_H0 = 1e-9
 SET_GROWTH = 1.12
+SET_SPLIT = 50
+SET_WIDTH_MAX = 10e-3
 RESET_STEPS = 200
 V_READ_1T1R = 0.1
 V_GATE_ON = 1.5
@@ -220,18 +231,24 @@ def _pulse_1t1r_cell(p: RramParams, mos_params, v_top: float,
     """(circuit, spec) of one programming pulse on a 1T1R cell starting
     from state x0.  A positive v_top SETs toward the transistor's
     compliance ceiling, integrated by the trapezoidal rule on steps that
-    start at ``SET_H0`` and grow by ``SET_GROWTH``; a negative one (gate
-    driven hard) RESETs, in ``RESET_STEPS`` backward-Euler steps.  A
-    width that is not finite and positive raises ValueError."""
+    start at ``SET_H0`` (a ``SET_SPLIT``-th of a shorter pulse's width)
+    and grow by ``SET_GROWTH``; a negative one (gate driven hard)
+    RESETs, in ``RESET_STEPS`` backward-Euler steps.  A width that is
+    not finite and positive, or a SET's over ``SET_WIDTH_MAX``, raises
+    ValueError."""
     from .engine import AnalysisSpec
 
     # written so that a NaN fails it too
     if not 0.0 < width < math.inf:
         raise ValueError(f"width must be finite and positive, not {width!r}")
+    if v_top > 0.0 and width > SET_WIDTH_MAX:
+        raise ValueError(f"width of a SET must be at most {SET_WIDTH_MAX!r}"
+                         f" s, not {width!r}")
     c = _build_1t1r(p, mos_params, v_top, v_gate)
     c.state["xr1"] = float(x0)
     if v_top > 0.0:
-        return c, AnalysisSpec(kind="tran", tstep=SET_H0, tstop=width,
+        h0 = min(SET_H0, width / SET_SPLIT)
+        return c, AnalysisSpec(kind="tran", tstep=h0, tstop=width,
                                growth=SET_GROWTH, integrator="trap")
     return c, AnalysisSpec(kind="tran", tstep=width / RESET_STEPS,
                            tstop=width)

@@ -178,6 +178,17 @@ def test_rram_tune_of_a_bad_width_exits_2(tmp_path, capsys, width):
             f"{float(width)!r}") in capsys.readouterr().err
 
 
+def test_rram_tune_of_a_set_past_its_verified_width_exits_2(tmp_path,
+                                                            capsys):
+    # past SET_WIDTH_MAX the SET grid's error budget is not verified
+    out = tmp_path / "tune.csv"
+    assert main(["rram-tune", "--vpgm-points", "2", "--width", "0.1",
+                 "--out", str(out)]) == 2
+    assert not out.exists()
+    assert ("width of a SET must be at most 0.01 s, not 0.1"
+            in capsys.readouterr().err)
+
+
 @pytest.mark.parametrize("step", ["1e-6", "1e-12"])
 def test_run_dc_sweep_of_too_many_points_exits_2(tmp_path, capsys, step):
     # 1e6 and 1e12 points: rejected before any is allocated

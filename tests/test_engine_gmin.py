@@ -33,7 +33,7 @@ def _kcl_of_blocks(layout, mode):
 
 
 @settings(max_examples=60, deadline=None)
-@given(circuit=netlists(), mode=st.sampled_from(["dc", "tran"]),
+@given(circuit=netlists(floating=True), mode=st.sampled_from(["dc", "tran"]),
        gmin=st.sampled_from([1e-6, 1e-3]), seed=st.integers(0, 2 ** 32 - 1))
 def test_gmin_is_a_conductance_from_each_kcl_node_to_ground(circuit, mode,
                                                              gmin, seed):
