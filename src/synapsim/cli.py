@@ -21,8 +21,7 @@ import numpy as np
 from . import __version__
 from .bench import bench_model_eval
 from .engine import (AnalysisSpec, ConvergenceError, NetlistError, SimResult,
-                     TransientError, parse_netlist, run_analysis,
-                     serialize_netlist)
+                     parse_netlist, run_analysis, serialize_netlist)
 from .floatgate import (V_READ_FG, V_SG_FG, FloatingGateParams,
                         fg_program_pulse, fg_read_current)
 from .mosfet import (SOLVERS, ChargeSolveError, MosParams, drain_current,
@@ -406,7 +405,7 @@ def main(argv=None) -> int:
     except NetlistError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ConvergenceError, TransientError, ChargeSolveError) as exc:
+    except (ConvergenceError, ChargeSolveError) as exc:
         print(f"simulation failed: {exc}", file=sys.stderr)
         return EXIT_SIM
     except (OSError, ValueError) as exc:    # ParamError is a ValueError

@@ -3,9 +3,8 @@ DC operating point and sweep, and fixed-step transient with failure
 halving."""
 
 from ..paramfile import parse_number
-from .analysis import (AnalysisSpec, SimResult, TransientError, dc_sweep,
-                       operating_point, run_analysis, transient,
-                       transient_batch)
+from .analysis import (AnalysisSpec, SimResult, dc_sweep, operating_point,
+                       run_analysis, transient, transient_batch)
 from .circuit import (Capacitor, Circuit, CircuitError, FloatGateElement,
                       ISource, Mosfet, PulseSpec, Resistor, RramElement,
                       VSource)
@@ -14,7 +13,7 @@ from .netlist import (NetlistError, ParseResult, parse_netlist,
                       serialize_netlist)
 
 __all__ = [
-    "AnalysisSpec", "SimResult", "TransientError", "dc_sweep",
+    "AnalysisSpec", "SimResult", "dc_sweep",
     "operating_point", "run_analysis", "transient", "transient_batch",
     "Capacitor", "Circuit", "CircuitError", "FloatGateElement", "ISource",
     "Mosfet", "PulseSpec", "Resistor", "RramElement", "VSource",

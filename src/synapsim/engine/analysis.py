@@ -33,30 +33,19 @@ from typing import Optional
 import numpy as np
 
 from .circuit import Circuit
-from .mna import (DC_PATHS, EvalContext, SystemLayout, Tolerances,
-                  newton_solve_batch, post_step_aux, solve_dc)
+from .mna import (DC_PATHS, ConvergenceError, EvalContext, SystemLayout,
+                  Tolerances, newton_solve_batch, post_step_aux, solve_dc)
 
 _MIN_STEP_DIV = 1024.0
 
 # the most base steps a transient may take (``_base_steps``), and the
 # most points of a DC sweep, far above any experiment's (rram-iv's loop
 # takes 1000): a larger count is taken for a typing slip, such as a step
-# in fs for a run in s, and rejected before the first step
+# in fs for a run in s, and rejected by ``AnalysisSpec.check``
 MAX_STEPS = 1_000_000
 
 # the transient integrators: backward Euler and the trapezoidal rule
 INTEGRATORS = ("be", "trap")
-
-
-class TransientError(Exception):
-    """A transient that cannot step on; ``circuit`` is the failing
-    circuit's position in its batch and ``worst_row`` its worst residual
-    row."""
-
-    def __init__(self, message: str, circuit: int = 0, worst_row: str = ""):
-        super().__init__(message)
-        self.circuit = circuit
-        self.worst_row = worst_row
 
 
 @dataclass(kw_only=True)
@@ -76,22 +65,45 @@ class AnalysisSpec(Tolerances):
     growth: float = 1.0
 
     def check(self) -> None:
-        """``Tolerances.check``, and raise ValueError naming the field on
-        an integrator that is not one of INTEGRATORS, a tstep or tstop
-        that is not finite, or a growth that is not finite and >= 1."""
+        """Raise ValueError naming the first rule of an analysis card
+        that the spec breaks; every rule of a card is here.  Each analysis
+        calls it before it compiles a layout, the parser on each card."""
         super().check()
+        if self.kind not in _BY_KIND:
+            raise ValueError(f"unknown analysis kind '{self.kind}'")
         if self.integrator not in INTEGRATORS:
             raise ValueError(
                 "integrator must be " + " or ".join(map(repr, INTEGRATORS))
                 + f", not {self.integrator!r}")
-        for name in ("tstep", "tstop"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, not "
-                                 f"{getattr(self, name)!r}")
-        # written so that a NaN fails it too
-        if not 1.0 <= self.growth < math.inf:
-            raise ValueError("growth must be finite and at least 1, not "
-                             f"{self.growth!r}")
+        # the rules below are written so that a NaN breaks them too
+        if self.kind == "tran":
+            if not (self.tstep > 0.0 and self.tstop > 0.0):
+                raise ValueError("transient needs positive tstep and tstop")
+            for name in ("tstep", "tstop"):
+                if not math.isfinite(getattr(self, name)):
+                    raise ValueError(f"{name} must be finite, not "
+                                     f"{getattr(self, name)!r}")
+            if not 1.0 <= self.growth < math.inf:
+                raise ValueError("growth must be finite and at least 1, "
+                                 f"not {self.growth!r}")
+            if not _base_steps(self) <= MAX_STEPS:
+                grows = (f" growing by {self.growth:g}"
+                         if self.growth != 1.0 else "")
+                raise ValueError(
+                    f"transient of tstep {self.tstep:g} s{grows} to tstop "
+                    f"{self.tstop:g} s takes more than MAX_STEPS = "
+                    f"{MAX_STEPS} steps")
+        elif self.kind == "dc":
+            if self.step == 0.0:
+                raise ValueError("dc sweep needs a nonzero step")
+            span = (self.stop - self.start) / self.step
+            if not (abs(self.step) < math.inf and span < MAX_STEPS - 0.5):
+                raise ValueError(
+                    f"dc sweep of start {self.start:g}, stop {self.stop:g} "
+                    f"and step {self.step:g} needs a finite step and at "
+                    f"most MAX_STEPS = {MAX_STEPS} points")
+            if span < -0.5:
+                raise ValueError("dc sweep range and step disagree")
 
 
 @dataclass
@@ -135,8 +147,8 @@ class SimResult:
 
 
 def operating_point(circuit: Circuit, spec: AnalysisSpec) -> SimResult:
-    layout = SystemLayout(circuit)
     spec.check()
+    layout = SystemLayout(circuit)
     stats: dict = {}
     x = solve_dc(layout, spec, stats=stats)
     columns, index = layout.columns()
@@ -145,15 +157,7 @@ def operating_point(circuit: Circuit, spec: AnalysisSpec) -> SimResult:
 
 
 def dc_sweep(circuit: Circuit, spec: AnalysisSpec) -> SimResult:
-    if spec.step == 0.0:
-        raise ValueError("dc sweep needs a nonzero step")
-    span = (spec.stop - spec.start) / spec.step
-    # written so that a NaN or infinite step fails it too
-    if not (abs(spec.step) < np.inf and span < MAX_STEPS - 0.5):
-        raise ValueError(
-            f"dc sweep of start {spec.start:g}, stop {spec.stop:g} and step "
-            f"{spec.step:g} needs a finite step and at most MAX_STEPS = "
-            f"{MAX_STEPS} points")
+    spec.check()
     layout = SystemLayout(circuit)
     src = spec.src.lower()
     if src not in layout.branch:
@@ -161,10 +165,7 @@ def dc_sweep(circuit: Circuit, spec: AnalysisSpec) -> SimResult:
             raise ValueError(f"dc sweep source '{spec.src}' is not a "
                              "voltage source")
         raise ValueError(f"dc sweep source '{spec.src}' not in circuit")
-    spec.check()
-    n = int(round(span)) + 1
-    if n < 1:
-        raise ValueError("dc sweep range and step disagree")
+    n = int(round((spec.stop - spec.start) / spec.step)) + 1
     values = spec.start + spec.step * np.arange(n)
     rows = np.empty((n, layout.size + 1))
     rows[:, 0] = values
@@ -227,10 +228,9 @@ _TOL_FIELDS = tuple(f.name for f in fields(Tolerances))
 def _base_steps(spec: AnalysisSpec) -> float:
     """The base steps of a transient: tstop / tstep on a uniform grid,
     and on a geometric one the n at which tstep * (1 + g + ... + g**(n-1))
-    reaches tstop.  A growth that ``check`` rejects counts as uniform, so
-    that ``check`` names it."""
+    reaches tstop, for a growth that ``check`` found finite and >= 1."""
     g = spec.growth
-    if 1.0 < g < math.inf:
+    if g > 1.0:
         return (math.log1p(spec.tstop / spec.tstep * (g - 1.0))
                 / math.log1p(g - 1.0))
     return spec.tstop / spec.tstep
@@ -238,34 +238,17 @@ def _base_steps(spec: AnalysisSpec) -> float:
 
 def transient_batch(circuits, specs) -> list:
     """Transient analyses of circuits that share one topology, stepped in
-    lockstep; returns one SimResult per circuit.
-
-    Each circuit keeps its own time, step, step halving and trapezoidal
-    history; at every step the circuits still running solve their
-    Newton iterations together (``newton_solve_batch``), so each
-    circuit's result is bit for bit the one it has alone.  Each
-    result's ``stats`` counts the accepted steps, the halvings and the
-    Newton iterations of its stepping loop.  The specs must share their
-    tolerances, the circuits their compiled pattern, and no spec may
-    take more than ``MAX_STEPS`` base steps (``_base_steps``; ValueError
-    otherwise).  A timestep underflow raises TransientError naming the
-    circuit's position in the batch, and then no circuit's state is
-    written back.
+    lockstep as the module docstring describes; returns one SimResult
+    per circuit.  Each spec must pass ``AnalysisSpec.check``, the specs
+    must share their tolerances and the circuits their compiled pattern
+    (ValueError otherwise).  A timestep underflow raises
+    ConvergenceError whose ``circuit`` is the failing circuit's position
+    in the batch, and then no circuit's state is written back.
     """
     if len(circuits) != len(specs) or not circuits:
         raise ValueError("transient_batch needs one spec per circuit")
     tol = specs[0]
     for spec in specs:
-        # written so that a NaN fails them too
-        if not (spec.tstep > 0.0 and spec.tstop > 0.0):
-            raise ValueError("transient needs positive tstep and tstop")
-        if not _base_steps(spec) <= MAX_STEPS:
-            grows = (f" growing by {spec.growth:g}" if spec.growth != 1.0
-                     else "")
-            raise ValueError(
-                f"transient of tstep {spec.tstep:g} s{grows} to tstop "
-                f"{spec.tstop:g} s takes more than MAX_STEPS = "
-                f"{MAX_STEPS} steps")
         spec.check()
         if any(getattr(spec, name) != getattr(tol, name)
                for name in _TOL_FIELDS):
@@ -291,10 +274,10 @@ def transient_batch(circuits, specs) -> list:
                 if run.h < run.h_min:
                     where = (f" in circuit {runs.index(run)} of the batch"
                              if len(runs) > 1 else "")
-                    raise TransientError(
+                    raise ConvergenceError(
                         f"timestep underflow{where} at t={run.t:.6e} s "
                         f"(worst residual row: {worst})",
-                        circuit=runs.index(run), worst_row=worst)
+                        worst_row=worst, circuit=runs.index(run))
                 continue
             run.aux = post_step_aux(run.layout, ctx, x_new, run.trap)
             run.t = t = run.t + ctx.h
@@ -318,11 +301,9 @@ def transient_batch(circuits, specs) -> list:
     return results
 
 
+_BY_KIND = {"op": operating_point, "dc": dc_sweep, "tran": transient}
+
+
 def run_analysis(circuit: Circuit, spec: AnalysisSpec) -> SimResult:
-    if spec.kind == "op":
-        return operating_point(circuit, spec)
-    if spec.kind == "dc":
-        return dc_sweep(circuit, spec)
-    if spec.kind == "tran":
-        return transient(circuit, spec)
-    raise ValueError(f"unknown analysis kind '{spec.kind}'")
+    spec.check()
+    return _BY_KIND[spec.kind](circuit, spec)

@@ -117,9 +117,14 @@ _VECTOR_MIN = 16
 
 
 class ConvergenceError(Exception):
-    def __init__(self, message: str, worst_row: str = ""):
+    """A failed DC solve or transient step: ``worst_row`` is its worst
+    residual row, and a timestep underflow's ``circuit`` its circuit's
+    position in the batch."""
+
+    def __init__(self, message: str, worst_row: str = "", circuit: int = 0):
         super().__init__(message)
         self.worst_row = worst_row
+        self.circuit = circuit
 
 
 @dataclass

@@ -36,8 +36,8 @@ same elements.  The analysis cards list positional ``AnalysisSpec``
 fields (``_ANALYSES``); a bool field is an optional flag word, and an
 optional ``key=value`` word sets a field under a card key of its own:
 ``.tran``'s ``method`` is ``AnalysisSpec.integrator`` and its ``growth``
-is ``AnalysisSpec.growth``, each checked by ``AnalysisSpec.check`` and
-written only when it is not the default.
+is ``AnalysisSpec.growth``, each written only when it is not the
+default; ``AnalysisSpec.check`` checks each analysis card as parsed.
 
 Numbers accept engineering suffixes f p n u m k meg g.  A ``.model``
 card's keys are the init fields of the kind's parameter class
@@ -276,6 +276,9 @@ class _Parser:
                 kw[name] = coerce_field(AnalysisSpec, name, text)
             except ParamError as exc:
                 self.fail(lineno, str(exc))
+                ok = False
+        if not ok:
+            return
         spec = AnalysisSpec(kind=kind, **kw)
         try:
             spec.check()

@@ -133,10 +133,14 @@ def fg_program_pulse(p: FloatingGateParams, q_fg: float, terminal: str,
 
     Drain, source, and the synaptic gate are grounded while programming
     so both tunnel junctions see the same drive magnitude for a given
-    amplitude.  A zero-width pulse is a no-op by definition.
+    amplitude.  A zero-width pulse is a no-op by definition; a width
+    that is not finite and >= 0 raises ValueError.
     """
     if terminal not in ("nfb", "pfb"):
         raise ValueError("terminal must be 'nfb' or 'pfb'")
+    # written so that a NaN fails it too
+    if not 0.0 <= width < math.inf:
+        raise ValueError(f"width must be finite and >= 0, not {width!r}")
     if width == 0.0:
         return q_fg
     from .engine import AnalysisSpec, PulseSpec, transient

@@ -36,6 +36,12 @@ __all__ = [
     "train_and_gate", "train_and_gate_software",
 ]
 
+# the trapezoidal step count of one direct write-verify pulse: at 10, the
+# pulses of a default AND training land within 5e-7 S of the rate law's
+# exact integral, closer than 50 backward-Euler steps (1.1e-6 S), and
+# about a tenth of ``TrainConfig.write_tol``
+PULSE_STEPS = 10
+
 
 @dataclass(frozen=True)
 class CrossbarSpec:
@@ -69,10 +75,6 @@ class TrainConfig:
     at which verify stops; pulse widths come from inverting the state
     rate law for the remaining distance, clipped to the width window,
     and a move shorter than ``min_width`` lowers the amplitude instead.
-    ``pulse_steps`` is the trapezoidal step count of one direct pulse:
-    at 10, the pulses of a default AND training land within 5e-7 S of
-    the rate law's exact integral, closer than 50 backward-Euler steps
-    (1.1e-6 S), and about a tenth of ``write_tol``.
     """
 
     lr: float = 0.5
@@ -85,7 +87,6 @@ class TrainConfig:
     reset_amplitude: float = -1.0
     min_width: float = 1e-9
     max_width: float = 1e-2
-    pulse_steps: int = 10
 
     def __post_init__(self):
         if self.lr <= 0.0:
@@ -96,8 +97,6 @@ class TrainConfig:
             raise ValueError("need write_tol > 0 and max_verify >= 1")
         if self.set_amplitude <= 0.0 or self.reset_amplitude >= 0.0:
             raise ValueError("set pulses are positive, reset negative")
-        if self.pulse_steps < 1:
-            raise ValueError("pulse_steps must be >= 1")
         # written so that a NaN width fails it too
         if not 0.0 < self.min_width <= self.max_width:
             raise ValueError("need 0 < min_width <= max_width")
@@ -302,7 +301,7 @@ def _verify_direct(params: RramParams, x0: float, g_target: float,
         amp = cfg.set_amplitude if g < g_target else cfg.reset_amplitude
         amp, width = _pulse(params, x, x_target, amp,
                             cfg.min_width, cfg.max_width)
-        c, spec = _pulse_cell(params, x, amp, width, cfg.pulse_steps)
+        c, spec = _pulse_cell(params, x, amp, width, PULSE_STEPS)
         yield c, spec
         return float(c.state["xr"])
 

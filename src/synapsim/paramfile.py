@@ -14,6 +14,7 @@ the command line.
 from __future__ import annotations
 
 import dataclasses
+import math
 import re
 import types
 import typing
@@ -35,17 +36,18 @@ class ParamError(ValueError):
 
 
 def parse_number(token: str) -> float:
-    """Number with an optional engineering suffix f p n u m k meg g."""
+    """Number with an optional engineering suffix f p n u m k meg g; one
+    that overflows a float raises ParamError."""
     m = _NUMBER_RE.match(token.lower())
     if not m:
         raise ValueError(f"malformed number '{token}'")
     mantissa, exp, suffix = m.groups()
-    if suffix and not exp:
-        # splice the suffix in as a decimal exponent for an exact parse
-        return float(mantissa + _SUFFIX[suffix])
-    value = float(mantissa + (exp or ""))
-    if suffix:
+    # splice a suffix without an exponent in as one, for an exact parse
+    value = float(mantissa + (exp or _SUFFIX.get(suffix, "")))
+    if suffix and exp:
         value *= float("1" + _SUFFIX[suffix])
+    if not math.isfinite(value):
+        raise ParamError(f"number '{token}' is not finite")
     return value
 
 

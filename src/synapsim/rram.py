@@ -191,11 +191,16 @@ def hysteresis_loop(p: RramParams, v_peak: float = IV_V_PEAK,
 
     Returns (v, i, x) arrays over one period; the device starts at the
     model card's ``x_init``, and the drive is built from two
-    half-period triangle sources in series.
+    half-period triangle sources in series.  A period that is not
+    finite and positive raises ValueError.
     """
     from .engine import (AnalysisSpec, Circuit, PulseSpec, RramElement,
                          VSource, transient)
 
+    # written so that a NaN fails it too
+    if not 0.0 < period < math.inf:
+        raise ValueError(f"period must be finite and positive, not "
+                         f"{period!r}")
     quarter = period / 4.0
     c = Circuit()
     c.add_model("mem", "rram", p)

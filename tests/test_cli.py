@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+import synapsim.engine.analysis as analysis
 from synapsim.cli import build_parser, main
 from synapsim.engine import (AnalysisSpec, parse_netlist, run_analysis,
                              serialize_netlist, transient)
@@ -156,7 +157,9 @@ def test_run_transient_of_too_many_steps_exits_2(tmp_path, capsys):
     out = tmp_path / "o.csv"
     assert main(["run", str(net), "--out", str(out)]) == 2
     assert not out.exists()
-    assert "MAX_STEPS = 1000000" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "parse error: line 4: .tran: " in err
+    assert "MAX_STEPS = 1000000" in err
 
 
 def test_rram_iv_of_an_infinite_step_exits_2(tmp_path, capsys):
@@ -178,6 +181,36 @@ def test_rram_tune_of_a_bad_width_exits_2(tmp_path, capsys, width):
             f"{float(width)!r}") in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("width", ["inf", "nan", "-1e-6"])
+def test_fg_pulse_of_a_bad_width_exits_2(tmp_path, capsys, width):
+    # rejected before any transient runs, naming the width; 0 is a no-op
+    out = tmp_path / "fg.csv"
+    assert main(["fg-pulse", f"--width={width}", "--out", str(out)]) == 2
+    assert not out.exists()
+    assert (f"width must be finite and >= 0, not {float(width)!r}"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("period", ["inf", "nan", "-1e-3", "0"])
+def test_rram_iv_of_a_bad_period_exits_2(tmp_path, capsys, period):
+    out = tmp_path / "iv.csv"
+    assert main(["rram-iv", f"--period={period}", "--out", str(out)]) == 2
+    assert not out.exists()
+    assert ("period must be finite and positive, not "
+            f"{float(period)!r}") in capsys.readouterr().err
+
+
+def test_a_setting_that_overflows_exits_2(tmp_path, capsys):
+    # 1e400 used to read as inf and fail the run with a non-finite
+    # residual
+    out = tmp_path / "tune.csv"
+    assert main(["rram-tune", "--vpgm-points", "2", "--set",
+                 "rram.k_set=1e400", "--out", str(out)]) == 2
+    assert not out.exists()
+    assert ("bad value for 'k_set': '1e400' (number '1e400' is not finite)"
+            in capsys.readouterr().err)
+
+
 def test_rram_tune_of_a_set_past_its_verified_width_exits_2(tmp_path,
                                                             capsys):
     # past SET_WIDTH_MAX the SET grid's error budget is not verified
@@ -197,7 +230,45 @@ def test_run_dc_sweep_of_too_many_points_exits_2(tmp_path, capsys, step):
     out = tmp_path / "o.csv"
     assert main(["run", str(net), "--out", str(out)]) == 2
     assert not out.exists()
-    assert "MAX_STEPS = 1000000" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "parse error: line 3: .dc: " in err
+    assert "MAX_STEPS = 1000000" in err
+
+
+@pytest.mark.parametrize("card", [".tran 0 1u", ".dc v1 0 1 0",
+                                  ".dc v1 0 1 -0.1"])
+def test_run_of_a_card_no_analysis_can_run_exits_2(tmp_path, capsys,
+                                                  monkeypatch, card):
+    # named with its line as the netlist is parsed, before any layout
+    # compiles
+    def no_layout(circuit):
+        raise AssertionError("layout compiled")
+
+    monkeypatch.setattr(analysis, "SystemLayout", no_layout)
+    net = tmp_path / "bad.sp"
+    net.write_text(f"v1 a 0 dc 1\nr1 a 0 1k\n{card}\n.end\n")
+    out = tmp_path / "o.csv"
+    assert main(["run", str(net), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert f"parse error: line 3: {card.split()[0]}: " in (
+        capsys.readouterr().err)
+
+
+def test_run_of_a_transient_that_underflows_exits_1(tmp_path, capsys,
+                                                   monkeypatch):
+    # every Newton solve fails, so the first step halves past its floor
+    def fail(layouts, ctxs, xs, tol):
+        return [(x, False, "v(b)") for x in xs]
+
+    monkeypatch.setattr(analysis, "newton_solve_batch", fail)
+    net = tmp_path / "stuck.sp"
+    net.write_text("v1 a 0 dc 1\nr1 a b 1k\nc1 b 0 1n\n.tran 1u 10u uic\n"
+                   ".end\n")
+    out = tmp_path / "o.csv"
+    assert main(["run", str(net), "--out", str(out)]) == 1
+    assert not out.exists()
+    assert ("simulation failed: timestep underflow at t=0.000000e+00 s "
+            "(worst residual row: v(b))") in capsys.readouterr().err
 
 
 def test_run_voltage_divider(tmp_path):
@@ -281,8 +352,6 @@ def test_crossbar_and_rejects_removed_train_keys(tmp_path, assignment):
 
 
 @pytest.mark.parametrize("assignment, field", [
-    ("train.pulse_steps=0", "pulse_steps"),
-    ("train.pulse_steps=-3", "pulse_steps"),
     ("train.max_width=-1", "max_width"),
     ("train.min_width=-1", "min_width"),
     ("train.min_width=0", "min_width"),

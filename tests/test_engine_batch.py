@@ -10,14 +10,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from synapsim.engine import (AnalysisSpec, Circuit, ISource, Resistor,
-                             RramElement, SystemLayout, Tolerances,
-                             TransientError, VSource, transient,
-                             transient_batch)
+from synapsim.engine import (AnalysisSpec, Circuit, ConvergenceError,
+                             ISource, Resistor, RramElement, SystemLayout,
+                             Tolerances, VSource, transient, transient_batch)
 from synapsim.engine.mna import EvalContext, newton_solve, newton_solve_batch
 from synapsim.mosfet import MosParams
 from synapsim.neuro import TrainConfig
-from synapsim.neuro.crossbar import _pulse_cell
+from synapsim.neuro.crossbar import PULSE_STEPS, _pulse_cell
 from synapsim.rram import RramParams, _pulse_1t1r_cell
 
 P = RramParams()
@@ -32,7 +31,7 @@ def pulses(draw):
     amp = draw(st.floats(0.2, 1.5)) * draw(st.sampled_from([1.0, -1.0]))
     width = 10.0 ** draw(st.floats(np.log10(CFG.min_width),
                                    np.log10(CFG.max_width)))
-    return lambda: _pulse_cell(P, x0, amp, width, CFG.pulse_steps)
+    return lambda: _pulse_cell(P, x0, amp, width, PULSE_STEPS)
 
 
 @st.composite
@@ -132,7 +131,8 @@ def test_underflow_names_its_circuit_and_writes_no_state():
              _tight(0.0, 1e-4, 6)()]
     for c, _ in cells:
         c.state["xr"] = 0.25
-    with pytest.raises(TransientError, match="circuit 1 of the batch") as err:
+    with pytest.raises(ConvergenceError,
+                       match="circuit 1 of the batch") as err:
         transient_batch([c for c, _ in cells], [s for _, s in cells])
     assert err.value.circuit == 1
     assert err.value.worst_row == "xr#x"

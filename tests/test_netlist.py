@@ -2,13 +2,15 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+import synapsim.engine.analysis as analysis
 from synapsim.engine import (AnalysisSpec, Capacitor, Circuit, CircuitError,
                              FloatGateElement, ISource, Mosfet, NetlistError,
                              PulseSpec, Resistor, RramElement, SystemLayout,
                              VSource, dc_sweep, operating_point,
-                             parse_netlist, parse_number, serialize_netlist)
+                             parse_netlist, parse_number, run_analysis,
+                             serialize_netlist, transient)
 from synapsim.engine.analysis import INTEGRATORS
 from synapsim.engine.mna import solve_dc
 from synapsim.floatgate import FloatingGateParams
@@ -387,13 +389,35 @@ _TRAN_USAGE = (".tran expects: tstep tstop [uic] [method=<integrator>] "
     (".tran 1u 1m growth=0.5",
      ".tran: growth must be finite and at least 1, not 0.5"),
     (".tran 1u 1m growth=1e999",
-     ".tran: growth must be finite and at least 1, not inf"),
-    (".tran 1e999 1m", ".tran: tstep must be finite, not inf"),
-    (".tran 1u 1e999", ".tran: tstop must be finite, not inf")])
+     "bad value for 'growth': '1e999' (number '1e999' is not finite)"),
+    (".tran 1e999 1m",
+     "bad value for 'tstep': '1e999' (number '1e999' is not finite)"),
+    (".tran 1u 1e999",
+     "bad value for 'tstop': '1e999' (number '1e999' is not finite)"),
+    # cards no analysis can run, rejected as they are parsed
+    (".tran 0 1u", ".tran: transient needs positive tstep and tstop"),
+    (".tran 1f 1", ".tran: transient of tstep 1e-15 s to tstop 1 s takes "
+                   "more than MAX_STEPS = 1000000 steps"),
+    (".dc v1 0 1 0", ".dc: dc sweep needs a nonzero step"),
+    (".dc v1 0 1 -0.1", ".dc: dc sweep range and step disagree"),
+    (".dc v1 0 1 1e-12", ".dc: dc sweep of start 0, stop 1 and step 1e-12 "
+                         "needs a finite step and at most MAX_STEPS = "
+                         "1000000 points")])
 def test_bad_tran_method_is_a_line_tagged_error(card, message):
     with pytest.raises(NetlistError) as exc:
         parse_netlist(f"v1 a 0 dc 1\nr1 a 0 1k\n{card}\n.end\n")
     assert exc.value.errors == [f"line 3: {message}"]
+
+
+def test_a_model_value_that_overflows_is_a_line_tagged_error():
+    # 1e400 used to read as inf, pass every positivity check and fail the
+    # run with a non-finite residual
+    with pytest.raises(NetlistError) as exc:
+        parse_netlist("v1 a 0 dc 1\nxr1 a 0 model=m\n"
+                      ".model m rram k_set=1e400\n.end\n")
+    assert exc.value.errors == [
+        "line 3: bad value for 'k_set': '1e400' (number '1e400' is not "
+        "finite)"]
 
 
 @pytest.mark.parametrize("words, growth, written", [
@@ -495,13 +519,24 @@ def _circuits(draw):
     return c
 
 
+def _checks(spec: AnalysisSpec) -> bool:
+    """Whether the spec passes ``AnalysisSpec.check``, as a card must."""
+    try:
+        spec.check()
+    except ValueError:
+        return False
+    return True
+
+
+_POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 _ANALYSIS = st.one_of(
     st.just(AnalysisSpec(kind="op")),
     st.builds(AnalysisSpec, kind=st.just("dc"), src=st.just("v1"),
               start=_NUM, stop=_NUM, step=_NUM),
-    st.builds(AnalysisSpec, kind=st.just("tran"), tstep=_NUM, tstop=_NUM,
-              uic=st.booleans(), integrator=st.sampled_from(INTEGRATORS),
-              growth=st.just(1.0) | st.floats(1.0, 1e6)))
+    st.builds(AnalysisSpec, kind=st.just("tran"), tstep=_POSITIVE,
+              tstop=_POSITIVE, uic=st.booleans(),
+              integrator=st.sampled_from(INTEGRATORS),
+              growth=st.just(1.0) | st.floats(1.0, 1e6))).filter(_checks)
 
 
 @settings(max_examples=60, deadline=None)
@@ -513,3 +548,82 @@ def test_random_circuits_round_trip(c, analyses):
     assert r.circuit.models == c.models
     assert r.analyses == analyses
     assert serialize_netlist(r.circuit, r.analyses) == text
+
+
+class _Compiled(Exception):
+    """Raised in place of compiling a layout: the analysis got past every
+    check of its card."""
+
+
+def _no_layout(circuit):
+    raise _Compiled
+
+
+# 0, negatives, 1f steps over 1 s, and any float as the writer spells it
+_CARD_NUMBER = (st.sampled_from(["0", "-1", "-0.1", "1e-12", "1f", "1u",
+                                 "1m", "0.1", "1"])
+                | _NUM.map(repr))
+
+
+@st.composite
+def _cards(draw):
+    """An analysis card, some of them no analysis can run, and the
+    AnalysisSpec fields it spells."""
+    kind = draw(st.sampled_from(["op", "dc", "tran"]))
+    if kind == "op":
+        return ".op", {"kind": "op"}
+    if kind == "dc":
+        words = [draw(_CARD_NUMBER) for _ in range(3)]
+        values = dict(zip(("start", "stop", "step"), map(parse_number, words)))
+        return " ".join([".dc v1", *words]), dict(kind="dc", src="v1",
+                                                  **values)
+    words = [draw(_CARD_NUMBER), draw(_CARD_NUMBER)]
+    values = dict(kind="tran", tstep=parse_number(words[0]),
+                  tstop=parse_number(words[1]))
+    if draw(st.booleans()):
+        words.append("uic")
+        values["uic"] = True
+    method = draw(st.none() | st.sampled_from(["be", "trap", "gear"]))
+    if method is not None:
+        words.append(f"method={method}")
+        values["integrator"] = method
+    growth = draw(st.none() | st.sampled_from(["0.5", "1", "1.12", "2"]))
+    if growth is not None:
+        words.append(f"growth={growth}")
+        values["growth"] = float(growth)
+    return " ".join([".tran", *words]), values
+
+
+@settings(max_examples=100, deadline=None)
+@given(card=_cards())
+@example(card=(".tran 0 1u", dict(kind="tran", tstep=0.0, tstop=1e-6)))
+@example(card=(".dc v1 0 1 -0.1", dict(kind="dc", src="v1", start=0.0,
+                                      stop=1.0, step=-0.1)))
+def test_the_parser_and_the_analyses_accept_the_same_cards(card):
+    # a card either fails to parse, every error line-tagged, or runs up
+    # to its layout; the same values through the API fail check()
+    # exactly when their analysis stops before its layout
+    text, values = card
+    spec = AnalysisSpec(**values)
+    drive = {"op": operating_point, "dc": dc_sweep,
+             "tran": transient}[spec.kind]
+    circuit = parse_netlist("v1 a 0 dc 1\nr1 a 0 1k\n").circuit
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analysis, "SystemLayout", _no_layout)
+        try:
+            parsed = parse_netlist(f"v1 a 0 dc 1\nr1 a 0 1k\n{text}\n.end\n")
+        except NetlistError as exc:
+            assert all(e.startswith("line 3: ") for e in exc.errors)
+            accepted = False
+        else:
+            with pytest.raises(_Compiled):
+                run_analysis(parsed.circuit, parsed.analyses[0])
+            accepted = True
+        checked = _checks(spec)
+        try:
+            drive(circuit, spec)
+        except _Compiled:
+            reached = True
+        except ValueError:
+            reached = False
+    assert accepted == checked == reached

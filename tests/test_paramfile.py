@@ -5,7 +5,8 @@ import pytest
 from synapsim.mosfet import MosParams
 from synapsim.neuro import MacromodelConfig
 from synapsim.paramfile import (ParamError, apply_params, coerce_value,
-                                load_params, parse_assignments, split_scopes)
+                                load_params, parse_assignments, parse_number,
+                                split_scopes)
 
 
 def test_load_params_comments_and_blanks(tmp_path):
@@ -96,3 +97,11 @@ def test_coerce_value_bool_words():
     assert coerce_value("off", bool) is False
     with pytest.raises(ParamError):
         coerce_value("maybe", bool)
+
+
+@pytest.mark.parametrize("token", ["1e400", "-1e400", "1e308k", "2e308",
+                                   "1" + "0" * 400])
+def test_a_number_that_overflows_is_rejected(token):
+    # the grammar has no inf or nan, and an overflow reads as neither
+    with pytest.raises(ParamError, match=f"number '{token}' is not finite"):
+        parse_number(token)
