@@ -9,6 +9,16 @@ uniform grid; a larger ratio grows the steps geometrically).  A failed
 Newton solve halves the step, down to tstep/1024; accepted steps grow
 back toward the base step, and the last step lands on ``tstop``.
 
+A step that would pass a corner of a PULSE source, where its slope
+changes, ends exactly on it (SPICE's source breakpoints, Nagel 1975),
+and the base step starts again from ``tstep`` there.  A step that ends
+within ``_CORNER_TOL`` base steps of a corner's time, either side,
+counts as ending on it and is kept as it is, so no step is cut shorter
+than the shortest halved step, and a uniform grid whose corners lie on
+it keeps its bits though its sum of steps drifts from them in the last
+digits.  Each run asks its sources for the next corner only once it
+reaches the last one (``PulseSpec.next_corner``).
+
 ``transient_batch`` runs the transients of circuits of one topology in
 lockstep: each circuit keeps its own time, step, step halving and
 trapezoidal history, and at every step the circuits still running solve
@@ -37,6 +47,15 @@ from .mna import (DC_PATHS, ConvergenceError, EvalContext, SystemLayout,
                   Tolerances, newton_solve_batch, post_step_aux, solve_dc)
 
 _MIN_STEP_DIV = 1024.0
+
+# how near a step's end, in ``tstep``s, a PULSE corner counts as reached:
+# the shortest step halving allows, so no step is cut shorter (a sliver
+# step's companion conductance can leave Newton's residual above its
+# tolerance on rounding alone), as SPICE merges breakpoints nearer than
+# its smallest step; far above the drift of a sum of equal steps from
+# their product (rram-iv's 1000 steps of 1 us reach its corners to within
+# 1.2e-17 s)
+_CORNER_TOL = 1.0 / _MIN_STEP_DIV
 
 # the most base steps a transient may take (``_base_steps``), and the
 # most points of a DC sweep, far above any experiment's (rram-iv's loop
@@ -210,15 +229,37 @@ class _Run:
         # the step to try, and the base step it grows back toward
         self.t, self.h, self.tstep = 0.0, spec.tstep, spec.tstep
         self.h_min = spec.tstep / _MIN_STEP_DIV
+        self.pulses = [e.pulse for e in layout.vsrc if e.pulse is not None]
+        self.tol = _CORNER_TOL * spec.tstep
+        self.next_corner()
         # only a trapezoidal run reads the companion history
         self.trap = spec.integrator == "trap"
         self.end = spec.tstop * (1.0 - 1e-12)
         self.stats = {"steps": 0, "halvings": 0, "newton_iterations": 0}
 
+    def next_corner(self) -> None:
+        """Take as ``corner`` the first PULSE corner more than ``tol``
+        after the run's time and before tstop by as much (else inf); a
+        step that ends past ``cut`` is cut to end on it, and one that
+        ends past ``reached`` has reached it."""
+        tol = self.tol
+        corner = min((p.next_corner(self.t + tol) for p in self.pulses),
+                     default=math.inf)
+        if not corner < self.spec.tstop - tol:
+            corner = math.inf
+        self.corner, self.cut, self.reached = (corner, corner + tol,
+                                               corner - tol)
+
     def context(self) -> EvalContext:
-        """The context of this circuit's next step."""
+        """The context of this circuit's next step, which ends on the
+        next corner if it would pass it by more than ``tol``."""
         h = min(self.h, self.spec.tstop - self.t)
-        return EvalContext(mode="tran", time=self.t + h, h=h, x_prev=self.x,
+        if self.t + h > self.cut:
+            h = self.corner - self.t
+            time = self.corner
+        else:
+            time = self.t + h
+        return EvalContext(mode="tran", time=time, h=h, x_prev=self.x,
                            aux_prev=self.aux, gmin=self.spec.gmin)
 
 
@@ -236,25 +277,53 @@ def _base_steps(spec: AnalysisSpec) -> float:
     return spec.tstop / spec.tstep
 
 
+def _check_corners(circuit: Circuit, spec: AnalysisSpec) -> None:
+    """Raise ValueError naming the first PULSE source of the circuit
+    whose corners in (0, tstop) would add more than ``MAX_STEPS`` steps,
+    one a corner, such as a period in fs for a run in ms."""
+    for e in circuit.vsources():
+        if e.pulse is not None and not (
+                e.pulse.corner_count(spec.tstop) <= MAX_STEPS):
+            raise ValueError(
+                f"source '{e.name}': its PULSE has more than MAX_STEPS = "
+                f"{MAX_STEPS} corners before tstop {spec.tstop:g} s, and "
+                "each one ends a step")
+
+
+def _where(k: int, batch) -> str:
+    """Where circuit k of a batch failed, for an error message."""
+    return f" in circuit {k} of the batch" if len(batch) > 1 else ""
+
+
 def transient_batch(circuits, specs) -> list:
     """Transient analyses of circuits that share one topology, stepped in
     lockstep as the module docstring describes; returns one SimResult
-    per circuit.  Each spec must pass ``AnalysisSpec.check``, the specs
-    must share their tolerances and the circuits their compiled pattern
-    (ValueError otherwise).  A timestep underflow raises
-    ConvergenceError whose ``circuit`` is the failing circuit's position
-    in the batch, and then no circuit's state is written back.
+    per circuit.  Each spec must pass ``AnalysisSpec.check``, each PULSE
+    source may add at most ``MAX_STEPS`` corners (``_check_corners``),
+    the specs must share their tolerances and the circuits their
+    compiled pattern (ValueError otherwise).  A failed DC start or a
+    timestep underflow raises ConvergenceError whose ``circuit`` is the
+    failing circuit's position in the batch, and then no circuit's state
+    is written back.
     """
     if len(circuits) != len(specs) or not circuits:
         raise ValueError("transient_batch needs one spec per circuit")
     tol = specs[0]
-    for spec in specs:
+    for circuit, spec in zip(circuits, specs):
         spec.check()
+        _check_corners(circuit, spec)
         if any(getattr(spec, name) != getattr(tol, name)
                for name in _TOL_FIELDS):
             raise ValueError("the circuits of a batch must share their "
                              "tolerances")
-    runs = [_Run(c, spec) for c, spec in zip(circuits, specs)]
+    runs = []
+    for k, (circuit, spec) in enumerate(zip(circuits, specs)):
+        try:
+            runs.append(_Run(circuit, spec))
+        except ConvergenceError as exc:
+            raise ConvergenceError(
+                f"DC start{_where(k, circuits)} failed: {exc}",
+                worst_row=exc.worst_row, circuit=k) from exc
 
     # every circuit steps at t = 0, so newton_solve_batch rejects a mixed
     # topology before any state is written
@@ -272,19 +341,22 @@ def transient_batch(circuits, specs) -> list:
                 run.h *= 0.5
                 stats["halvings"] += 1
                 if run.h < run.h_min:
-                    where = (f" in circuit {runs.index(run)} of the batch"
-                             if len(runs) > 1 else "")
+                    k = runs.index(run)
                     raise ConvergenceError(
-                        f"timestep underflow{where} at t={run.t:.6e} s "
-                        f"(worst residual row: {worst})",
-                        worst_row=worst, circuit=runs.index(run))
+                        f"timestep underflow{_where(k, runs)} at "
+                        f"t={run.t:.6e} s (worst residual row: {worst})",
+                        worst_row=worst, circuit=k)
                 continue
             run.aux = post_step_aux(run.layout, ctx, x_new, run.trap)
-            run.t = t = run.t + ctx.h
+            run.t = t = ctx.time
             run.x = x_new
             run.times.append(t)
             run.rows.append(x_new)
-            run.tstep *= run.spec.growth
+            if t >= run.reached:
+                run.next_corner()
+                run.tstep = run.spec.tstep
+            else:
+                run.tstep *= run.spec.growth
             run.h = min(run.tstep, 2.0 * run.h)
             stats["steps"] += 1
             finished = finished or t >= run.end

@@ -19,6 +19,7 @@ Adding an element kind means one dataclass here plus one entry in the
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import ClassVar, Optional
 
@@ -56,6 +57,37 @@ class PulseSpec:
         if tau < self.tf:
             return self.v2 + (self.v1 - self.v2) * tau / self.tf
         return self.v1
+
+    def _phases(self) -> tuple:
+        """The corners of one period, as offsets from its start: where the
+        rise starts and ends and the fall starts and ends.  With a period
+        ``per`` > 0, only those under it, the offsets ``value_at`` reaches."""
+        ends = (self.tr, self.tr + self.pw, self.tr + self.pw + self.tf)
+        if self.per > 0:
+            ends = tuple(c for c in ends if c < self.per)
+        return (0.0,) + ends
+
+    def next_corner(self, t: float) -> float:
+        """The first corner after t (``math.inf`` if none): a time where
+        the waveform's slope changes, with ``value_at``'s periods."""
+        starts = [self.td]
+        if self.per > 0:
+            # the period holding t and the next two, so a floor that
+            # rounds one period low still finds the corner
+            k = max(0.0, (t - self.td) // self.per)
+            first = self.td + k * self.per if k else self.td
+            starts = [first, first + self.per, first + 2.0 * self.per]
+        return min((s + c for s in starts for c in self._phases()
+                    if s + c > t), default=math.inf)
+
+    def corner_count(self, tstop: float) -> float:
+        """A bound on the number of corners in (0, tstop)."""
+        if not tstop > self.td:
+            return 0.0
+        n = len(self._phases())
+        if self.per > 0:
+            return ((tstop - self.td) / self.per + 1.0) * n
+        return float(n)
 
 
 class _Element:

@@ -98,6 +98,17 @@ class PulseResult:
 V_READ_FG = 0.6
 V_SG_FG = 1.0
 
+# a programming pulse's first trapezoidal step, as a share of its width,
+# and the ratio of its successive steps.  The charge moves in the last
+# part of the rise ramp and just after it, so the steps start fine and
+# grow geometrically, starting again at each corner of the drive
+# (``engine.analysis``).  FG_H0 and FG_GROWTH keep every row of the
+# default fg-pulse staircase's read current within its error budget with
+# a 2x margin, at the trapezoidal order (tests/test_fg_budget.py, the
+# README's "fg-pulse budget").
+FG_H0 = 1e-3
+FG_GROWTH = 1.1
+
 
 def _fg_circuit(p: FloatingGateParams, q_fg: float, v_d: float, v_sg: float):
     """The cell with drain and synaptic gate at v_d and v_sg and both
@@ -143,7 +154,19 @@ def fg_program_pulse(p: FloatingGateParams, q_fg: float, terminal: str,
         raise ValueError(f"width must be finite and >= 0, not {width!r}")
     if width == 0.0:
         return q_fg
-    from .engine import AnalysisSpec, PulseSpec, transient
+    from .engine import transient
+
+    c, spec = _fg_pulse_cell(p, q_fg, terminal, amplitude, width)
+    transient(c, spec)
+    return float(c.state["xf1"])
+
+
+def _fg_pulse_cell(p: FloatingGateParams, q_fg: float, terminal: str,
+                   amplitude: float, width: float):
+    """(circuit, spec) of one programming pulse: ramps of a fiftieth of
+    the width, integrated by the trapezoidal rule on steps that start at
+    ``FG_H0`` of the width and grow by ``FG_GROWTH``."""
+    from .engine import AnalysisSpec, PulseSpec
 
     rise = width / 50.0
     c = _fg_circuit(p, q_fg, v_d=0.0, v_sg=0.0)
@@ -151,10 +174,9 @@ def fg_program_pulse(p: FloatingGateParams, q_fg: float, terminal: str,
     src.dc = None
     src.pulse = PulseSpec(v1=0.0, v2=amplitude, td=0.0, tr=rise, tf=rise,
                           pw=width, per=10.0 * (width + 2.0 * rise))
-    spec = AnalysisSpec(kind="tran", tstep=width / 200.0,
-                        tstop=width + 4.0 * rise)
-    transient(c, spec)
-    return float(c.state["xf1"])
+    return c, AnalysisSpec(kind="tran", tstep=FG_H0 * width,
+                           tstop=width + 4.0 * rise, growth=FG_GROWTH,
+                           integrator="trap")
 
 
 def program_pulse(p: FloatingGateParams, q_fg: float, terminal: str,

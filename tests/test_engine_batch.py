@@ -10,10 +10,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import synapsim.engine.analysis as analysis
 from synapsim.engine import (AnalysisSpec, Circuit, ConvergenceError,
                              ISource, Resistor, RramElement, SystemLayout,
-                             Tolerances, VSource, transient, transient_batch)
-from synapsim.engine.mna import EvalContext, newton_solve, newton_solve_batch
+                             Tolerances, VSource, parse_netlist, transient,
+                             transient_batch)
+from synapsim.engine.mna import (EvalContext, newton_solve,
+                                 newton_solve_batch, solve_dc)
 from synapsim.mosfet import MosParams
 from synapsim.neuro import TrainConfig
 from synapsim.neuro.crossbar import PULSE_STEPS, _pulse_cell
@@ -137,6 +140,27 @@ def test_underflow_names_its_circuit_and_writes_no_state():
     assert err.value.circuit == 1
     assert err.value.worst_row == "xr#x"
     assert [c.state["xr"] for c, _ in cells] == [0.25] * 3
+
+
+def test_a_failed_dc_start_names_its_circuit(monkeypatch):
+    # the DC start of the second of three cells fails
+    calls = []
+
+    def failing_solve_dc(layout, spec, **kw):
+        calls.append(layout)
+        if len(calls) == 2:
+            raise ConvergenceError("operating point failed", "v(a)")
+        return solve_dc(layout, spec, **kw)
+
+    monkeypatch.setattr(analysis, "solve_dc", failing_solve_dc)
+    circuits = [parse_netlist(f"V1 a 0 DC {v}\nR1 a b 1k\nC1 b 0 1n\n"
+                              ".end\n").circuit for v in (1, 2, 3)]
+    spec = AnalysisSpec(kind="tran", tstep=1e-7, tstop=1e-6)
+    with pytest.raises(ConvergenceError,
+                       match="in circuit 1 of the batch") as err:
+        transient_batch(circuits, [spec] * 3)
+    assert err.value.circuit == 1
+    assert err.value.worst_row == "v(a)"
 
 
 def test_transient_stats_repeat_and_count_halvings():

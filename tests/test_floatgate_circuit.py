@@ -102,7 +102,7 @@ def test_strengthen_weaken_results_are_pinned():
     got = [up.i_before, up.i_after, up.q_fg, down.i_before, down.i_after,
            down.q_fg]
     np.testing.assert_allclose(
-        got, [2.5911478041815864e-07, 0.00025617065280010337,
-              2.2496973329950075e-16, 0.00025617065280010337,
-              5.079027168836924e-07, 6.514619535901627e-18],
+        got, [2.5911478041815764e-07, 0.00025599291038185283,
+              2.248928006116572e-16, 0.00025599291038185283,
+              4.880472426551873e-07, 6.107807138834204e-18],
         rtol=1e-12, atol=0)

@@ -19,6 +19,8 @@ from synapsim.rram import (SET_WIDTH, SET_WIDTH_MAX, V_SET_1T1R, RramParams,
                            _pulse_1t1r_cell, _run_transients, _set_1t1r_batch,
                            conductance)
 
+from richardson import richardson
+
 P, MOS = RramParams(), MosParams()
 # the rram-tune default grid of gate voltages
 GRID = np.linspace(0.25, 1.4, 16)
@@ -31,24 +33,6 @@ ORDER = {"be": 1, "trap": 2}
 # SET grid's states move by at most 3.4e-13 between reltol 1e-6 and 1e-9),
 # so no order can be read off them
 ROUNDING = 1e-11
-
-
-def richardson(y1, y2, y4, order: int):
-    """(error estimate of y1, observed order), entry by entry, from one
-    experiment run at N, 2N and 4N steps of an integrator of the given
-    order.
-
-    The step limit is extrapolated from the finest pair,
-    y4 + (y4 - y2) / (2**order - 1), and the estimate is y1 less it.  The
-    observed order is log2(|y1 - y2| / |y2 - y4|), NaN where the finer
-    difference is within ``ROUNDING``.
-    """
-    y1, y2, y4 = (np.asarray(y, dtype=float) for y in (y1, y2, y4))
-    d1, d2 = np.abs(y1 - y2), np.abs(y2 - y4)
-    err = (y1 - y2) + (y2 - y4) * 2.0 ** order / (2.0 ** order - 1.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        observed = np.where(d2 > ROUNDING, np.log2(d1 / d2), np.nan)
-    return err, observed
 
 
 def _sets(v_gates, width=SET_WIDTH, x0=0.0, k=1):
@@ -76,11 +60,11 @@ def test_richardson_recovers_a_known_error(order):
     h = 0.01
     y = [0.7 + 3.0 * (h / k) ** order - 5.0 * (h / k) ** (order + 1)
          for k in (1, 2, 4)]
-    err, observed = richardson(*y, order)
+    err, observed = richardson(*y, order, ROUNDING)
     assert err == pytest.approx(y[0] - 0.7, rel=0.05)
     assert observed == pytest.approx(order, abs=0.1)
     # a run that does not move has no order to read
-    assert np.isnan(richardson(0.5, 0.5, 0.5, order)[1])
+    assert np.isnan(richardson(0.5, 0.5, 0.5, order, ROUNDING)[1])
 
 
 # from the shortest grid shape (``SET_SPLIT``) to ``SET_WIDTH_MAX``
@@ -91,7 +75,7 @@ def test_tuning_curve_meets_its_budget(width):
     # refined 2x and 4x
     y1 = _set_1t1r_batch(P, MOS, GRID, width=width)
     (y2, order), (y4, _) = _sets(GRID, width, k=2), _sets(GRID, width, k=4)
-    err, observed = richardson(y1, y2, y4, order)
+    err, observed = richardson(y1, y2, y4, order, ROUNDING)
     limit = y1 - err
     gaps = np.abs(np.diff(limit))
     assert np.all(gaps > 0.0)
@@ -115,6 +99,7 @@ def test_a_write_verify_set_lands_within_a_tenth_of_write_tol(x0, v_gate):
     # the 1t1r scheme's SET pulse, from any state at any calibrated gate
     (y1, order), (y2, _), (y4, _) = (_sets([v_gate], x0=x0, k=k)
                                      for k in (1, 2, 4))
-    x1, err = float(y1[0]), float(richardson(y1, y2, y4, order)[0][0])
+    err = richardson(y1, y2, y4, order, ROUNDING)[0]
+    x1, err = float(y1[0]), float(err[0])
     g_error = abs(float(conductance(P, x1)) - float(conductance(P, x1 - err)))
     assert g_error <= TrainConfig().write_tol / 10
