@@ -31,7 +31,7 @@ from .neuro import (MacromodelConfig, TrainConfig, find_mnist,
 from .paramfile import (ParamError, apply_params, load_params,
                         parse_assignments, split_scopes)
 from .rram import (IV_PERIOD, IV_TSTEP, IV_V_PEAK, SET_WIDTH, V_READ_1T1R,
-                   V_SET_1T1R, RramParams, hysteresis_loop,
+                   V_SET_1T1R, RramParams, _hysteresis_run,
                    tuning_curve_1t1r)
 
 EXIT_OK, EXIT_SIM, EXIT_USAGE = 0, 1, 2
@@ -157,10 +157,8 @@ def cmd_gummel(args) -> int:
 def cmd_rram_iv(args) -> int:
     objs = _resolve(args, "rram", {"rram": RramParams()})
     p = objs["rram"]
-    v, i, x = hysteresis_loop(p, v_peak=args.v_peak, period=args.period,
-                              tstep=args.tstep)
-    t = np.arange(v.size) * args.tstep
-    _write(args, ["t", "v", "i", "x"], np.column_stack([t, v, i, x]),
+    columns = _hysteresis_run(p, args.v_peak, args.period, args.tstep)
+    _write(args, ["t", "v", "i", "x"], np.column_stack(columns),
            _metadata(args, objs))
     return EXIT_OK
 

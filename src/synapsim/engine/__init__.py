@@ -1,6 +1,7 @@
 """Circuit-simulation engine: netlist parsing, MNA with Newton-Raphson,
-DC operating point and sweep, and fixed-step transient with failure
-halving."""
+DC operating point and sweep, and backward-Euler or trapezoidal
+transients on uniform or geometrically growing steps, each ended on any
+PULSE corner it would pass and halved on a failed solve."""
 
 from ..paramfile import parse_number
 from .analysis import (AnalysisSpec, SimResult, dc_sweep, operating_point,

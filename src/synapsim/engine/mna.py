@@ -1233,7 +1233,8 @@ def newton_solve_batch(layouts, ctxs, x0s, tol: Tolerances) -> list:
         left: dict = {}
         if not _all(np.isfinite(bins), None):
             for row in np.flatnonzero(~_all(np.isfinite(bins), 1)).tolist():
-                left[row] = (x[row, 1:], False, "non-finite residual")
+                left[row] = (x[row, 1:], False, "non-finite residual at "
+                             + _worst(layout, bins[row, :n]))
         if True in dx_ok:
             ok = (np.abs(bins[:, :n])
                   <= np.maximum(f_tol, _RESID_FLOOR * bins[:, n:2 * n]))

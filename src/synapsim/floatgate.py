@@ -39,10 +39,11 @@ class FloatingGateParams:
     mos: MosParams = field(default_factory=MosParams)
 
     def __post_init__(self):
+        # written so that a NaN or an inf fails it too
         for name in ("c_sg", "c_nfb", "c_pfb", "t_tun", "a_tun",
                      "alpha_fn", "beta_fn"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive")
 
     @property
     def c_total(self) -> float:

@@ -164,10 +164,14 @@ class MosParams:
     ln_q_ref_sq: float = field(init=False, repr=False)
 
     def __post_init__(self):
+        # written so that a NaN or an inf fails them too
         for name in ("l", "w", "t_si", "eot", "n_a", "n_i", "mu0", "temp",
                      "eps_si", "eps_ox", "e_mob", "v_sat"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"MosParams.{name} must be positive")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(
+                    f"MosParams.{name} must be finite and positive")
+        if not math.isfinite(self.v_fb):
+            raise ValueError("MosParams.v_fb must be finite")
         if self.n_a < self.n_i:
             raise ValueError("MosParams requires N_A >= n_i")
         set_ = object.__setattr__

@@ -234,18 +234,17 @@ def _pulse(p: RramParams, x0: float, x1: float, amplitude: float,
     return amplitude, min(t, hi)
 
 
-def _pulse_cell(p: RramParams, x0: float, amplitude: float, width: float,
-                steps: int):
+def _pulse_cell(p: RramParams, x0: float, amplitude: float, width: float):
     """(circuit, spec) of one constant-voltage pulse on an isolated
-    device, integrated by the trapezoidal rule in ``steps`` steps.  An
-    ideal source drives the device, so the state it lands on has the
+    device, integrated by the trapezoidal rule in ``PULSE_STEPS`` steps.
+    An ideal source drives the device, so the state it lands on has the
     closed form that ``_pulse`` inverts."""
     c = Circuit()
     c.add_model("mem", "rram", p)
     c.add(VSource("vp", "a", "0", dc=amplitude))
     c.add(RramElement("xr", "a", "0", model="mem", x0=x0))
-    return c, AnalysisSpec(kind="tran", tstep=width / steps, tstop=width,
-                           uic=True, integrator="trap")
+    return c, AnalysisSpec(kind="tran", tstep=width / PULSE_STEPS,
+                           tstop=width, uic=True, integrator="trap")
 
 
 def _verify(params: RramParams, x0: float, g_target: float,
@@ -301,7 +300,7 @@ def _verify_direct(params: RramParams, x0: float, g_target: float,
         amp = cfg.set_amplitude if g < g_target else cfg.reset_amplitude
         amp, width = _pulse(params, x, x_target, amp,
                             cfg.min_width, cfg.max_width)
-        c, spec = _pulse_cell(params, x, amp, width, PULSE_STEPS)
+        c, spec = _pulse_cell(params, x, amp, width)
         yield c, spec
         return float(c.state["xr"])
 

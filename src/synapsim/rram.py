@@ -50,13 +50,14 @@ class RramParams:
     ln_g_ratio: float = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not self.g_on > self.g_off > 0.0:
-            raise ValueError("require g_on > g_off > 0")
+        # the checks are written so that a NaN or an inf fails them too
+        if not math.inf > self.g_on > self.g_off > 0.0:
+            raise ValueError("require finite g_on > g_off > 0")
         for name in ("v0", "vc_set", "vc_reset", "k_set", "k_reset"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
-        if self.p < 1.0:
-            raise ValueError("window exponent p must be >= 1")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive")
+        if not 1.0 <= self.p < math.inf:
+            raise ValueError("window exponent p must be finite and >= 1")
         if not 0.0 <= self.x_init <= 1.0:
             raise ValueError("x_init must lie in [0, 1]")
         object.__setattr__(self, "ln_g_ratio",
@@ -152,35 +153,30 @@ IV_PERIOD = 1e-3
 IV_TSTEP = 1e-6
 
 # the 1T1R experiments: the SET bias on the cell (V), a SET pulse's width
-# (s), the first trapezoidal step of a SET (s), the ratio of its
-# successive steps, the width in first steps below which a SET's first
-# step shrinks with its width, the longest SET (s), a write-verify RESET
-# pulse's backward-Euler step count, the read bias (V), and the gate
-# drive (V) of a read or a RESET.  A SET's filament state covers most of
-# its move in the first few hundred ns and then creeps, so its steps
-# start fine and grow geometrically up to the pulse's end (Nagel 1975;
-# Hairer, Norsett & Wanner, Solving ODEs I, II.4).  SET_H0 and
-# SET_GROWTH keep the default 16-point tuning curve within its error
-# budget (each point's X error under a tenth of the gap to its nearer
-# neighbour) with a 2x margin at every width, read the trapezoidal order
-# at the worst point with room, and land a write-verify SET no further
-# off than 250 uniform steps did (tests/test_set_budget.py).  Of the
-# pairs scanned only 1.5 ns x 1.12 is cheaper, 59 steps against 63 at
-# 10 us, and it reads the order 0.15 from the check's limit (the
-# README's "1T1R SET budget").  A pulse shorter than SET_SPLIT * SET_H0
-# (50 ns) starts at a SET_SPLIT-th of its width, so every shorter grid
-# has the 50 ns grid's shape, 18 steps: from a 1 ns first step a 10 ns
-# pulse takes 7 steps and reads order 0.7.  Past SET_WIDTH_MAX the
-# tuning curve's nearest points lie closer than 3.3e-6 in X (3.3e-7 at
-# 0.1 s) and the error estimate leaves its asymptotic range (order 4.1
-# at 0.1 s), so a longer SET is refused.
+# (s), the first trapezoidal step of a 1T1R pulse (s), the ratio of its
+# successive steps, the width in first steps below which a pulse's first
+# step shrinks with its width, the longest 1T1R pulse (s), the read bias
+# (V), and the gate drive (V) of a read or a RESET.  A pulse moves the
+# filament state fastest at its onset (a SET's then creeps), so its steps
+# start fine and grow geometrically up to its end (Nagel 1975; Hairer,
+# Norsett & Wanner, Solving ODEs I, II.4), one grid for SET and RESET.
+# SET_H0 and SET_GROWTH keep the default 16-point tuning curve within its
+# error budget with a 2x margin at every width and land a write-verify
+# SET or RESET within write_tol/10 (tests/test_set_budget.py,
+# tests/test_reset_budget.py; the scan that chose them is the README's
+# "1T1R SET budget").  A pulse shorter than SET_SPLIT * SET_H0 (50 ns)
+# starts at a SET_SPLIT-th of its width, so every shorter grid has the
+# 50 ns grid's shape, 18 steps: from a 1 ns first step a 10 ns pulse
+# takes 7 steps and reads order 0.7.  Past SET_WIDTH_MAX the tuning
+# curve's nearest points lie closer than 3.3e-6 in X and the error
+# estimate leaves its asymptotic range (order 4.1 at 0.1 s), so a longer
+# pulse is refused.
 V_SET_1T1R = 1.0
 SET_WIDTH = 10e-6
 SET_H0 = 1e-9
 SET_GROWTH = 1.12
 SET_SPLIT = 50
 SET_WIDTH_MAX = 10e-3
-RESET_STEPS = 200
 V_READ_1T1R = 0.1
 V_GATE_ON = 1.5
 
@@ -189,11 +185,17 @@ def hysteresis_loop(p: RramParams, v_peak: float = IV_V_PEAK,
                     period: float = IV_PERIOD, tstep: float = IV_TSTEP):
     """Bipolar triangular sweep 0 -> +v_peak -> 0 -> -v_peak -> 0.
 
-    Returns (v, i, x) arrays over one period; the device starts at the
-    model card's ``x_init``, and the drive is built from two
-    half-period triangle sources in series.  A period that is not
-    finite and positive raises ValueError.
+    Returns (v, i, x) over one period from the model card's ``x_init``;
+    the drive is two half-period triangle sources in series.  A period
+    that is not finite and positive raises ValueError.
     """
+    return _hysteresis_run(p, v_peak, period, tstep)[1:]
+
+
+def _hysteresis_run(p: RramParams, v_peak: float, period: float,
+                    tstep: float):
+    """``hysteresis_loop``'s (t, v, i, x): t holds the transient's own
+    step times, which land on the drive's corners."""
     from .engine import (AnalysisSpec, Circuit, PulseSpec, RramElement,
                          VSource, transient)
 
@@ -211,9 +213,8 @@ def hysteresis_loop(p: RramParams, v_peak: float = IV_V_PEAK,
                   pulse=PulseSpec(0.0, -v_peak, period / 2.0, quarter,
                                   quarter, 0.0, period)))
     c.add(RramElement("xr1", "a", "0", model="mem"))
-    res = transient(c, AnalysisSpec(kind="tran", tstep=tstep,
-                                    tstop=period))
-    return (res.column("v(a)"), -res.column("i(vpos)"),
+    res = transient(c, AnalysisSpec(kind="tran", tstep=tstep, tstop=period))
+    return (res.column("time"), res.column("v(a)"), -res.column("i(vpos)"),
             res.column("v(xr1#x)"))
 
 
@@ -235,28 +236,23 @@ def _pulse_1t1r_cell(p: RramParams, mos_params, v_top: float,
                      x0: float = 0.0):
     """(circuit, spec) of one programming pulse on a 1T1R cell starting
     from state x0.  A positive v_top SETs toward the transistor's
-    compliance ceiling, integrated by the trapezoidal rule on steps that
-    start at ``SET_H0`` (a ``SET_SPLIT``-th of a shorter pulse's width)
-    and grow by ``SET_GROWTH``; a negative one (gate driven hard)
-    RESETs, in ``RESET_STEPS`` backward-Euler steps.  A width that is
-    not finite and positive, or a SET's over ``SET_WIDTH_MAX``, raises
-    ValueError."""
+    compliance ceiling, a negative one (gate driven hard) RESETs; either
+    is integrated by the trapezoidal rule on steps that start at
+    ``SET_H0`` (a ``SET_SPLIT``-th of a shorter pulse's width) and grow
+    by ``SET_GROWTH``.  A width that is not finite and positive, or over
+    ``SET_WIDTH_MAX``, raises ValueError."""
     from .engine import AnalysisSpec
 
     # written so that a NaN fails it too
     if not 0.0 < width < math.inf:
         raise ValueError(f"width must be finite and positive, not {width!r}")
-    if v_top > 0.0 and width > SET_WIDTH_MAX:
-        raise ValueError(f"width of a SET must be at most {SET_WIDTH_MAX!r}"
-                         f" s, not {width!r}")
+    if width > SET_WIDTH_MAX:
+        raise ValueError(f"width of a 1T1R pulse must be at most "
+                         f"{SET_WIDTH_MAX!r} s, not {width!r}")
     c = _build_1t1r(p, mos_params, v_top, v_gate)
     c.state["xr1"] = float(x0)
-    if v_top > 0.0:
-        h0 = min(SET_H0, width / SET_SPLIT)
-        return c, AnalysisSpec(kind="tran", tstep=h0, tstop=width,
-                               growth=SET_GROWTH, integrator="trap")
-    return c, AnalysisSpec(kind="tran", tstep=width / RESET_STEPS,
-                           tstop=width)
+    return c, AnalysisSpec(kind="tran", tstep=min(SET_H0, width / SET_SPLIT),
+                           tstop=width, growth=SET_GROWTH, integrator="trap")
 
 
 def _run_transients(cells) -> None:

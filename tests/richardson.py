@@ -5,6 +5,9 @@ ODEs I, II.4).
 
 import numpy as np
 
+# the global order of each integrator
+ORDER = {"be": 1, "trap": 2}
+
 
 def richardson(y1, y2, y4, order: int, rounding: float = 0.0):
     """(error estimate of y1, observed order), entry by entry, from one
@@ -22,3 +25,12 @@ def richardson(y1, y2, y4, order: int, rounding: float = 0.0):
     with np.errstate(divide="ignore", invalid="ignore"):
         observed = np.where(d2 > rounding, np.log2(d1 / d2), np.nan)
     return err, observed
+
+
+def refine(spec, k: int) -> None:
+    """Refine a transient's grid k times in place.  A geometric grid's
+    step at time t is h0 + (g - 1) t, so a first step h0 / k and a growth
+    1 + (g - 1) / k divide its step at every time by k; a uniform grid
+    (g = 1) takes k times the steps."""
+    spec.tstep /= k
+    spec.growth = 1.0 + (spec.growth - 1.0) / k

@@ -218,7 +218,7 @@ def test_rram_tune_of_a_set_past_its_verified_width_exits_2(tmp_path,
     assert main(["rram-tune", "--vpgm-points", "2", "--width", "0.1",
                  "--out", str(out)]) == 2
     assert not out.exists()
-    assert ("width of a SET must be at most 0.01 s, not 0.1"
+    assert ("width of a 1T1R pulse must be at most 0.01 s, not 0.1"
             in capsys.readouterr().err)
 
 
@@ -383,6 +383,18 @@ def test_rram_iv_starts_at_the_model_cards_x_init(tmp_path):
     meta, header, rows = _read_csv(out)
     assert "rram.x_init: 0.5" in meta
     assert rows[0, header.index("x")] == 0.5
+
+
+def test_rram_iv_writes_the_transients_own_times(tmp_path):
+    # at 3 us the steps land on the drive's corners, off the tstep grid:
+    # the column used to read arange(rows) * tstep, 1.008e-3 s at the end
+    # of a 1 ms period and 5.04e-4 s at its middle V = 0 row
+    out = tmp_path / "iv.csv"
+    assert main(["rram-iv", "--tstep", "3e-6", "--out", str(out)]) == 0
+    _, header, rows = _read_csv(out)
+    t, v = rows[:, header.index("t")], rows[:, header.index("v")]
+    assert t[-1] == 1e-3
+    assert t[v == 0.0].tolist() == [0.0, 5e-4, 1e-3]
 
 
 def test_fg_pulse_reads_once_per_pulse(tmp_path, monkeypatch):

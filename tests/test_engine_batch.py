@@ -19,7 +19,7 @@ from synapsim.engine.mna import (EvalContext, newton_solve,
                                  newton_solve_batch, solve_dc)
 from synapsim.mosfet import MosParams
 from synapsim.neuro import TrainConfig
-from synapsim.neuro.crossbar import PULSE_STEPS, _pulse_cell
+from synapsim.neuro.crossbar import _pulse_cell
 from synapsim.rram import RramParams, _pulse_1t1r_cell
 
 P = RramParams()
@@ -34,7 +34,7 @@ def pulses(draw):
     amp = draw(st.floats(0.2, 1.5)) * draw(st.sampled_from([1.0, -1.0]))
     width = 10.0 ** draw(st.floats(np.log10(CFG.min_width),
                                    np.log10(CFG.max_width)))
-    return lambda: _pulse_cell(P, x0, amp, width, PULSE_STEPS)
+    return lambda: _pulse_cell(P, x0, amp, width)
 
 
 @st.composite
@@ -81,7 +81,7 @@ def test_batch_equals_each_circuit_alone(data, k, kind):
 def _tight(amp, width, max_iter=10):
     """A pulse cell whose Newton loop has few iterations to spare."""
     def make():
-        c, spec = _pulse_cell(P, 0.0, amp, width, 10)
+        c, spec = _pulse_cell(P, 0.0, amp, width)
         spec.max_iter = max_iter
         return c, spec
     return make
@@ -115,14 +115,14 @@ def test_batch_of_array_stamps_equals_each_alone():
 
 
 def test_mixed_topologies_raise():
-    cells = [_pulse_cell(P, 0.2, 1.0, 1e-6, 10),
+    cells = [_pulse_cell(P, 0.2, 1.0, 1e-6),
              _pulse_1t1r_cell(P, MosParams(), 1.0, 0.8, width=1e-6)]
     with pytest.raises(ValueError, match="topology"):
         transient_batch([c for c, _ in cells], [s for _, s in cells])
 
 
 def test_mixed_tolerances_raise():
-    cells = [_pulse_cell(P, 0.2, 1.0, 1e-6, 10) for _ in range(2)]
+    cells = [_pulse_cell(P, 0.2, 1.0, 1e-6) for _ in range(2)]
     cells[1][1].reltol = 1e-5
     with pytest.raises(ValueError, match="tolerances"):
         transient_batch([c for c, _ in cells], [s for _, s in cells])
@@ -199,3 +199,57 @@ def test_singular_circuits_fail_in_a_batch_as_they_do_alone():
                                        Tolerances())
         assert (ok, worst) == (ok1, worst1) == (False, "singular matrix at b")
         assert np.array_equal(x, x1)
+
+
+# the Newton budget of a mixed batch: a 0.2-1 V source converges well
+# inside it, while a 5-20 V one, damped to VLIMIT (0.3 V) per iteration
+# from a cold start, runs out of it
+_MIXED_TOL = Tolerances(max_iter=12)
+
+
+@st.composite
+def mixed_solve(draw, fate):
+    """A DC solve of a source, a resistor and an RRAM that ends as
+    ``fate`` says: "converge", "stall" (out of iterations) or "nan" (a
+    non-finite start); each circuit has its own values on one pattern."""
+    volts = draw(st.floats(0.2, 1.0) if fate == "converge"
+                 else st.floats(5.0, 20.0))
+    c = Circuit()
+    c.add_model("mem", "rram", P)
+    c.add(VSource("v1", "a", "0",
+                  dc=volts * draw(st.sampled_from([1.0, -1.0]))))
+    c.add(Resistor("r1", "a", "b", draw(st.floats(1e2, 1e5))))
+    c.add(RramElement("xr1", "b", "0", model="mem"))
+    c.state["xr1"] = draw(st.floats(0.0, 1.0))
+    layout = SystemLayout(c)
+    x0 = layout.initial_vector()
+    if fate == "nan":
+        x0[draw(st.integers(0, x0.size - 1))] = np.nan
+    return fate, layout, x0
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), k=st.integers(0, 4))
+def test_a_mixed_batch_equals_each_circuit_alone(data, k):
+    # circuits leave the batch (out of iterations, or at a non-finite
+    # iterate) while the others converge; the compaction keeps every
+    # survivor on its own iterates
+    fates = ["converge", data.draw(st.sampled_from(["stall", "nan"]))]
+    fates += data.draw(st.lists(st.sampled_from(["converge", "stall",
+                                                 "nan"]),
+                                min_size=k, max_size=k))
+    solves = [data.draw(mixed_solve(fate))
+              for fate in data.draw(st.permutations(fates))]
+    ctxs = [EvalContext(mode="dc") for _ in solves]
+    batch = newton_solve_batch([lay for _, lay, _ in solves], ctxs,
+                               [x0 for _, _, x0 in solves], _MIXED_TOL)
+    for (fate, lay, x0), ctx, (x, ok, worst) in zip(solves, ctxs, batch):
+        alone = EvalContext(mode="dc")
+        x1, ok1, worst1 = newton_solve(lay, alone, x0, _MIXED_TOL)
+        assert np.array_equal(x, x1, equal_nan=True)
+        assert (ok, worst, ctx.iterations) == (ok1, worst1, alone.iterations)
+        assert ok == (fate == "converge")
+        if not ok:
+            # it names the row it left at
+            rows = {lay.row_name(i) for i in range(lay.size)}
+            assert worst.split(" at ")[-1] in rows

@@ -230,7 +230,7 @@ def test_solved_sizes_of_the_experiment_circuits():
     # the rram-iv drive: two sources in series, only the lower grounded
     iv = parse_netlist(".model mem rram\nvpos a b dc 1\nvneg b 0 dc 0\n"
                        "xr1 a 0 model=mem\n.end").circuit
-    circuits = {"pulse cell": _pulse_cell(p, 0.5, 1.0, 1e-6, 10)[0],
+    circuits = {"pulse cell": _pulse_cell(p, 0.5, 1.0, 1e-6)[0],
                 "1t1r": _build_1t1r(p, MosParams(), 1.0, 0.8),
                 "fg cell": _fg_circuit(FloatingGateParams(), 0.0, 0.6, 1.0),
                 "rram-iv": iv}

@@ -211,7 +211,7 @@ def test_a_halved_step_doubles_back_toward_the_growing_base_step():
     # a tight Newton budget halves the first steps of a fast pulse; each
     # accepted step is at most twice the last and never above the base
     # step h0 g^k of its index k, and the run still ends on tstop
-    c, spec = _pulse_cell(RramParams(), 0.0, 1.0, 1e-4, 10)
+    c, spec = _pulse_cell(RramParams(), 0.0, 1.0, 1e-4)
     spec.max_iter, spec.growth = 10, 1.5
     res = transient(c, spec)
     assert res.stats["halvings"] > 0
@@ -225,7 +225,7 @@ def test_a_halved_step_doubles_back_toward_the_growing_base_step():
 @pytest.mark.parametrize("integrator", ["Trap", "trapezoidal", "gear", ""])
 def test_unknown_integrator_is_rejected_before_any_step(integrator):
     # any name but "trap" used to integrate by backward Euler unannounced
-    cells = [_pulse_cell(RramParams(), 0.25, 1.0, 1e-6, 10) for _ in "ab"]
+    cells = [_pulse_cell(RramParams(), 0.25, 1.0, 1e-6) for _ in "ab"]
     cells[1][1].integrator = integrator
     message = f"integrator must be 'be' or 'trap', not {integrator!r}"
     with pytest.raises(ValueError, match=message):

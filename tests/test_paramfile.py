@@ -1,8 +1,12 @@
 """Parameter-file grammar, scoping and dataclass application."""
 
+import dataclasses
+
 import pytest
 
+from synapsim.floatgate import FloatingGateParams
 from synapsim.mosfet import MosParams
+from synapsim.rram import RramParams
 from synapsim.neuro import MacromodelConfig
 from synapsim.paramfile import (ParamError, apply_params, coerce_value,
                                 load_params, parse_assignments, parse_number,
@@ -105,3 +109,19 @@ def test_a_number_that_overflows_is_rejected(token):
     # the grammar has no inf or nan, and an overflow reads as neither
     with pytest.raises(ParamError, match=f"number '{token}' is not finite"):
         parse_number(token)
+
+
+def _float_fields(cls):
+    return [(cls, f.name) for f in dataclasses.fields(cls)
+            if f.init and f.type in ("float", float)]
+
+
+@pytest.mark.parametrize("cls, name", _float_fields(RramParams)
+                         + _float_fields(FloatingGateParams)
+                         + _float_fields(MosParams))
+@pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                   float("-inf")])
+def test_a_model_card_refuses_a_value_that_is_not_finite(cls, name, value):
+    # a check written "<= 0.0" let NaN and inf through to the model
+    with pytest.raises(ValueError, match=name):
+        cls(**{name: value})

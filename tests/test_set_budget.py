@@ -19,7 +19,7 @@ from synapsim.rram import (SET_WIDTH, SET_WIDTH_MAX, V_SET_1T1R, RramParams,
                            _pulse_1t1r_cell, _run_transients, _set_1t1r_batch,
                            conductance)
 
-from richardson import richardson
+from richardson import ORDER, refine, richardson
 
 P, MOS = RramParams(), MosParams()
 # the rram-tune default grid of gate voltages
@@ -27,8 +27,6 @@ GRID = np.linspace(0.25, 1.4, 16)
 # the largest X error of a tuning-curve point, as a share of the gap to
 # its nearer neighbour
 BUDGET = 0.1
-# the global order of each integrator
-ORDER = {"be": 1, "trap": 2}
 # differences in X below this are at the Newton solve's resolution (the
 # SET grid's states move by at most 3.4e-13 between reltol 1e-6 and 1e-9),
 # so no order can be read off them
@@ -37,17 +35,12 @@ ROUNDING = 1e-11
 
 def _sets(v_gates, width=SET_WIDTH, x0=0.0, k=1):
     """SET pulses at each gate voltage, on the shipped grid refined k
-    times, all in one lockstep transient; returns the landed states and
-    the order of the shipped integrator.
-
-    A geometric grid's step at time t is h0 + (g - 1) t.  The refined
-    grid's first step is the shipped one over k and its growth
-    1 + (g - 1) / k, so its step at any t is the shipped one's over k."""
+    times (``refine``), all in one lockstep transient; returns the landed
+    states and the order of the shipped integrator."""
     cells = [_pulse_1t1r_cell(P, MOS, V_SET_1T1R, float(v), width, x0)
              for v in v_gates]
     for _, spec in cells:
-        spec.tstep /= k
-        spec.growth = 1.0 + (spec.growth - 1.0) / k
+        refine(spec, k)
     _run_transients(cells)
     return (np.array([float(c.state["xr1"]) for c, _ in cells]),
             ORDER[cells[0][1].integrator])

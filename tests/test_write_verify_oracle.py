@@ -47,10 +47,10 @@ def exact_landing(p: RramParams, x0: float, amplitude: float,
     return 1.0 - b1 if amplitude > 0.0 else b1
 
 
-def _reference_cell(p, x0, amplitude, width, steps):
+def _reference_cell(p, x0, amplitude, width):
     """The pulse cell at the reference's integrator and step count."""
-    c, spec = _pulse_cell(p, x0, amplitude, width, _REFERENCE_STEPS)
-    spec.integrator = "be"
+    c, spec = _pulse_cell(p, x0, amplitude, width)
+    spec.tstep, spec.integrator = width / _REFERENCE_STEPS, "be"
     return c, spec
 
 
@@ -67,8 +67,8 @@ def test_exact_landing_is_the_fine_step_limit(window, x0, amplitude):
     # steps, and _pulse inverts it
     p = RramParams(p=window)
     width = 2e-7                # k t is about 1.4: far from either bound
-    c, spec = _pulse_cell(p, x0, amplitude, width, 2000)
-    spec.integrator = "trap"
+    c, spec = _pulse_cell(p, x0, amplitude, width)
+    spec.tstep = width / 2000
     transient(c, spec)
     x1 = exact_landing(p, x0, amplitude, width)
     assert abs(c.state["xr"] - x1) <= 1e-6
@@ -84,8 +84,8 @@ def training_pulses():
     width, landed state)."""
     cells = []
 
-    def capture(p, x0, amplitude, width, steps):
-        c, spec = _pulse_cell(p, x0, amplitude, width, steps)
+    def capture(p, x0, amplitude, width):
+        c, spec = _pulse_cell(p, x0, amplitude, width)
         cells.append((x0, amplitude, width, c))
         return c, spec
 
@@ -102,7 +102,7 @@ def test_training_pulses_land_within_the_reference_error(training_pulses):
     errors, reference = [], []
     for x0, amp, width, x in training_pulses:
         errors.append(_landing_error(P, x0, amp, width, x))
-        c, spec = _reference_cell(P, x0, amp, width, None)
+        c, spec = _reference_cell(P, x0, amp, width)
         transient(c, spec)
         reference.append(_landing_error(P, x0, amp, width, c.state["xr"]))
     assert max(errors) <= max(reference)
